@@ -99,6 +99,10 @@ std::vector<BkNNResult> FsFbs::BooleanKnn(
     VertexId q, std::uint32_t k, std::span<const KeywordId> keywords,
     BooleanOp op, QueryStats* stats) {
   if (k == 0 || keywords.empty()) return {};
+  const auto finish = [stats](std::vector<BkNNResult> results) {
+    if (stats != nullptr) stats->results_returned += results.size();
+    return results;
+  };
 
   std::vector<KeywordId> frequent, infrequent;
   for (KeywordId t : keywords) {
@@ -114,9 +118,9 @@ std::vector<BkNNResult> FsFbs::BooleanKnn(
       for (KeywordId t : infrequent) {
         if (inverted_.ListSize(t) < inverted_.ListSize(rarest)) rarest = t;
       }
-      return ScanList(q, k, keywords, rarest, op, stats);
+      return finish(ScanList(q, k, keywords, rarest, op, stats));
     }
-    return FrequentSearch(q, k, keywords, op, stats);
+    return finish(FrequentSearch(q, k, keywords, op, stats));
   }
 
   // Disjunctive: merge the frequent forward-backward search with direct
@@ -140,7 +144,7 @@ std::vector<BkNNResult> FsFbs::BooleanKnn(
                            }),
                merged.end());
   if (merged.size() > k) merged.resize(k);
-  return merged;
+  return finish(std::move(merged));
 }
 
 std::vector<BkNNResult> FsFbs::ScanList(VertexId q, std::uint32_t k,

@@ -52,51 +52,6 @@ void AltBatchScalar(const Distance* src_row, const Distance* rows,
 
 namespace {
 
-// ----- SSE2 (x86-64 baseline) ---------------------------------------------
-//
-// SSE2 has no 64-bit compare, so a > b (unsigned, 2x64) is synthesized
-// from 32-bit halves: hi_gt | (hi_eq & lo_gt), with the unsigned 32-bit
-// compares done as signed compares of sign-flipped operands.
-
-inline __m128i CmpGtEpu64Sse2(__m128i a, __m128i b) {
-  const __m128i sign32 = _mm_set1_epi32(static_cast<int>(0x80000000u));
-  const __m128i gt32 =
-      _mm_cmpgt_epi32(_mm_xor_si128(a, sign32), _mm_xor_si128(b, sign32));
-  const __m128i eq32 = _mm_cmpeq_epi32(a, b);
-  const __m128i hi_gt = _mm_shuffle_epi32(gt32, _MM_SHUFFLE(3, 3, 1, 1));
-  const __m128i lo_gt = _mm_shuffle_epi32(gt32, _MM_SHUFFLE(2, 2, 0, 0));
-  const __m128i hi_eq = _mm_shuffle_epi32(eq32, _MM_SHUFFLE(3, 3, 1, 1));
-  return _mm_or_si128(hi_gt, _mm_and_si128(hi_eq, lo_gt));
-}
-
-inline __m128i SelectSse2(__m128i mask, __m128i a, __m128i b) {
-  return _mm_or_si128(_mm_and_si128(mask, a), _mm_andnot_si128(mask, b));
-}
-
-void AltBatchSse2(const Distance* src_row, const Distance* rows,
-                  std::size_t stride, const VertexId* targets,
-                  std::size_t count, Distance* out) {
-  for (std::size_t i = 0; i < count; ++i) {
-    PrefetchRow(rows, stride, targets, count, i);
-    const Distance* t_row =
-        rows + static_cast<std::size_t>(targets[i]) * stride;
-    __m128i best = _mm_setzero_si128();
-    for (std::size_t l = 0; l < stride; l += 2) {
-      const __m128i a = _mm_load_si128(
-          reinterpret_cast<const __m128i*>(src_row + l));
-      const __m128i b = _mm_load_si128(
-          reinterpret_cast<const __m128i*>(t_row + l));
-      const __m128i gt = CmpGtEpu64Sse2(a, b);
-      const __m128i diff =
-          SelectSse2(gt, _mm_sub_epi64(a, b), _mm_sub_epi64(b, a));
-      best = SelectSse2(CmpGtEpu64Sse2(diff, best), diff, best);
-    }
-    alignas(16) Distance lanes[2];
-    _mm_store_si128(reinterpret_cast<__m128i*>(lanes), best);
-    out[i] = lanes[0] > lanes[1] ? lanes[0] : lanes[1];
-  }
-}
-
 // ----- AVX2 ----------------------------------------------------------------
 
 #if defined(__GNUC__) || defined(__clang__)
@@ -201,7 +156,6 @@ SelectedKernel Select() {
 #if KSPIN_ALT_X86
   if (force != nullptr) {
     if (std::strcmp(force, "scalar") == 0) return {"scalar", AltBatchScalar};
-    if (std::strcmp(force, "sse2") == 0) return {"sse2", AltBatchSse2};
 #if KSPIN_ALT_HAVE_AVX2
     if (std::strcmp(force, "avx2") == 0 && CpuHasAvx2()) {
       return {"avx2", AltBatchAvx2};
@@ -220,10 +174,6 @@ SelectedKernel Select() {
 #if KSPIN_ALT_HAVE_AVX2
   if (CpuHasAvx2()) return {"avx2", AltBatchAvx2};
 #endif
-  // Without AVX2 the scalar loop wins: SSE2's synthesized 64-bit
-  // unsigned compare costs more than its 2-wide lanes save
-  // (BENCH_lb.json). The sse2 kernel stays selectable via the env
-  // override and equality-tested.
   return {"scalar", AltBatchScalar};
 #else
   (void)force;
@@ -245,7 +195,6 @@ const char* AltBatchKernelName() { return Cached().name; }
 std::vector<AltKernelInfo> AvailableAltKernels() {
   std::vector<AltKernelInfo> kernels = {{"scalar", AltBatchScalar}};
 #if KSPIN_ALT_X86
-  kernels.push_back({"sse2", AltBatchSse2});
 #if KSPIN_ALT_HAVE_AVX2
   if (CpuHasAvx2()) kernels.push_back({"avx2", AltBatchAvx2});
 #endif

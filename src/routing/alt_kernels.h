@@ -5,13 +5,13 @@
 //   out[i] = max over landmarks l of |d(l, s) - d(l, targets[i])|
 // reading one contiguous, 64-byte-aligned row per vertex. The AVX-512
 // variant uses native 64-bit unsigned max/min (|a-b| = max - min); AVX2
-// and SSE2 vectorize the reduction with the sign-flip trick for unsigned
+// vectorizes the reduction with the sign-flip trick for unsigned
 // compares. All variants are bit-identical to the scalar per-pair loop,
 // so query results never depend on the host CPU.
 //
 // Dispatch happens once, at first use: AltBatchKernel() probes the CPU
-// (and the KSPIN_ALT_KERNEL env override: "scalar", "sse2", "avx2" or
-// "avx512") and caches the selected function pointer.
+// (and the KSPIN_ALT_KERNEL env override: "scalar", "avx2" or "avx512")
+// and caches the selected function pointer.
 #ifndef KSPIN_ROUTING_ALT_KERNELS_H_
 #define KSPIN_ROUTING_ALT_KERNELS_H_
 
@@ -37,13 +37,12 @@ void AltBatchScalar(const Distance* src_row, const Distance* rows,
                     std::size_t count, Distance* out);
 
 /// The kernel selected for this process: best supported of AVX-512 >
-/// AVX2 > scalar (SSE2 measures slower than the scalar loop, so it is
-/// override-only), overridable via KSPIN_ALT_KERNEL. Probed once, then
+/// AVX2 > scalar, overridable via KSPIN_ALT_KERNEL. Probed once, then
 /// cached.
 AltBatchKernelFn AltBatchKernel();
 
 /// Name of the kernel AltBatchKernel() selected ("avx512", "avx2",
-/// "sse2", "scalar") — surfaced in bench output and startup logs.
+/// "scalar") — surfaced in bench output and startup logs.
 const char* AltBatchKernelName();
 
 /// Every kernel this binary can run on this CPU (scalar always included).

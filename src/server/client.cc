@@ -23,8 +23,7 @@ void ParseReplyEnvelope(PayloadReader& reader, Client::Reply* reply) {
   if (reply->status != StatusCode::kOk) {
     reply->error = reader.String();
     if (!reader.ok()) throw ClientError("malformed error response");
-    // Tolerant trailer (v4): OVERLOADED bodies may carry a u32
-    // retry-after hint; older servers simply end after the message.
+    // OVERLOADED bodies may end in a u32 retry-after hint.
     if (reply->status == StatusCode::kOverloaded && !reader.AtEnd()) {
       const std::uint32_t hint = reader.U32();
       if (reader.ok()) reply->retry_after_ms = hint;
@@ -135,7 +134,7 @@ std::vector<std::uint8_t> Client::RoundTrip(
   header.request_id = next_request_id_++;
   header.deadline_ms = deadline_ms;
   if (trace_.valid()) {
-    // v5 trace trailer: appended after the body, flagged in the header;
+    // Trace trailer: appended after the body, flagged in the header;
     // the server strips it before the opcode decoder runs.
     header.flags |= kFrameFlagTraceContext;
     std::vector<std::uint8_t> traced(payload.begin(), payload.end());
@@ -192,7 +191,6 @@ Client::StatsReply Client::Stats() {
   PayloadReader reader(body);
   StatsReply reply;
   ParseReplyEnvelope(reader, &reply);
-  // Backward-compatible: a v1 body simply leaves histograms empty.
   if (reply.ok() &&
       !DecodeStatsResponse(reader, &reply.stats, &reply.histograms)) {
     throw ClientError("malformed stats response");
@@ -269,51 +267,21 @@ Client::SearchReply Client::Search(std::string_view query, VertexId from,
   return reply;
 }
 
-Client::AddPoiReply Client::AddPoi(std::string_view name, VertexId vertex,
-                                   std::span<const std::string> keywords) {
-  PoiAddRequest request;
-  request.vertex = vertex;
-  request.name = std::string(name);
-  request.keywords.assign(keywords.begin(), keywords.end());
-  const auto body =
-      RoundTrip(Opcode::kPoiAdd, EncodePoiAddRequest(request));
+Client::MutateReply Client::Mutate(Opcode opcode,
+                                   std::span<const std::uint8_t> payload) {
+  const auto body = RoundTrip(opcode, payload);
   PayloadReader reader(body);
-  AddPoiReply reply;
+  MutateReply reply;
   ParseReplyEnvelope(reader, &reply);
   if (reply.ok()) {
-    reply.id = reader.U32();
-    if (!reader.Finished()) throw ClientError("malformed add response");
+    MutationReply result;
+    if (!DecodeMutationResponse(reader, &result)) {
+      throw ClientError("malformed mutation response");
+    }
+    reply.sequence = result.sequence;
+    reply.id = result.object;
+    reply.primary_epoch = result.primary_epoch;
   }
-  return reply;
-}
-
-Client::Reply Client::ClosePoi(ObjectId id) {
-  PayloadWriter w;
-  w.U32(id);
-  const auto body = RoundTrip(Opcode::kPoiClose, w.Bytes());
-  PayloadReader reader(body);
-  Reply reply;
-  ParseReplyEnvelope(reader, &reply);
-  return reply;
-}
-
-Client::Reply Client::TagPoi(ObjectId id, std::string_view keyword) {
-  PoiTagRequest request{id, std::string(keyword)};
-  const auto body =
-      RoundTrip(Opcode::kPoiTag, EncodePoiTagRequest(request));
-  PayloadReader reader(body);
-  Reply reply;
-  ParseReplyEnvelope(reader, &reply);
-  return reply;
-}
-
-Client::Reply Client::UntagPoi(ObjectId id, std::string_view keyword) {
-  PoiTagRequest request{id, std::string(keyword)};
-  const auto body =
-      RoundTrip(Opcode::kPoiUntag, EncodePoiTagRequest(request));
-  PayloadReader reader(body);
-  Reply reply;
-  ParseReplyEnvelope(reader, &reply);
   return reply;
 }
 
@@ -326,41 +294,13 @@ Client::MutateReply Client::InsertDoc(std::uint64_t idempotency_key,
   request.name = std::string(name);
   request.keywords.assign(keywords.begin(), keywords.end());
   request.fence_epoch = fence_epoch_;
-  const auto body =
-      RoundTrip(Opcode::kInsertDoc, EncodeInsertDocRequest(request));
-  PayloadReader reader(body);
-  MutateReply reply;
-  ParseReplyEnvelope(reader, &reply);
-  if (reply.ok()) {
-    MutationReply result;
-    if (!DecodeMutationResponse(reader, &result)) {
-      throw ClientError("malformed mutation response");
-    }
-    reply.sequence = result.sequence;
-    reply.id = result.object;
-    reply.primary_epoch = result.primary_epoch;
-  }
-  return reply;
+  return Mutate(Opcode::kInsertDoc, EncodeInsertDocRequest(request));
 }
 
 Client::MutateReply Client::DeleteDoc(std::uint64_t idempotency_key,
                                       ObjectId id) {
   DeleteDocRequest request{idempotency_key, id, fence_epoch_};
-  const auto body =
-      RoundTrip(Opcode::kDeleteDoc, EncodeDeleteDocRequest(request));
-  PayloadReader reader(body);
-  MutateReply reply;
-  ParseReplyEnvelope(reader, &reply);
-  if (reply.ok()) {
-    MutationReply result;
-    if (!DecodeMutationResponse(reader, &result)) {
-      throw ClientError("malformed mutation response");
-    }
-    reply.sequence = result.sequence;
-    reply.id = result.object;
-    reply.primary_epoch = result.primary_epoch;
-  }
-  return reply;
+  return Mutate(Opcode::kDeleteDoc, EncodeDeleteDocRequest(request));
 }
 
 Client::MutateReply Client::UpdateDoc(
@@ -374,21 +314,7 @@ Client::MutateReply Client::UpdateDoc(
   request.remove_keywords.assign(remove_keywords.begin(),
                                  remove_keywords.end());
   request.fence_epoch = fence_epoch_;
-  const auto body =
-      RoundTrip(Opcode::kUpdateDoc, EncodeUpdateDocRequest(request));
-  PayloadReader reader(body);
-  MutateReply reply;
-  ParseReplyEnvelope(reader, &reply);
-  if (reply.ok()) {
-    MutationReply result;
-    if (!DecodeMutationResponse(reader, &result)) {
-      throw ClientError("malformed mutation response");
-    }
-    reply.sequence = result.sequence;
-    reply.id = result.object;
-    reply.primary_epoch = result.primary_epoch;
-  }
-  return reply;
+  return Mutate(Opcode::kUpdateDoc, EncodeUpdateDocRequest(request));
 }
 
 Client::FetchOplogReply Client::FetchOplog(std::uint64_t from_sequence,

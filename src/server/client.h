@@ -47,7 +47,7 @@ class Client {
   struct Reply {
     StatusCode status = StatusCode::kInternal;
     std::string error;
-    /// RETRY_AFTER hint from an OVERLOADED reply's tolerant trailer
+    /// RETRY_AFTER hint from an OVERLOADED reply's optional trailer
     /// (docs/protocol.md "Overload control & degradation"); 0 when the
     /// server sent none. RetryingClient honors it for backoff.
     std::uint32_t retry_after_ms = 0;
@@ -61,13 +61,9 @@ class Client {
     bool degraded = false;
   };
 
-  struct AddPoiReply : Reply {
-    ObjectId id = kInvalidObject;
-  };
-
   struct StatsReply : Reply {
     std::vector<std::pair<std::string, std::uint64_t>> stats;
-    /// Raw latency histograms (protocol v2+; empty from a v1 server).
+    /// Raw latency histograms.
     std::vector<WireHistogram> histograms;
     /// Value of `key`, or 0 if absent.
     std::uint64_t Value(std::string_view key) const;
@@ -97,9 +93,8 @@ class Client {
   struct MutateReply : Reply {
     std::uint64_t sequence = 0;     ///< Op-log sequence of the mutation.
     ObjectId id = kInvalidObject;   ///< Affected object (new id on insert).
-    /// The acking primary's epoch (0 from pre-epoch servers). Failover
-    /// clients track the max they have seen and fence stale primaries
-    /// with it.
+    /// The acking primary's epoch. Failover clients track the max they
+    /// have seen and fence stale primaries with it.
     std::uint64_t primary_epoch = 0;
   };
 
@@ -137,14 +132,8 @@ class Client {
   SearchReply Search(std::string_view query, VertexId from, std::uint32_t k,
                      bool ranked = false, std::uint32_t deadline_ms = 0);
 
-  AddPoiReply AddPoi(std::string_view name, VertexId vertex,
-                     std::span<const std::string> keywords);
-  Reply ClosePoi(ObjectId id);
-  Reply TagPoi(ObjectId id, std::string_view keyword);
-  Reply UntagPoi(ObjectId id, std::string_view keyword);
-
-  /// Durable write path (v3 opcodes). `idempotency_key` is a client-chosen
-  /// retry token: resending with the same key returns the original result
+  /// Durable write path. `idempotency_key` is a client-chosen retry
+  /// token: resending with the same key returns the original result
   /// instead of applying twice, so these are safe to retry (0 = no token,
   /// every send is a distinct operation).
   MutateReply InsertDoc(std::uint64_t idempotency_key, VertexId vertex,
@@ -170,22 +159,21 @@ class Client {
   /// on an already-primary server (reports the standing epoch).
   PromoteAck Promote(std::uint64_t min_applied_sequence = 0);
 
-  /// Epoch stamped into every v3 mutation request (InsertDoc/DeleteDoc/
+  /// Epoch stamped into every mutation request (InsertDoc/DeleteDoc/
   /// UpdateDoc). A primary that sees a fence epoch above its own rejects
-  /// the write with STALE_EPOCH and stays fenced. 0 = no fencing (the
-  /// field still encodes; pre-epoch servers ignore it).
+  /// the write with STALE_EPOCH and stays fenced. 0 = no fencing.
   void SetFenceEpoch(std::uint64_t epoch) { fence_epoch_ = epoch; }
   std::uint64_t FenceEpoch() const { return fence_epoch_; }
 
-  /// Trace context stamped onto every subsequent request (v5 trace
-  /// trailer + kFrameFlagTraceContext). A default (trace_id 0) context
-  /// clears stamping. RetryingClient reuses this Client across attempts,
-  /// so one SetTraceContext covers every retry of an operation.
+  /// Trace context stamped onto every subsequent request (trace trailer +
+  /// kFrameFlagTraceContext). A default (trace_id 0) context clears
+  /// stamping. RetryingClient reuses this Client across attempts, so one
+  /// SetTraceContext covers every retry of an operation.
   void SetTraceContext(const TraceContext& context) { trace_ = context; }
   const TraceContext& GetTraceContext() const { return trace_; }
 
-  /// Flight-recorder dump (DUMP_DIAG opcode, v5+) — answered inline by
-  /// the I/O thread, so it works on a saturated server.
+  /// Flight-recorder dump (DUMP_DIAG opcode) — answered inline by the
+  /// I/O thread, so it works on a saturated server.
   MetricsReply DumpDiag();
 
   /// Asks the server to write a snapshot now (SNAPSHOT opcode). On kOk
@@ -202,6 +190,8 @@ class Client {
   std::vector<std::uint8_t> RoundTrip(Opcode opcode,
                                       std::span<const std::uint8_t> payload,
                                       std::uint32_t deadline_ms = 0);
+  /// RoundTrip for the three mutation opcodes, decoding the ack.
+  MutateReply Mutate(Opcode opcode, std::span<const std::uint8_t> payload);
   void WriteAll(std::span<const std::uint8_t> bytes);
   void ReadExactly(std::uint8_t* out, std::size_t count);
 

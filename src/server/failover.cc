@@ -141,22 +141,6 @@ Client::SearchReply FailoverClient::Search(std::string_view query,
   });
 }
 
-Client::AddPoiReply FailoverClient::AddPoi(
-    std::string_view name, VertexId vertex,
-    std::span<const std::string> keywords) {
-  return ExecuteWrite(
-      [&](RetryingClient& c) { return c.AddPoi(name, vertex, keywords); });
-}
-
-Client::Reply FailoverClient::ClosePoi(ObjectId id) {
-  return ExecuteWrite([&](RetryingClient& c) { return c.ClosePoi(id); });
-}
-
-Client::Reply FailoverClient::TagPoi(ObjectId id, std::string_view keyword) {
-  return ExecuteWrite(
-      [&](RetryingClient& c) { return c.TagPoi(id, keyword); });
-}
-
 std::uint64_t FailoverClient::NextIdempotencyKey() {
   // xorshift64; skip 0 (0 means "no key" on the wire).
   do {
@@ -194,12 +178,6 @@ Client::MutateReply FailoverClient::UpdateDoc(
   return ExecuteWrite([&](RetryingClient& c) {
     return c.UpdateDoc(key, id, add_keywords, remove_keywords);
   });
-}
-
-Client::Reply FailoverClient::UntagPoi(ObjectId id,
-                                       std::string_view keyword) {
-  return ExecuteWrite(
-      [&](RetryingClient& c) { return c.UntagPoi(id, keyword); });
 }
 
 Client::SnapshotReply FailoverClient::Snapshot() {

@@ -8,7 +8,7 @@
 //    any transport failure (connect refused, timeout, torn stream). The
 //    endpoint that last answered is sticky, so steady state costs no
 //    extra probing.
-//  - Writes (poi updates, snapshot/reload) go to the endpoint believed to
+//  - Writes (mutations, snapshot/reload) go to the endpoint believed to
 //    be the primary. A NOT_PRIMARY rejection carries the real primary's
 //    "host:port"; the client follows the redirect (adding the endpoint if
 //    it was not configured) a bounded number of times.
@@ -81,15 +81,10 @@ class FailoverClient {
   // Writes — primary-routed, NOT_PRIMARY redirects followed (at most
   // kMaxRedirects hops). A still-kNotPrimary reply after that surfaces
   // to the caller.
-  Client::AddPoiReply AddPoi(std::string_view name, VertexId vertex,
-                             std::span<const std::string> keywords);
-  Client::Reply ClosePoi(ObjectId id);
-  Client::Reply TagPoi(ObjectId id, std::string_view keyword);
-  Client::Reply UntagPoi(ObjectId id, std::string_view keyword);
   Client::SnapshotReply Snapshot();
   Client::SnapshotReply Reload();
 
-  // Keyed mutations (v3). `idempotency_key` 0 means "generate one": the
+  // Keyed mutations. `idempotency_key` 0 means "generate one": the
   // same key then rides across every retry and redirect of this call, so
   // the operation applies at most once even through a failover.
   Client::MutateReply InsertDoc(VertexId vertex, std::string_view name,

@@ -1,6 +1,7 @@
 #include "server/flight_recorder.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cinttypes>
 #include <cstdio>
 
@@ -14,30 +15,15 @@ namespace {
 constexpr std::uint64_t kKindSpan = 1;
 constexpr std::uint64_t kKindEvent = 2;
 
-std::string_view OpcodeName(std::uint8_t opcode) {
-  switch (static_cast<Opcode>(opcode)) {
-    case Opcode::kError: return "ERROR";
-    case Opcode::kPing: return "PING";
-    case Opcode::kStats: return "STATS";
-    case Opcode::kHealth: return "HEALTH";
-    case Opcode::kMetrics: return "METRICS";
-    case Opcode::kDumpDiag: return "DUMP_DIAG";
-    case Opcode::kSearchBoolean: return "SEARCH_BOOLEAN";
-    case Opcode::kSearchRanked: return "SEARCH_RANKED";
-    case Opcode::kPoiAdd: return "POI_ADD";
-    case Opcode::kPoiClose: return "POI_CLOSE";
-    case Opcode::kPoiTag: return "POI_TAG";
-    case Opcode::kPoiUntag: return "POI_UNTAG";
-    case Opcode::kInsertDoc: return "INSERT_DOC";
-    case Opcode::kDeleteDoc: return "DELETE_DOC";
-    case Opcode::kUpdateDoc: return "UPDATE_DOC";
-    case Opcode::kSnapshot: return "SNAPSHOT";
-    case Opcode::kReload: return "RELOAD";
-    case Opcode::kFetchSnapshot: return "FETCH_SNAPSHOT";
-    case Opcode::kFetchOplog: return "FETCH_OPLOG";
-    case Opcode::kPromote: return "PROMOTE_OP";
+// Span opcode as dumped: the table name upper-cased ("SEARCH_BOOLEAN").
+std::string OpcodeName(std::uint8_t opcode) {
+  const OpcodeInfo* const row = FindOpcode(static_cast<Opcode>(opcode));
+  if (row == nullptr) return "UNKNOWN";
+  std::string name(row->name);
+  for (char& c : name) {
+    c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
   }
-  return "UNKNOWN";
+  return name;
 }
 
 }  // namespace
@@ -170,8 +156,7 @@ std::string FlightRecorder::Dump(std::size_t max_bytes) const {
           PRIu64 ",\"heap_pops\":%u,\"lower_bounds\":%u,"
           "\"distance_computations\":%u,\"false_positive_distances\":%u}",
           seq, words[1], words[2], words[3], words[4],
-          std::string(OpcodeName(static_cast<std::uint8_t>(words[5])))
-              .c_str(),
+          OpcodeName(static_cast<std::uint8_t>(words[5])).c_str(),
           std::string(
               StatusName(static_cast<StatusCode>(words[5] >> 8 & 0xFF)))
               .c_str(),

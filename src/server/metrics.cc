@@ -61,52 +61,6 @@ std::uint64_t HistogramSnapshot::PercentileMicros(double p) const {
   return BucketUpperMicros(kBuckets - 1);
 }
 
-std::size_t ServerMetrics::OpcodeSlot(Opcode opcode) {
-  switch (opcode) {
-    case Opcode::kError:
-      return kNoSlot;
-    case Opcode::kPing:
-      return 0;
-    case Opcode::kStats:
-      return 1;
-    case Opcode::kSearchBoolean:
-      return 2;
-    case Opcode::kSearchRanked:
-      return 3;
-    case Opcode::kPoiAdd:
-      return 4;
-    case Opcode::kPoiClose:
-      return 5;
-    case Opcode::kPoiTag:
-      return 6;
-    case Opcode::kPoiUntag:
-      return 7;
-    case Opcode::kSnapshot:
-      return 8;
-    case Opcode::kReload:
-      return 9;
-    case Opcode::kHealth:
-      return 10;
-    case Opcode::kFetchSnapshot:
-      return 11;
-    case Opcode::kMetrics:
-      return 12;
-    case Opcode::kInsertDoc:
-      return 13;
-    case Opcode::kDeleteDoc:
-      return 14;
-    case Opcode::kUpdateDoc:
-      return 15;
-    case Opcode::kFetchOplog:
-      return 16;
-    case Opcode::kPromote:
-      return 17;
-    case Opcode::kDumpDiag:
-      return 18;
-  }
-  return kNoSlot;
-}
-
 void ServerMetrics::RecordQueueDepth(std::size_t depth) {
   std::uint64_t peak = queue_depth_peak.load(std::memory_order_relaxed);
   while (depth > peak && !queue_depth_peak.compare_exchange_weak(
@@ -209,26 +163,12 @@ MetricsSnapshot ServerMetrics::FullSnapshot(
       {"trace_rotations", load(trace_rotations)},
       {"queue_depth", current_queue_depth},
       {"queue_depth_peak", load(queue_depth_peak)},
-      {"opcode_ping", load(requests_by_opcode[0])},
-      {"opcode_stats", load(requests_by_opcode[1])},
-      {"opcode_search_boolean", load(requests_by_opcode[2])},
-      {"opcode_search_ranked", load(requests_by_opcode[3])},
-      {"opcode_poi_add", load(requests_by_opcode[4])},
-      {"opcode_poi_close", load(requests_by_opcode[5])},
-      {"opcode_poi_tag", load(requests_by_opcode[6])},
-      {"opcode_poi_untag", load(requests_by_opcode[7])},
-      {"opcode_snapshot", load(requests_by_opcode[8])},
-      {"opcode_reload", load(requests_by_opcode[9])},
-      {"opcode_health", load(requests_by_opcode[10])},
-      {"opcode_fetch_snapshot", load(requests_by_opcode[11])},
-      {"opcode_metrics", load(requests_by_opcode[12])},
-      {"opcode_insert_doc", load(requests_by_opcode[13])},
-      {"opcode_delete_doc", load(requests_by_opcode[14])},
-      {"opcode_update_doc", load(requests_by_opcode[15])},
-      {"opcode_fetch_oplog", load(requests_by_opcode[16])},
-      {"opcode_promote", load(requests_by_opcode[17])},
-      {"opcode_dump_diag", load(requests_by_opcode[18])},
   };
+  for (std::size_t slot = 0; slot < kNumOpcodes; ++slot) {
+    snap.counters.emplace_back(
+        "opcode_" + std::string(kOpcodeTable[slot].name),
+        load(requests_by_opcode[slot]));
+  }
   // Replication lag: ms since the last poll that confirmed the replica in
   // sync with (or installed a snapshot from) its primary. 0 until the
   // first success — read it together with replication_polls.
@@ -250,10 +190,12 @@ MetricsSnapshot ServerMetrics::FullSnapshot(
 
 std::vector<std::pair<std::string, std::uint64_t>> ServerMetrics::Snapshot(
     std::size_t current_queue_depth) const {
-  MetricsSnapshot snap = FullSnapshot(current_queue_depth);
-  auto out = std::move(snap.counters);
-  // Latency summaries derived from the same histogram snapshot, so count,
-  // mean, and percentiles within one response always agree.
+  return StatsPairs(FullSnapshot(current_queue_depth));
+}
+
+std::vector<std::pair<std::string, std::uint64_t>> StatsPairs(
+    const MetricsSnapshot& snapshot) {
+  auto out = snapshot.counters;
   const auto append = [&out](const char* prefix,
                              const HistogramSnapshot& h) {
     const std::string p(prefix);
@@ -262,9 +204,9 @@ std::vector<std::pair<std::string, std::uint64_t>> ServerMetrics::Snapshot(
     out.emplace_back(p + "_p50_us", h.PercentileMicros(0.50));
     out.emplace_back(p + "_p99_us", h.PercentileMicros(0.99));
   };
-  append("query_latency", snap.query_latency);
-  append("update_latency", snap.update_latency);
-  append("admission_sojourn", snap.admission_sojourn);
+  append("query_latency", snapshot.query_latency);
+  append("update_latency", snapshot.update_latency);
+  append("admission_sojourn", snapshot.admission_sojourn);
   return out;
 }
 

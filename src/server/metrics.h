@@ -234,8 +234,9 @@ class ServerMetrics {
   std::atomic<std::uint64_t> traces_emitted{0};
   std::atomic<std::uint64_t> trace_rotations{0};
 
-  /// Requests by opcode (indexed via OpcodeSlot).
-  std::array<std::atomic<std::uint64_t>, 19> requests_by_opcode{};
+  /// Requests by opcode, one slot per kOpcodeTable row (STATS key
+  /// `opcode_<name>`).
+  std::array<std::atomic<std::uint64_t>, kNumOpcodes> requests_by_opcode{};
 
   /// Queue depth high-watermark (the live depth is sampled at STATS time).
   std::atomic<std::uint64_t> queue_depth_peak{0};
@@ -243,19 +244,14 @@ class ServerMetrics {
   /// End-to-end latency (admission to response encoded) of executed
   /// requests, by class.
   LatencyHistogram query_latency;   ///< kSearchBoolean / kSearchRanked.
-  LatencyHistogram update_latency;  ///< kPoi* and mutation opcodes.
+  LatencyHistogram update_latency;  ///< Every other admitted opcode.
   /// Time requests spent queued (push to pop), microseconds.
   LatencyHistogram admission_sojourn;
 
-  /// Dense slot for an opcode, or npos for unknown ones.
-  static std::size_t OpcodeSlot(Opcode opcode);
-  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
-
-  void CountOpcode(Opcode opcode) {
-    const std::size_t slot = OpcodeSlot(opcode);
-    if (slot != kNoSlot) {
-      requests_by_opcode[slot].fetch_add(1, std::memory_order_relaxed);
-    }
+  /// Counts one request of the opcode in table row `row`.
+  void CountOpcode(const OpcodeInfo& row) {
+    requests_by_opcode[static_cast<std::size_t>(&row - kOpcodeTable)]
+        .fetch_add(1, std::memory_order_relaxed);
   }
 
   void RecordQueueDepth(std::size_t depth);
@@ -275,6 +271,12 @@ class ServerMetrics {
   std::vector<std::pair<std::string, std::uint64_t>> Snapshot(
       std::size_t current_queue_depth) const;
 };
+
+/// The STATS key/value list of `snapshot`: its counters followed by
+/// count / mean / p50 / p99 summaries of each histogram, all derived from
+/// the same snapshot so they agree with each other.
+std::vector<std::pair<std::string, std::uint64_t>> StatsPairs(
+    const MetricsSnapshot& snapshot);
 
 /// Renders a snapshot as Prometheus text exposition format 0.0.4: one
 /// `kspin_`-prefixed family per counter, plus native histograms with

@@ -5,7 +5,7 @@
 //
 // One MutationRecord encoding serves three places: the op-log record
 // payload, the FETCH_OPLOG chunk entries a replica tails, and (wrapped in
-// the v3 request bodies of wire.h) the client-facing opcodes. Applying a
+// the request bodies of wire.h) the client-facing opcodes. Applying a
 // record to a PoiService is deterministic — same starting state, same
 // record order, same resulting object ids — which is what makes crash
 // replay and log-shipping replication converge on the primary's state.

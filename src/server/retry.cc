@@ -90,25 +90,6 @@ Client::SnapshotReply RetryingClient::Reload() {
   return Execute(true, [this] { return client_.Reload(); });
 }
 
-Client::AddPoiReply RetryingClient::AddPoi(
-    std::string_view name, VertexId vertex,
-    std::span<const std::string> keywords) {
-  return Execute(false, [&] { return client_.AddPoi(name, vertex, keywords); });
-}
-
-Client::Reply RetryingClient::ClosePoi(ObjectId id) {
-  return Execute(false, [&] { return client_.ClosePoi(id); });
-}
-
-Client::Reply RetryingClient::TagPoi(ObjectId id, std::string_view keyword) {
-  return Execute(false, [&] { return client_.TagPoi(id, keyword); });
-}
-
-Client::Reply RetryingClient::UntagPoi(ObjectId id,
-                                       std::string_view keyword) {
-  return Execute(false, [&] { return client_.UntagPoi(id, keyword); });
-}
-
 Client::MutateReply RetryingClient::InsertDoc(
     std::uint64_t idempotency_key, VertexId vertex, std::string_view name,
     std::span<const std::string> keywords) {

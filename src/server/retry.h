@@ -6,8 +6,8 @@
 //  - in-band kOverloaded rejections (load shedding is an invitation to
 //    back off and come again);
 //  - ClientError mid-request (disconnect / torn response) — but only for
-//    idempotent operations. A torn AddPoi may or may not have been
-//    applied server-side, so re-sending it could double-insert; such
+//    idempotent operations. A torn keyless InsertDoc may or may not have
+//    been applied server-side, so re-sending it could double-insert; such
 //    failures surface to the caller instead.
 //
 // Backoff is exponential with deterministic jitter (seeded xorshift, so
@@ -62,12 +62,12 @@ class RetryingClient {
   /// Attempts consumed by the last operation (1 = no retries needed).
   std::uint32_t LastAttempts() const { return last_attempts_; }
 
-  /// Epoch stamped into every v3 mutation (see Client::SetFenceEpoch);
+  /// Epoch stamped into every mutation (see Client::SetFenceEpoch);
   /// survives the reconnects this wrapper performs between attempts.
   void SetFenceEpoch(std::uint64_t epoch) { client_.SetFenceEpoch(epoch); }
   std::uint64_t FenceEpoch() const { return client_.FenceEpoch(); }
 
-  /// Trace context stamped onto every request (v5 trace trailer). The
+  /// Trace context stamped onto every request (trace trailer). The
   /// wrapped Client is reused across attempts and reconnects, so one
   /// trace_id survives every retry of an operation.
   void SetTraceContext(const TraceContext& context) {
@@ -77,7 +77,7 @@ class RetryingClient {
     return client_.GetTraceContext();
   }
 
-  /// Flight-recorder dump (DUMP_DIAG, v5+) — an idempotent read.
+  /// Flight-recorder dump (DUMP_DIAG) — an idempotent read.
   Client::MetricsReply DumpDiag();
 
   // Idempotent operations — retried on every retryable failure.
@@ -100,19 +100,11 @@ class RetryingClient {
   Client::SnapshotReply Snapshot();
   Client::SnapshotReply Reload();
 
-  // Updates — retried on connect failure and kOverloaded only (the
+  // Mutations — with a nonzero idempotency key the server deduplicates
+  // re-sends, so a torn round trip is safe to retry like an idempotent
+  // read. Key 0 is retried on connect failure and kOverloaded only (the
   // request provably never reached the server); a mid-request disconnect
-  // rethrows because the update may already be applied.
-  Client::AddPoiReply AddPoi(std::string_view name, VertexId vertex,
-                             std::span<const std::string> keywords);
-  Client::Reply ClosePoi(ObjectId id);
-  Client::Reply TagPoi(ObjectId id, std::string_view keyword);
-  Client::Reply UntagPoi(ObjectId id, std::string_view keyword);
-
-  // Keyed mutations (v3) — with a nonzero idempotency key the server
-  // deduplicates re-sends, so a torn round trip is safe to retry like an
-  // idempotent read; key 0 falls back to the conservative update rules
-  // above.
+  // rethrows because the mutation may already be applied.
   Client::MutateReply InsertDoc(std::uint64_t idempotency_key,
                                 VertexId vertex, std::string_view name,
                                 std::span<const std::string> keywords);

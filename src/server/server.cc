@@ -91,6 +91,7 @@ struct Server::Connection {
 struct Server::Request {
   std::shared_ptr<Connection> conn;
   FrameHeader header;
+  const OpcodeInfo* op = nullptr;  ///< Table row of header.opcode.
   std::vector<std::uint8_t> payload;
   Clock::time_point admitted_at{};
   /// admitted_at + deadline_ms; time_point{} when the request has none.
@@ -641,9 +642,6 @@ void Server::Respond(const std::shared_ptr<Connection>& conn,
                      const FrameHeader& request_header,
                      std::vector<std::uint8_t> response_payload) {
   FrameHeader header;
-  // Echo the request's protocol version: a v1 client gets v1 frames back
-  // even from a v2 server.
-  header.version = request_header.version;
   header.opcode = request_header.opcode;
   header.request_id = request_header.request_id;
   conn->QueueWrite(EncodeFrame(header, response_payload),
@@ -655,10 +653,17 @@ void Server::HandleFrame(const std::shared_ptr<Connection>& conn,
                          const FrameHeader& header,
                          std::vector<std::uint8_t> payload) {
   metrics_.frames_received.fetch_add(1, std::memory_order_relaxed);
-  metrics_.CountOpcode(header.opcode);
+  const OpcodeInfo* const op = FindOpcode(header.opcode);
+  if (op == nullptr) {
+    metrics_.requests_unsupported.fetch_add(1, std::memory_order_relaxed);
+    Respond(conn, header,
+            EncodeErrorResponse(StatusCode::kUnsupported, "unknown opcode"));
+    return;
+  }
+  metrics_.CountOpcode(*op);
 
-  // v5 trace trailer: strip it off the payload before any opcode body
-  // decode, so every body codec sees exactly the v<=4 bytes.
+  // Strip the trace trailer off the payload before any opcode body
+  // decode, so every body codec sees exactly its body bytes.
   TraceContext trace;
   if ((header.flags & kFrameFlagTraceContext) != 0) {
     std::span<const std::uint8_t> body;
@@ -673,202 +678,135 @@ void Server::HandleFrame(const std::shared_ptr<Connection>& conn,
     payload.resize(body.size());
   }
 
-  switch (header.opcode) {
-    case Opcode::kPing:
-      metrics_.requests_ok.fetch_add(1, std::memory_order_relaxed);
-      Respond(conn, header, EncodeOkResponse());
-      return;
-    case Opcode::kStats: {
-      // Snapshot before counting so a STATS response never includes
-      // itself; it shows up in the next snapshot instead. One FullSnapshot
-      // backs the whole response, so counters, histogram buckets, and the
-      // derived summary values all describe the same instant.
-      MirrorOplogMetrics();
-      const MetricsSnapshot snapshot = metrics_.FullSnapshot(queue_->Size());
-      metrics_.requests_ok.fetch_add(1, std::memory_order_relaxed);
-      auto pairs = snapshot.counters;
-      const auto append = [&pairs](const char* prefix,
-                                   const HistogramSnapshot& h) {
-        const std::string p(prefix);
-        pairs.emplace_back(p + "_count", h.count);
-        pairs.emplace_back(p + "_mean_us", h.MeanMicros());
-        pairs.emplace_back(p + "_p50_us", h.PercentileMicros(0.50));
-        pairs.emplace_back(p + "_p99_us", h.PercentileMicros(0.99));
-      };
-      append("query_latency", snapshot.query_latency);
-      append("update_latency", snapshot.update_latency);
-      append("admission_sojourn", snapshot.admission_sojourn);
-      if (header.version < 2) {
-        // v1 clients get the flat pairs only (no trailing histograms —
-        // their decoder rejects trailing bytes).
-        Respond(conn, header, EncodeStatsResponse(pairs));
-        return;
-      }
-      const auto to_wire = [](const char* name, const HistogramSnapshot& h) {
-        WireHistogram wh;
-        wh.name = name;
-        wh.count = h.count;
-        wh.sum_micros = h.sum_micros;
-        wh.buckets.assign(h.buckets.begin(), h.buckets.end());
-        return wh;
-      };
-      const WireHistogram histograms[] = {
-          to_wire("query_latency_us", snapshot.query_latency),
-          to_wire("update_latency_us", snapshot.update_latency),
-          to_wire("admission_sojourn_us", snapshot.admission_sojourn),
-      };
-      Respond(conn, header, EncodeStatsResponse(pairs, histograms));
-      return;
+  if (op->lane == Lane::kInline) {
+    // Answered here, bypassing admission: probes, scrapes and diag dumps
+    // must work on a saturated server (that is when failover and
+    // forensics need them most). requests_ok is counted after the body
+    // is built, so a STATS response never includes itself.
+    std::vector<std::uint8_t> reply;
+    switch (header.opcode) {
+      case Opcode::kStats:
+        reply = BuildStatsResponse();
+        break;
+      case Opcode::kMetrics:
+        MirrorOplogMetrics();
+        reply = EncodeMetricsResponse(
+            RenderPrometheusText(metrics_.FullSnapshot(queue_->Size())));
+        break;
+      case Opcode::kHealth:
+        reply = BuildHealthResponse();
+        break;
+      case Opcode::kDumpDiag:
+        // Dump() is lock-free against concurrent writers.
+        reply = EncodeDiagResponse(recorder_.Dump(kMaxPayloadSize - 256));
+        break;
+      default:  // kPing.
+        reply = EncodeOkResponse();
+        break;
     }
-    case Opcode::kMetrics: {
-      // Prometheus text exposition; inline like STATS so scrapes work on
-      // a saturated server.
-      MirrorOplogMetrics();
-      const MetricsSnapshot snapshot = metrics_.FullSnapshot(queue_->Size());
-      metrics_.requests_ok.fetch_add(1, std::memory_order_relaxed);
-      Respond(conn, header,
-              EncodeMetricsResponse(RenderPrometheusText(snapshot)));
-      return;
-    }
-    case Opcode::kHealth:
-      // Inline like PING/STATS: health probes must work on a saturated
-      // server — that is when failover needs them most.
-      metrics_.requests_ok.fetch_add(1, std::memory_order_relaxed);
-      Respond(conn, header, BuildHealthResponse());
-      return;
-    case Opcode::kDumpDiag:
-      // Inline for the same reason: the flight recorder exists for
-      // post-incident forensics, which is exactly when workers may be
-      // wedged. Dump() is lock-free against concurrent writers.
-      metrics_.requests_ok.fetch_add(1, std::memory_order_relaxed);
-      Respond(conn, header,
-              EncodeDiagResponse(recorder_.Dump(kMaxPayloadSize - 256)));
-      return;
-    case Opcode::kPoiAdd:
-    case Opcode::kPoiClose:
-    case Opcode::kPoiTag:
-    case Opcode::kPoiUntag:
-    case Opcode::kInsertDoc:
-    case Opcode::kDeleteDoc:
-    case Opcode::kUpdateDoc: {
-      if (role_.load(std::memory_order_acquire) == ServerRole::kReplica) {
-        // Replicas are read-only; tell the client where the primary is
-        // (the NOT_PRIMARY message is the redirect address).
-        metrics_.requests_not_primary.fetch_add(1,
-                                                std::memory_order_relaxed);
-        RecordEnvelopeSpan(trace, header.opcode, StatusCode::kNotPrimary);
-        Respond(conn, header,
-                EncodeErrorResponse(
-                    StatusCode::kNotPrimary,
-                    options_.replication.primary.ToString()));
-        return;
-      }
-      // Once any request carried a higher epoch this primary is fenced:
-      // every write — even keyless/legacy ones — is refused until it
-      // rejoins as a replica of the new primary.
-      const std::uint64_t fenced =
-          fenced_epoch_.load(std::memory_order_acquire);
-      if (fenced > primary_epoch_.load(std::memory_order_acquire)) {
-        metrics_.requests_stale_epoch.fetch_add(1,
-                                                std::memory_order_relaxed);
-        RecordEnvelopeSpan(trace, header.opcode, StatusCode::kStaleEpoch);
-        Respond(conn, header,
-                EncodeErrorResponse(
-                    StatusCode::kStaleEpoch,
-                    "fenced: a newer primary epoch " +
-                        std::to_string(fenced) + " has been observed"));
-        return;
-      }
-      [[fallthrough]];
-    }
-    case Opcode::kSearchBoolean:
-    case Opcode::kSearchRanked:
-    case Opcode::kSnapshot:
-    case Opcode::kReload:
-    case Opcode::kFetchSnapshot:
-    case Opcode::kFetchOplog:
-    case Opcode::kPromote: {
-      const Clock::time_point now = Clock::now();
-      const std::uint32_t retry_after =
-          retry_after_hint_ms_.load(std::memory_order_relaxed);
-      // Per-connection token bucket (overload.per_client_qps): one noisy
-      // client must not starve the rest of the fleet's admission slots.
-      if (options_.overload.per_client_qps > 0 &&
-          !conn->bucket.TryAcquire(now, options_.overload.per_client_qps,
-                                   options_.overload.per_client_burst)) {
-        metrics_.requests_rate_limited.fetch_add(1,
-                                                 std::memory_order_relaxed);
-        RecordShed(DiagShedCause::kRateLimited);
-        RecordEnvelopeSpan(trace, header.opcode, StatusCode::kOverloaded);
-        Respond(conn, header,
-                EncodeErrorResponse(StatusCode::kOverloaded,
-                                    "rate limited", retry_after));
-        return;
-      }
-      Request request;
-      request.conn = conn;
-      request.header = header;
-      request.payload = std::move(payload);
-      request.admitted_at = now;
-      request.trace = trace;
-      if (header.deadline_ms > 0) {
-        request.deadline = request.admitted_at +
-                           std::chrono::milliseconds(header.deadline_ms);
-      }
-      const Clock::time_point deadline = request.deadline;
-      // Admission uses a fresh clock when the test hook widens the gap
-      // between receipt and enqueue; in production the two coincide.
-      Clock::time_point admit_now = now;
-      if (options_.test_admission_delay_ms > 0) {
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(options_.test_admission_delay_ms));
-        admit_now = Clock::now();
-      }
-      switch (queue_->TryPush(std::move(request), deadline, admit_now)) {
-        case AdmissionResult::kAdmitted:
-          metrics_.RecordQueueDepth(queue_->Size());
-          return;
-        case AdmissionResult::kExpired:
-          // Doomed on arrival: refuse at the door instead of queueing
-          // work whose deadline already passed. Counted separately from
-          // the overload sheds.
-          metrics_.requests_deadline_rejected.fetch_add(
-              1, std::memory_order_relaxed);
-          RecordShed(DiagShedCause::kDeadline);
-          RecordEnvelopeSpan(trace, header.opcode,
-                             StatusCode::kDeadlineExceeded);
-          Respond(conn, header,
-                  EncodeErrorResponse(StatusCode::kDeadlineExceeded,
-                                      "deadline expired before admission"));
-          return;
-        case AdmissionResult::kLimited:
-          metrics_.requests_admission_limited.fetch_add(
-              1, std::memory_order_relaxed);
-          RecordShed(DiagShedCause::kLimited);
-          RecordEnvelopeSpan(trace, header.opcode, StatusCode::kOverloaded);
-          Respond(conn, header,
-                  EncodeErrorResponse(StatusCode::kOverloaded,
-                                      "admission limited", retry_after));
-          return;
-        case AdmissionResult::kQueueFull:
-        case AdmissionResult::kClosed:
-          metrics_.requests_overloaded.fetch_add(1,
-                                                 std::memory_order_relaxed);
-          RecordShed(DiagShedCause::kQueueFull);
-          RecordEnvelopeSpan(trace, header.opcode, StatusCode::kOverloaded);
-          Respond(conn, header,
-                  EncodeErrorResponse(StatusCode::kOverloaded,
-                                      "admission queue full", retry_after));
-          return;
-      }
-      return;
-    }
-    case Opcode::kError:
-      break;
+    metrics_.requests_ok.fetch_add(1, std::memory_order_relaxed);
+    Respond(conn, header, std::move(reply));
+    return;
   }
-  metrics_.requests_unsupported.fetch_add(1, std::memory_order_relaxed);
-  Respond(conn, header,
-          EncodeErrorResponse(StatusCode::kUnsupported, "unknown opcode"));
+
+  if (op->lane == Lane::kWrite) {
+    if (role_.load(std::memory_order_acquire) == ServerRole::kReplica) {
+      // Replicas are read-only; tell the client where the primary is
+      // (the NOT_PRIMARY message is the redirect address).
+      metrics_.requests_not_primary.fetch_add(1, std::memory_order_relaxed);
+      RecordEnvelopeSpan(trace, header.opcode, StatusCode::kNotPrimary);
+      Respond(conn, header,
+              EncodeErrorResponse(StatusCode::kNotPrimary,
+                                  options_.replication.primary.ToString()));
+      return;
+    }
+    // Once any request carried a higher epoch this primary is fenced:
+    // every write — keyed or not — is refused until it rejoins as a
+    // replica of the new primary.
+    const std::uint64_t fenced = fenced_epoch_.load(std::memory_order_acquire);
+    if (fenced > primary_epoch_.load(std::memory_order_acquire)) {
+      metrics_.requests_stale_epoch.fetch_add(1, std::memory_order_relaxed);
+      RecordEnvelopeSpan(trace, header.opcode, StatusCode::kStaleEpoch);
+      Respond(conn, header,
+              EncodeErrorResponse(StatusCode::kStaleEpoch,
+                                  "fenced: a newer primary epoch " +
+                                      std::to_string(fenced) +
+                                      " has been observed"));
+      return;
+    }
+  }
+
+  const Clock::time_point now = Clock::now();
+  const std::uint32_t retry_after =
+      retry_after_hint_ms_.load(std::memory_order_relaxed);
+  // Per-connection token bucket (overload.per_client_qps): one noisy
+  // client must not starve the rest of the fleet's admission slots.
+  if (options_.overload.per_client_qps > 0 &&
+      !conn->bucket.TryAcquire(now, options_.overload.per_client_qps,
+                               options_.overload.per_client_burst)) {
+    metrics_.requests_rate_limited.fetch_add(1, std::memory_order_relaxed);
+    RecordShed(DiagShedCause::kRateLimited);
+    RecordEnvelopeSpan(trace, header.opcode, StatusCode::kOverloaded);
+    Respond(conn, header,
+            EncodeErrorResponse(StatusCode::kOverloaded, "rate limited",
+                                retry_after));
+    return;
+  }
+  Request request;
+  request.conn = conn;
+  request.header = header;
+  request.op = op;
+  request.payload = std::move(payload);
+  request.admitted_at = now;
+  request.trace = trace;
+  if (header.deadline_ms > 0) {
+    request.deadline =
+        request.admitted_at + std::chrono::milliseconds(header.deadline_ms);
+  }
+  const Clock::time_point deadline = request.deadline;
+  // Admission uses a fresh clock when the test hook widens the gap
+  // between receipt and enqueue; in production the two coincide.
+  Clock::time_point admit_now = now;
+  if (options_.test_admission_delay_ms > 0) {
+    std::this_thread::sleep_for(
+        std::chrono::milliseconds(options_.test_admission_delay_ms));
+    admit_now = Clock::now();
+  }
+  switch (queue_->TryPush(std::move(request), deadline, admit_now)) {
+    case AdmissionResult::kAdmitted:
+      metrics_.RecordQueueDepth(queue_->Size());
+      return;
+    case AdmissionResult::kExpired:
+      // Doomed on arrival: refuse at the door instead of queueing work
+      // whose deadline already passed. Counted separately from the
+      // overload sheds.
+      metrics_.requests_deadline_rejected.fetch_add(
+          1, std::memory_order_relaxed);
+      RecordShed(DiagShedCause::kDeadline);
+      RecordEnvelopeSpan(trace, header.opcode, StatusCode::kDeadlineExceeded);
+      Respond(conn, header,
+              EncodeErrorResponse(StatusCode::kDeadlineExceeded,
+                                  "deadline expired before admission"));
+      return;
+    case AdmissionResult::kLimited:
+      metrics_.requests_admission_limited.fetch_add(
+          1, std::memory_order_relaxed);
+      RecordShed(DiagShedCause::kLimited);
+      RecordEnvelopeSpan(trace, header.opcode, StatusCode::kOverloaded);
+      Respond(conn, header,
+              EncodeErrorResponse(StatusCode::kOverloaded,
+                                  "admission limited", retry_after));
+      return;
+    case AdmissionResult::kQueueFull:
+    case AdmissionResult::kClosed:
+      metrics_.requests_overloaded.fetch_add(1, std::memory_order_relaxed);
+      RecordShed(DiagShedCause::kQueueFull);
+      RecordEnvelopeSpan(trace, header.opcode, StatusCode::kOverloaded);
+      Respond(conn, header,
+              EncodeErrorResponse(StatusCode::kOverloaded,
+                                  "admission queue full", retry_after));
+      return;
+  }
 }
 
 // ----- Workers -------------------------------------------------------------
@@ -921,43 +859,44 @@ void Server::WorkerLoop(std::size_t worker_index) {
       continue;
     }
 
-    const Opcode opcode = request->header.opcode;
-    // FETCH_SNAPSHOT only reads immutable snapshot files and FETCH_OPLOG
-    // serializes inside the Oplog, so both are query-class: they must not
-    // quiesce queries (or be blocked by them).
-    const bool is_query = opcode == Opcode::kSearchBoolean ||
-                          opcode == Opcode::kSearchRanked ||
-                          opcode == Opcode::kFetchSnapshot ||
-                          opcode == Opcode::kFetchOplog;
-    const bool is_mutation =
-        opcode == Opcode::kPoiAdd || opcode == Opcode::kPoiClose ||
-        opcode == Opcode::kPoiTag || opcode == Opcode::kPoiUntag ||
-        opcode == Opcode::kInsertDoc || opcode == Opcode::kDeleteDoc ||
-        opcode == Opcode::kUpdateDoc;
-    if (is_query) {
-      // Wait-free unless a mutation's in-memory apply window is open.
-      const EpochGate::ReadGuard guard = gate_.Reader(worker_index);
-      const std::uint64_t current =
-          service_.Engine().StructureGeneration();
-      if (processor == nullptr || generation != current) {
-        processor = service_.Engine().MakeProcessor();
-        generation = current;
+    const Lane lane = request->op->lane;
+    switch (lane) {
+      case Lane::kSearch:
+      case Lane::kFetch: {
+        // FETCH_SNAPSHOT only reads immutable snapshot files and
+        // FETCH_OPLOG serializes inside the Oplog, so fetches run like
+        // queries: they must not quiesce queries (or be blocked by them).
+        // Wait-free unless a mutation's in-memory apply window is open.
+        const EpochGate::ReadGuard guard = gate_.Reader(worker_index);
+        const std::uint64_t current =
+            service_.Engine().StructureGeneration();
+        if (processor == nullptr || generation != current) {
+          processor = service_.Engine().MakeProcessor();
+          generation = current;
+        }
+        ProcessRequest(*request,
+                       lane == Lane::kSearch ? processor.get() : nullptr);
+        break;
       }
-      const bool needs_processor = opcode == Opcode::kSearchBoolean ||
-                                   opcode == Opcode::kSearchRanked;
-      ProcessRequest(*request, needs_processor ? processor.get() : nullptr);
-    } else if (is_mutation) {
-      ProcessMutation(*request);  // Takes mutation_mutex_ itself.
-    } else if (opcode == Opcode::kPromote) {
-      // PROMOTE stops the replicator before locking; it must NOT run
-      // under mutation_mutex_ like the branch below (the replicator's
-      // poll thread takes that mutex, so Stop-under-lock would deadlock).
-      ProcessPromote(*request);
-    } else {
-      // SNAPSHOT / RELOAD: exclude other state-changers; queries keep
-      // flowing (RELOAD additionally opens an apply window for its swap).
-      std::lock_guard<std::mutex> guard(mutation_mutex_);
-      ProcessRequest(*request, nullptr);
+      case Lane::kWrite:
+        ProcessMutation(*request);  // Takes mutation_mutex_ itself.
+        break;
+      case Lane::kPromote:
+        // PROMOTE stops the replicator before locking; it must NOT run
+        // under mutation_mutex_ like kExclusive (the replicator's poll
+        // thread takes that mutex, so Stop-under-lock would deadlock).
+        ProcessPromote(*request);
+        break;
+      case Lane::kExclusive: {
+        // SNAPSHOT / RELOAD: exclude other state-changers; queries keep
+        // flowing (RELOAD additionally opens an apply window for its
+        // swap).
+        std::lock_guard<std::mutex> guard(mutation_mutex_);
+        ProcessRequest(*request, nullptr);
+        break;
+      }
+      case Lane::kInline:
+        break;  // Answered by the I/O thread; never admitted.
     }
   }
 }
@@ -965,8 +904,7 @@ void Server::WorkerLoop(std::size_t worker_index) {
 void Server::ProcessRequest(Request& request, QueryProcessor* processor) {
   const FrameHeader& header = request.header;
   const Opcode opcode = header.opcode;
-  const bool is_query =
-      opcode == Opcode::kSearchBoolean || opcode == Opcode::kSearchRanked;
+  const bool is_query = request.op->lane == Lane::kSearch;
   const Clock::time_point exec_start = Clock::now();
 
   QueryControl control;
@@ -1050,8 +988,7 @@ void Server::ProcessRequest(Request& request, QueryProcessor* processor) {
               {hit.id, hit.travel_time, hit.score, hit.name});
         }
         response = EncodeSearchResponse(
-            results, degraded ? kSearchFlagDegraded : std::uint8_t{0},
-            header.version);
+            results, degraded ? kSearchFlagDegraded : std::uint8_t{0});
         ok = true;
         break;
       }
@@ -1182,8 +1119,7 @@ void Server::ProcessRequest(Request& request, QueryProcessor* processor) {
       event.trace_id = request.trace.trace_id;
       event.parent_span_id = request.trace.parent_span_id;
       event.span_id = span_id;
-      event.opcode = opcode == Opcode::kSearchBoolean ? "search_boolean"
-                                                      : "search_ranked";
+      event.opcode = request.op->name;
       event.query = traced_query;
       event.vertex = traced_vertex;
       event.k = traced_k;
@@ -1363,44 +1299,6 @@ bool Server::DecodeMutationRequest(const Request& request,
       *fence_epoch = req.fence_epoch;
       return true;
     }
-    // Legacy v1/v2 write opcodes route through the same logged path.
-    // They carry no idempotency key (0 = every call is distinct).
-    case Opcode::kPoiAdd: {
-      PoiAddRequest add;
-      if (!DecodePoiAddRequest(request.payload, &add)) {
-        return malformed("bad poi-add payload");
-      }
-      record->op = MutationOp::kInsert;
-      record->vertex = add.vertex;
-      record->name = std::move(add.name);
-      record->add_keywords = std::move(add.keywords);
-      return true;
-    }
-    case Opcode::kPoiClose: {
-      PayloadReader reader(request.payload);
-      const ObjectId object = reader.U32();
-      if (!reader.Finished()) {
-        return malformed("bad poi-close payload");
-      }
-      record->op = MutationOp::kDelete;
-      record->object = object;
-      return true;
-    }
-    case Opcode::kPoiTag:
-    case Opcode::kPoiUntag: {
-      PoiTagRequest tag;
-      if (!DecodePoiTagRequest(request.payload, &tag)) {
-        return malformed("bad poi-tag payload");
-      }
-      record->op = MutationOp::kUpdate;
-      record->object = tag.object;
-      if (request.header.opcode == Opcode::kPoiTag) {
-        record->add_keywords.push_back(std::move(tag.keyword));
-      } else {
-        record->remove_keywords.push_back(std::move(tag.keyword));
-      }
-      return true;
-    }
     default:
       break;
   }
@@ -1510,23 +1408,10 @@ void Server::ProcessMutation(Request& request) {
     ok = false;
   }
   if (ok) {
-    // Legacy opcodes keep their v1/v2 response bodies; the v3 opcodes
-    // return the log sequence + object id (+ the acking primary's epoch,
-    // so failover clients learn the newest epoch from every ack).
+    // The ack carries the primary's epoch, so failover clients learn the
+    // newest epoch from every write.
     result.primary_epoch = PrimaryEpoch();
-    switch (opcode) {
-      case Opcode::kPoiAdd:
-        response = EncodeObjectIdResponse(result.object);
-        break;
-      case Opcode::kPoiClose:
-      case Opcode::kPoiTag:
-      case Opcode::kPoiUntag:
-        response = EncodeOkResponse();
-        break;
-      default:
-        response = EncodeMutationResponse(result);
-        break;
-    }
+    response = EncodeMutationResponse(result);
     metrics_.requests_ok.fetch_add(1, std::memory_order_relaxed);
     const auto micros = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
@@ -1866,6 +1751,27 @@ bool Server::ApplyReplicatedMutations(
 }
 
 // ----- Replication ---------------------------------------------------------
+
+std::vector<std::uint8_t> Server::BuildStatsResponse() {
+  // One FullSnapshot backs the whole response, so counters, histogram
+  // buckets, and the derived summary values all describe the same instant.
+  MirrorOplogMetrics();
+  const MetricsSnapshot snapshot = metrics_.FullSnapshot(queue_->Size());
+  const auto to_wire = [](const char* name, const HistogramSnapshot& h) {
+    WireHistogram wh;
+    wh.name = name;
+    wh.count = h.count;
+    wh.sum_micros = h.sum_micros;
+    wh.buckets.assign(h.buckets.begin(), h.buckets.end());
+    return wh;
+  };
+  const WireHistogram histograms[] = {
+      to_wire("query_latency_us", snapshot.query_latency),
+      to_wire("update_latency_us", snapshot.update_latency),
+      to_wire("admission_sojourn_us", snapshot.admission_sojourn),
+  };
+  return EncodeStatsResponse(StatsPairs(snapshot), histograms);
+}
 
 std::vector<std::uint8_t> Server::BuildHealthResponse() {
   HealthInfo info;

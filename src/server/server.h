@@ -4,11 +4,13 @@
 // Threading model:
 //
 //   - One I/O thread owns every socket: it accepts connections, decodes
-//     frames, answers PING/STATS inline, and flushes response bytes.
-//   - Query and update frames are copied into a bounded AdmissionQueue;
+//     frames, answers the Lane::kInline opcodes (PING, STATS, HEALTH,
+//     METRICS, DUMP_DIAG) itself, and flushes response bytes.
+//   - Every other frame is copied into a bounded AdmissionQueue;
 //     when it is full the I/O thread replies OVERLOADED immediately —
 //     explicit load shedding, never silent drops or unbounded buffering.
-//   - A worker pool drains the queue. Each worker owns one QueryProcessor
+//   - A worker pool drains the queue and runs each request by the lane of
+//     its opcode (wire.h kOpcodeTable). Each worker owns one QueryProcessor
 //     (per-thread oracle + query workspaces, PR 1's design) refreshed
 //     whenever KSpin::StructureGeneration() changes. Queries enter an
 //     EpochGate read section (wait-free unless a mutation's in-memory
@@ -17,8 +19,7 @@
 //     only their in-memory apply in the gate's write window, so readers
 //     never wait on a writer's durability work (op-log append + fsync).
 //     This replaces the earlier coarse shared/exclusive update lock.
-//   - Mutations (INSERT_DOC / DELETE_DOC / UPDATE_DOC, and the legacy
-//     kPoi* opcodes routed through the same path) are appended to a
+//   - Mutations (INSERT_DOC / DELETE_DOC / UPDATE_DOC) are appended to a
 //     durable op log before being applied; the acknowledgement is sent
 //     only after a group-committed fsync covers the record
 //     (docs/persistence.md, "The operation log").
@@ -63,8 +64,8 @@ class HubLabeling;
 namespace kspin::server {
 
 /// Crash-safe persistence configuration (docs/persistence.md). Snapshots
-/// cover the whole serving state and are written under the exclusive
-/// update lock, so every file is a consistent point-in-time image.
+/// cover the whole serving state and are written under the mutation
+/// mutex, so every file is a consistent point-in-time image.
 struct SnapshotOptions {
   /// Directory for snapshot-<seq>.snap files; empty disables the
   /// SNAPSHOT / RELOAD opcodes and background snapshotting.
@@ -112,7 +113,7 @@ struct ServerOptions {
   std::size_t idempotency_cache_size = 4096;
 
   /// Replication (docs/protocol.md "Replication"). With role kReplica the
-  /// server rejects POI writes with NOT_PRIMARY and polls
+  /// server rejects writes with NOT_PRIMARY and polls
   /// replication.primary for new snapshots; fetched snapshots are
   /// persisted into snapshot.dir (when configured) and installed through
   /// the RELOAD path.
@@ -276,19 +277,18 @@ class Server {
   std::pair<std::uint64_t, std::string> SnapshotLocked();
   /// Handles the RELOAD opcode; caller holds mutation_mutex_.
   std::vector<std::uint8_t> HandleReloadLocked();
-  /// The durable write path shared by the v3 mutation opcodes and the
-  /// legacy kPoi* opcodes: idempotency check, validate, append to the op
-  /// log, apply through the epoch gate, group-commit fsync, respond.
+  /// The durable write path of the Lane::kWrite opcodes: idempotency
+  /// check, validate, append to the op log, apply through the epoch
+  /// gate, group-commit fsync, respond.
   void ProcessMutation(Request& request);
   /// PROMOTE: flip this replica to primary, bump the epoch, log the
   /// transition. Runs on a worker WITHOUT mutation_mutex_ pre-taken — it
   /// must stop the replicator (whose poll thread takes that mutex) before
   /// locking, or the two would deadlock.
   void ProcessPromote(Request& request);
-  /// Decodes any mutation-class request into a MutationRecord. Returns
-  /// false with a ready error response on malformed payloads. For the v3
-  /// opcodes `*fence_epoch` receives the request's fence epoch (0 for
-  /// legacy opcodes).
+  /// Decodes a Lane::kWrite request into a MutationRecord and the
+  /// request's fence epoch. Returns false with a ready error response on
+  /// malformed payloads.
   bool DecodeMutationRequest(const Request& request, MutationRecord* record,
                              std::uint64_t* fence_epoch,
                              std::vector<std::uint8_t>* error_response);
@@ -344,9 +344,11 @@ class Server {
                const FrameHeader& request_header,
                std::vector<std::uint8_t> response_payload);
   void Wake();
-  /// HEALTH response body (answered inline by the I/O thread).
+  /// STATS and HEALTH response bodies (answered inline by the I/O
+  /// thread).
+  std::vector<std::uint8_t> BuildStatsResponse();
   std::vector<std::uint8_t> BuildHealthResponse();
-  /// FETCH_SNAPSHOT handler (runs on a worker under the shared lock —
+  /// FETCH_SNAPSHOT handler (runs on a worker as an epoch-gate reader —
   /// snapshot files are immutable once renamed into place).
   std::vector<std::uint8_t> HandleFetchSnapshot(
       const FetchSnapshotRequest& fetch);

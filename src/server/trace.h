@@ -23,13 +23,13 @@ std::uint64_t QueryFingerprint(std::string_view query, std::uint64_t vertex,
                                std::uint32_t k);
 
 /// Everything one trace line carries; formatted by FormatQueryTrace.
-/// Since protocol v5 a line is also a span: it carries the wire trace
-/// context (when the request had one), the server-minted span id, and
-/// the stage breakdown (queue wait vs execution) next to the engine's
-/// QueryStats counter deltas.
+/// A line is also a span: it carries the wire trace context (when the
+/// request had one), the server-minted span id, and the stage breakdown
+/// (queue wait vs execution) next to the engine's QueryStats counter
+/// deltas.
 struct QueryTraceEvent {
   std::uint64_t fingerprint = 0;
-  std::string_view opcode;  ///< "search_boolean" / "search_ranked".
+  std::string_view opcode;  ///< kOpcodeTable name ("search_boolean").
   std::string_view query;
   std::uint64_t vertex = 0;
   std::uint32_t k = 0;

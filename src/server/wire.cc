@@ -73,24 +73,12 @@ DecodeResult TryDecodeFrame(std::span<const std::uint8_t> buffer,
 
   header->version = buffer[4];
   header->opcode = static_cast<Opcode>(buffer[5]);
-  header->flags = 0;
   header->request_id = ReadU64Le(buffer.data() + 8);
   header->deadline_ms = ReadU32Le(buffer.data() + 16);
   header->payload_size = ReadU32Le(buffer.data() + 20);
-  if (header->version < kMinProtocolVersion ||
-      header->version > kProtocolVersion) {
-    return DecodeResult::kBadVersion;
-  }
-  if (header->version >= 5) {
-    // v5 turned the reserved u16 into a flags field.
-    header->flags = static_cast<std::uint16_t>(
-        buffer[6] | static_cast<std::uint16_t>(buffer[7]) << 8);
-  } else if (buffer[6] != 0 || buffer[7] != 0) {
-    // On pre-v5 frames the bytes are reserved and must be zero; a nonzero
-    // value means a future protocol revision this server does not
-    // understand.
-    return DecodeResult::kBadVersion;
-  }
+  header->flags = static_cast<std::uint16_t>(
+      buffer[6] | static_cast<std::uint16_t>(buffer[7]) << 8);
+  if (header->version != kProtocolVersion) return DecodeResult::kBadVersion;
   if (header->payload_size > kMaxPayloadSize) return DecodeResult::kTooLarge;
   if (buffer.size() < kHeaderSize + header->payload_size) {
     return DecodeResult::kNeedMore;
@@ -105,12 +93,8 @@ std::vector<std::uint8_t> EncodeFrame(const FrameHeader& header,
   WriteU32Le(frame.data(), kMagic);
   frame[4] = header.version;
   frame[5] = static_cast<std::uint8_t>(header.opcode);
-  if (header.version >= 5) {
-    frame[6] = static_cast<std::uint8_t>(header.flags);
-    frame[7] = static_cast<std::uint8_t>(header.flags >> 8);
-  } else {
-    frame[6] = frame[7] = 0;  // Reserved before v5.
-  }
+  frame[6] = static_cast<std::uint8_t>(header.flags);
+  frame[7] = static_cast<std::uint8_t>(header.flags >> 8);
   WriteU64Le(frame.data() + 8, header.request_id);
   WriteU32Le(frame.data() + 16, header.deadline_ms);
   WriteU32Le(frame.data() + 20,
@@ -182,43 +166,6 @@ bool DecodeSearchRequest(std::span<const std::uint8_t> payload,
   return r.Finished();
 }
 
-std::vector<std::uint8_t> EncodePoiAddRequest(const PoiAddRequest& request) {
-  PayloadWriter w;
-  w.U32(request.vertex);
-  w.String(request.name);
-  w.U32(static_cast<std::uint32_t>(request.keywords.size()));
-  for (const std::string& keyword : request.keywords) w.String(keyword);
-  return w.Take();
-}
-
-bool DecodePoiAddRequest(std::span<const std::uint8_t> payload,
-                         PoiAddRequest* request) {
-  PayloadReader r(payload);
-  request->vertex = r.U32();
-  request->name = r.String();
-  const std::uint32_t count = r.U32();
-  request->keywords.clear();
-  for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
-    request->keywords.push_back(r.String());
-  }
-  return r.Finished();
-}
-
-std::vector<std::uint8_t> EncodePoiTagRequest(const PoiTagRequest& request) {
-  PayloadWriter w;
-  w.U32(request.object);
-  w.String(request.keyword);
-  return w.Take();
-}
-
-bool DecodePoiTagRequest(std::span<const std::uint8_t> payload,
-                         PoiTagRequest* request) {
-  PayloadReader r(payload);
-  request->object = r.U32();
-  request->keyword = r.String();
-  return r.Finished();
-}
-
 std::vector<std::uint8_t> EncodeFetchSnapshotRequest(
     const FetchSnapshotRequest& request) {
   PayloadWriter w;
@@ -260,9 +207,6 @@ bool DecodeInsertDocRequest(std::span<const std::uint8_t> payload,
   for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
     request->keywords.push_back(r.String());
   }
-  // Pre-epoch senders end here; the epoch revision appends fence_epoch.
-  request->fence_epoch = 0;
-  if (r.Finished()) return true;
   request->fence_epoch = r.U64();
   return r.Finished();
 }
@@ -281,8 +225,6 @@ bool DecodeDeleteDocRequest(std::span<const std::uint8_t> payload,
   PayloadReader r(payload);
   request->idempotency_key = r.U64();
   request->object = r.U32();
-  request->fence_epoch = 0;
-  if (r.Finished()) return true;
   request->fence_epoch = r.U64();
   return r.Finished();
 }
@@ -317,8 +259,6 @@ bool DecodeUpdateDocRequest(std::span<const std::uint8_t> payload,
   for (std::uint32_t i = 0; i < removes && r.ok(); ++i) {
     request->remove_keywords.push_back(r.String());
   }
-  request->fence_epoch = 0;
-  if (r.Finished()) return true;
   request->fence_epoch = r.U64();
   return r.Finished();
 }
@@ -337,8 +277,6 @@ bool DecodeFetchOplogRequest(std::span<const std::uint8_t> payload,
   PayloadReader r(payload);
   request->from_sequence = r.U64();
   request->max_bytes = r.U32();
-  request->requester_epoch = 0;
-  if (r.Finished()) return true;
   request->requester_epoch = r.U64();
   return r.Finished();
 }
@@ -352,19 +290,8 @@ std::vector<std::uint8_t> EncodePromoteRequest(const PromoteRequest& request) {
 bool DecodePromoteRequest(std::span<const std::uint8_t> payload,
                           PromoteRequest* request) {
   PayloadReader r(payload);
-  // An empty body is a valid "no applied-sequence guard" promote.
-  request->min_applied_sequence = 0;
-  if (r.Finished()) return true;
   request->min_applied_sequence = r.U64();
   return r.Finished();
-}
-
-std::vector<std::uint8_t> EncodeErrorResponse(StatusCode status,
-                                              std::string_view message) {
-  PayloadWriter w;
-  w.U8(static_cast<std::uint8_t>(status));
-  w.String(message);
-  return w.Take();
 }
 
 std::vector<std::uint8_t> EncodeErrorResponse(StatusCode status,
@@ -382,7 +309,7 @@ std::vector<std::uint8_t> EncodeOkResponse() {
 }
 
 std::vector<std::uint8_t> EncodeSearchResponse(
-    std::span<const WireResult> results) {
+    std::span<const WireResult> results, std::uint8_t flags) {
   PayloadWriter w;
   w.U8(static_cast<std::uint8_t>(StatusCode::kOk));
   w.U32(static_cast<std::uint32_t>(results.size()));
@@ -392,23 +319,8 @@ std::vector<std::uint8_t> EncodeSearchResponse(
     w.F64(result.score);
     w.String(result.name);
   }
+  w.U8(flags);
   return w.Take();
-}
-
-std::vector<std::uint8_t> EncodeSearchResponse(
-    std::span<const WireResult> results, std::uint8_t flags,
-    std::uint8_t version) {
-  std::vector<std::uint8_t> body = EncodeSearchResponse(results);
-  // Pre-v4 decoders reject trailing bytes; only v4+ requests may see the
-  // flags trailer (the server echoes the request's version).
-  if (version >= 4) body.push_back(flags);
-  return body;
-}
-
-bool DecodeSearchResponse(PayloadReader& reader,
-                          std::vector<WireResult>* results) {
-  std::uint8_t flags = 0;
-  return DecodeSearchResponse(reader, results, &flags);
 }
 
 bool DecodeSearchResponse(PayloadReader& reader,
@@ -424,16 +336,8 @@ bool DecodeSearchResponse(PayloadReader& reader,
     result.name = reader.String();
     results->push_back(std::move(result));
   }
-  *flags = 0;
-  if (reader.ok() && !reader.AtEnd()) *flags = reader.U8();
+  *flags = reader.U8();
   return reader.Finished();
-}
-
-std::vector<std::uint8_t> EncodeObjectIdResponse(ObjectId id) {
-  PayloadWriter w;
-  w.U8(static_cast<std::uint8_t>(StatusCode::kOk));
-  w.U32(id);
-  return w.Take();
 }
 
 std::vector<std::uint8_t> EncodeSnapshotResponse(std::uint64_t sequence,
@@ -450,18 +354,6 @@ bool DecodeSnapshotResponse(PayloadReader& reader, std::uint64_t* sequence,
   *sequence = reader.U64();
   *path = reader.String();
   return reader.Finished();
-}
-
-std::vector<std::uint8_t> EncodeStatsResponse(
-    std::span<const std::pair<std::string, std::uint64_t>> stats) {
-  PayloadWriter w;
-  w.U8(static_cast<std::uint8_t>(StatusCode::kOk));
-  w.U32(static_cast<std::uint32_t>(stats.size()));
-  for (const auto& [name, value] : stats) {
-    w.String(name);
-    w.U64(value);
-  }
-  return w.Take();
 }
 
 std::vector<std::uint8_t> EncodeStatsResponse(
@@ -491,14 +383,12 @@ bool DecodeStatsResponse(
     std::vector<WireHistogram>* histograms) {
   const std::uint32_t count = reader.U32();
   stats->clear();
-  if (histograms != nullptr) histograms->clear();
+  histograms->clear();
   for (std::uint32_t i = 0; i < count && reader.ok(); ++i) {
     std::string name = reader.String();
     const std::uint64_t value = reader.U64();
     stats->emplace_back(std::move(name), value);
   }
-  // Version-1 bodies end here; version 2 appends a histogram section.
-  if (reader.Finished()) return true;
   const std::uint32_t histogram_count = reader.U32();
   for (std::uint32_t i = 0; i < histogram_count && reader.ok(); ++i) {
     WireHistogram h;
@@ -510,7 +400,7 @@ bool DecodeStatsResponse(
     for (std::uint32_t b = 0; b < buckets && reader.ok(); ++b) {
       h.buckets.push_back(reader.U64());
     }
-    if (histograms != nullptr) histograms->push_back(std::move(h));
+    histograms->push_back(std::move(h));
   }
   return reader.Finished();
 }
@@ -554,10 +444,6 @@ bool DecodeHealthResponse(PayloadReader& reader, HealthInfo* info) {
   info->uptime_ms = reader.U64();
   info->queue_depth = reader.U64();
   info->primary_address = reader.String();
-  // Pre-epoch servers end here; the epoch revision appends two fields.
-  info->applied_sequence = 0;
-  info->primary_epoch = 0;
-  if (reader.Finished()) return true;
   info->applied_sequence = reader.U64();
   info->primary_epoch = reader.U64();
   return reader.Finished();
@@ -597,8 +483,6 @@ std::vector<std::uint8_t> EncodeMutationResponse(const MutationReply& reply) {
 bool DecodeMutationResponse(PayloadReader& reader, MutationReply* reply) {
   reply->sequence = reader.U64();
   reply->object = reader.U32();
-  reply->primary_epoch = 0;
-  if (reader.Finished()) return true;
   reply->primary_epoch = reader.U64();
   return reader.Finished();
 }
@@ -637,9 +521,6 @@ bool DecodeOplogChunkResponse(PayloadReader& reader, OplogChunk* chunk) {
     }
     chunk->records.push_back(std::move(record));
   }
-  chunk->primary_epoch = 0;
-  chunk->epoch_boundary_sequence = 0;
-  if (reader.Finished()) return true;
   chunk->primary_epoch = reader.U64();
   chunk->epoch_boundary_sequence = reader.U64();
   return reader.Finished();

@@ -4,10 +4,10 @@
 //
 //   offset size  field
 //   0      4     magic 0x4B53504E ("KSPN" read as big-endian bytes)
-//   4      1     protocol version (currently 2; servers accept >= 1 and
-//                echo the request's version in the response)
+//   4      1     protocol version (kProtocolVersion; anything else is a
+//                fatal stream error)
 //   5      1     opcode
-//   6      2     reserved (must be 0)
+//   6      2     frame flags (kFrameFlag*)
 //   8      8     request id (echoed verbatim in the response)
 //   16     4     deadline_ms (requests: relative time budget; 0 = none)
 //   20     4     payload size N (<= kMaxPayloadSize)
@@ -18,13 +18,10 @@
 // anything else by a human-readable error string. docs/protocol.md is the
 // normative spec; this header and it must change together.
 //
-// Version 5 repurposes the reserved u16 at offset 6 as a flags field on
-// v5+ frames (it stays must-be-zero on v1-4 frames). The only defined
-// flag, kFrameFlagTraceContext, marks a 17-byte trace trailer (u64
-// trace_id, u64 parent_span_id, u8 trace flags) appended AFTER the
-// request payload. The trailer is stripped before the opcode body is
-// decoded, so v<=4 bodies are byte-identical and body codecs never see
-// it.
+// The one defined frame flag, kFrameFlagTraceContext, marks a 17-byte
+// trace trailer (u64 trace_id, u64 parent_span_id, u8 trace flags)
+// appended AFTER the request payload. The trailer is stripped before the
+// opcode body is decoded, so body codecs never see it.
 #ifndef KSPIN_SERVER_WIRE_H_
 #define KSPIN_SERVER_WIRE_H_
 
@@ -40,34 +37,16 @@
 namespace kspin::server {
 
 inline constexpr std::uint32_t kMagic = 0x4B53504E;
-/// Current protocol version. Version 2 added trailing latency-histogram
-/// arrays to the STATS response and the METRICS opcode. Version 3 added
-/// the live-mutation opcodes (INSERT_DOC / DELETE_DOC / UPDATE_DOC) and
-/// FETCH_OPLOG for log-tailing replication; a later additive v3 revision
-/// appended epoch fields to HEALTH / FETCH_OPLOG / mutation bodies and
-/// the PROMOTE opcode + STALE_EPOCH status (decoders tolerate the short
-/// pre-epoch bodies). Frames from versions 1 and 2 are still accepted
-/// and answered with same-version bodies. Version 4 added the overload
-/// signals: OVERLOADED error bodies may carry a trailing u32
-/// retry-after hint (tolerant trailer, any version), and v4+ search
-/// responses append a trailing flags byte (kSearchFlagDegraded) that
-/// pre-v4 decoders would reject — hence the bump. Version 5 turns the
-/// reserved header u16 into a flags field and defines
-/// kFrameFlagTraceContext: a 17-byte trace trailer after the request
-/// payload carrying (trace_id, parent_span_id, trace flags), plus the
-/// DUMP_DIAG opcode for flight-recorder scrapes.
+/// The one protocol version a server speaks. Any incompatible change to
+/// the frame layout or to a body bumps it.
 inline constexpr std::uint8_t kProtocolVersion = 5;
-/// Oldest version a server still speaks.
-inline constexpr std::uint8_t kMinProtocolVersion = 1;
 inline constexpr std::size_t kHeaderSize = 24;
 inline constexpr std::uint32_t kMaxPayloadSize = 1u << 20;
 
-/// Frame-header flags (offset 6, u16 LE). Valid on v5+ frames only;
-/// v1-4 senders must leave the field zero and v1-4 receivers reject
-/// nonzero values (it was reserved).
+/// Frame-header flags (offset 6, u16 LE). Undefined bits are ignored.
 inline constexpr std::uint16_t kFrameFlagTraceContext = 0x0001;
 
-/// The optional per-request trace trailer (v5+, kFrameFlagTraceContext).
+/// The optional per-request trace trailer (kFrameFlagTraceContext).
 /// `trace_id` names the end-to-end request; `parent_span_id` is the
 /// caller's span (0 = root); `flags` bit 0 = sampled-for-file-sink hint.
 struct TraceContext {
@@ -103,26 +82,72 @@ enum class Opcode : std::uint8_t {
   kPing = 0x01,           ///< Liveness probe; empty payload both ways.
   kStats = 0x02,          ///< Server metrics snapshot.
   kHealth = 0x03,         ///< Role, snapshot sequence, uptime, queue depth.
-  kMetrics = 0x04,        ///< Prometheus 0.0.4 text exposition (v2+).
+  kMetrics = 0x04,        ///< Prometheus 0.0.4 text exposition.
   kDumpDiag = 0x05,       ///< Flight-recorder dump: spans + control-plane
-                          ///< events as JSON lines (v5+).
+                          ///< events as JSON lines.
   kSearchBoolean = 0x10,  ///< Boolean kNN over an and/or query string.
   kSearchRanked = 0x11,   ///< Relevance-ranked top-k.
-  kPoiAdd = 0x20,         ///< Register a POI.
-  kPoiClose = 0x21,       ///< Remove a POI from search.
-  kPoiTag = 0x22,         ///< Add one keyword tag.
-  kPoiUntag = 0x23,       ///< Remove one keyword tag.
-  kInsertDoc = 0x24,      ///< Logged insert with idempotency key (v3).
-  kDeleteDoc = 0x25,      ///< Logged delete with idempotency key (v3).
-  kUpdateDoc = 0x26,      ///< Logged tag add/remove batch (v3).
+  kInsertDoc = 0x24,      ///< Logged insert with idempotency key.
+  kDeleteDoc = 0x25,      ///< Logged delete with idempotency key.
+  kUpdateDoc = 0x26,      ///< Logged tag add/remove batch.
   kSnapshot = 0x30,       ///< Write a crash-safe snapshot to disk.
   kReload = 0x31,         ///< Replace serving state from the newest valid
                           ///< snapshot on disk.
   kFetchSnapshot = 0x32,  ///< Stream a snapshot file in chunks (replication).
-  kFetchOplog = 0x33,     ///< Tail op-log records from a sequence (v3).
+  kFetchOplog = 0x33,     ///< Tail op-log records from a sequence.
   kPromote = 0x40,        ///< Admin: flip a replica to primary, bump the
                           ///< primary epoch (epoch-fenced failover).
 };
+
+/// Where a server runs an opcode. The I/O thread answers kInline opcodes
+/// itself; every other lane goes through admission to a worker, which
+/// applies the lane's concurrency rule (see server.h).
+enum class Lane : std::uint8_t {
+  kInline,     ///< I/O thread, bypassing admission (probes and scrapes).
+  kSearch,     ///< Epoch-gate reader with the worker's QueryProcessor.
+  kFetch,      ///< Epoch-gate reader without engine state (replication).
+  kWrite,      ///< Logged mutation: primary only, refused once fenced.
+  kExclusive,  ///< Under the mutation mutex (SNAPSHOT / RELOAD).
+  kPromote,    ///< Stops the replicator, then takes the mutation mutex.
+};
+
+/// One row per opcode a server speaks. `name` is the opcode's stable
+/// identifier: STATS reports `opcode_<name>`, trace lines carry it as is
+/// and flight-recorder dumps upper-case it.
+struct OpcodeInfo {
+  Opcode opcode;
+  std::string_view name;
+  Lane lane;
+};
+
+inline constexpr OpcodeInfo kOpcodeTable[] = {
+    {Opcode::kPing, "ping", Lane::kInline},
+    {Opcode::kStats, "stats", Lane::kInline},
+    {Opcode::kHealth, "health", Lane::kInline},
+    {Opcode::kMetrics, "metrics", Lane::kInline},
+    {Opcode::kDumpDiag, "dump_diag", Lane::kInline},
+    {Opcode::kSearchBoolean, "search_boolean", Lane::kSearch},
+    {Opcode::kSearchRanked, "search_ranked", Lane::kSearch},
+    {Opcode::kInsertDoc, "insert_doc", Lane::kWrite},
+    {Opcode::kDeleteDoc, "delete_doc", Lane::kWrite},
+    {Opcode::kUpdateDoc, "update_doc", Lane::kWrite},
+    {Opcode::kSnapshot, "snapshot", Lane::kExclusive},
+    {Opcode::kReload, "reload", Lane::kExclusive},
+    {Opcode::kFetchSnapshot, "fetch_snapshot", Lane::kFetch},
+    {Opcode::kFetchOplog, "fetch_oplog", Lane::kFetch},
+    {Opcode::kPromote, "promote", Lane::kPromote},
+};
+inline constexpr std::size_t kNumOpcodes = std::size(kOpcodeTable);
+
+/// The table row of `opcode`, or nullptr for a byte the server does not
+/// speak (kError included). Its index in kOpcodeTable is the opcode's
+/// counter slot.
+constexpr const OpcodeInfo* FindOpcode(Opcode opcode) {
+  for (const OpcodeInfo& row : kOpcodeTable) {
+    if (row.opcode == opcode) return &row;
+  }
+  return nullptr;
+}
 
 /// First byte of every response payload.
 enum class StatusCode : std::uint8_t {
@@ -147,9 +172,7 @@ std::string_view StatusName(StatusCode status);
 struct FrameHeader {
   std::uint8_t version = kProtocolVersion;
   Opcode opcode = Opcode::kPing;
-  /// v5+ frame flags (kFrameFlag*). Always 0 on decoded v1-4 frames and
-  /// ignored by EncodeFrame when version < 5 (the field was reserved).
-  std::uint16_t flags = 0;
+  std::uint16_t flags = 0;  ///< kFrameFlag* bits.
   std::uint64_t request_id = 0;
   std::uint32_t deadline_ms = 0;
   std::uint32_t payload_size = 0;
@@ -161,7 +184,7 @@ enum class DecodeResult {
   kNeedMore,    ///< Buffer holds a frame prefix; read more bytes.
   kFrame,       ///< A complete frame was decoded.
   kBadMagic,    ///< Stream does not start with kMagic.
-  kBadVersion,  ///< Unsupported protocol version.
+  kBadVersion,  ///< Version other than kProtocolVersion.
   kTooLarge,    ///< Declared payload exceeds kMaxPayloadSize.
 };
 
@@ -260,19 +283,6 @@ struct SearchRequest {
   std::string query;
 };
 
-/// kPoiAdd request body.
-struct PoiAddRequest {
-  VertexId vertex = kInvalidVertex;
-  std::string name;
-  std::vector<std::string> keywords;
-};
-
-/// kPoiTag / kPoiUntag request body.
-struct PoiTagRequest {
-  ObjectId object = kInvalidObject;
-  std::string keyword;
-};
-
 /// One search hit on the wire (kOk body: u32 count, then count of these).
 struct WireResult {
   ObjectId object = kInvalidObject;
@@ -281,9 +291,7 @@ struct WireResult {
   std::string name;
 };
 
-/// kHealth kOk response body. The epoch section (applied_sequence +
-/// primary_epoch) is appended by epoch-aware servers; the decoder
-/// tolerates its absence (older peers), leaving both fields 0.
+/// kHealth kOk response body.
 struct HealthInfo {
   std::uint8_t role = 0;  ///< 0 = primary, 1 = replica.
   std::uint64_t snapshot_sequence = 0;  ///< Newest local snapshot (0 = none).
@@ -318,9 +326,9 @@ struct SnapshotChunk {
 /// string length prefix).
 inline constexpr std::uint32_t kMaxSnapshotChunkBytes = kMaxPayloadSize - 64;
 
-// ----- Live mutations (v3) -------------------------------------------------
+// ----- Live mutations -----------------------------------------------------
 
-/// kInsertDoc request body (v3): register a POI through the durable write
+/// kInsertDoc request body: register a POI through the durable write
 /// path. `idempotency_key` is a client-chosen retry token (0 = none); a
 /// resend with the same key returns the original result without applying
 /// twice, so retrying clients may treat the operation as idempotent.
@@ -331,19 +339,18 @@ struct InsertDocRequest {
   std::vector<std::string> keywords;
   /// Highest primary epoch the client has observed (0 = unknown). A
   /// primary seeing a higher epoch than its own is fenced: it rejects
-  /// this and all later writes with kStaleEpoch. Trailing/optional on
-  /// the wire.
+  /// this and all later writes with kStaleEpoch.
   std::uint64_t fence_epoch = 0;
 };
 
-/// kDeleteDoc request body (v3).
+/// kDeleteDoc request body.
 struct DeleteDocRequest {
   std::uint64_t idempotency_key = 0;
   ObjectId object = kInvalidObject;
   std::uint64_t fence_epoch = 0;  ///< See InsertDocRequest::fence_epoch.
 };
 
-/// kUpdateDoc request body (v3): add and/or remove keyword tags on an
+/// kUpdateDoc request body: add and/or remove keyword tags on an
 /// existing POI as one logged operation.
 struct UpdateDocRequest {
   std::uint64_t idempotency_key = 0;
@@ -355,19 +362,19 @@ struct UpdateDocRequest {
 
 /// kInsertDoc / kDeleteDoc / kUpdateDoc kOk response body: the op-log
 /// sequence the mutation was logged under and the affected object id
-/// (newly assigned for inserts). `primary_epoch` (trailing/optional) lets
-/// clients learn promotions from acks.
+/// (newly assigned for inserts). `primary_epoch` lets clients learn
+/// promotions from acks.
 struct MutationReply {
   std::uint64_t sequence = 0;
   ObjectId object = kInvalidObject;
   std::uint64_t primary_epoch = 0;
 };
 
-/// kFetchOplog request body (v3): a replica asks for records *after* its
+/// kFetchOplog request body: a replica asks for records *after* its
 /// applied sequence. The server caps the batch at max_bytes of payload
-/// (0 = server default). `requester_epoch` (trailing/optional) is the
-/// highest epoch the requester knows; a primary seeing a higher epoch
-/// than its own latches itself fenced.
+/// (0 = server default). `requester_epoch` is the highest epoch the
+/// requester knows; a primary seeing a higher epoch than its own latches
+/// itself fenced.
 struct FetchOplogRequest {
   std::uint64_t from_sequence = 0;
   std::uint32_t max_bytes = 0;
@@ -392,10 +399,9 @@ struct OplogChunk {
   std::uint64_t oldest_sequence = 0;
   std::vector<OplogWireRecord> records;
   /// Serving side's primary epoch and the op-log sequence of the record
-  /// that opened it (0 = epoch never changed / pre-epoch peer). A replica
-  /// whose applied sequence reaches past `epoch_boundary_sequence` of a
-  /// higher-epoch primary has divergent records to quarantine. Trailing/
-  /// optional on the wire.
+  /// that opened it (0 = epoch never changed). A replica whose applied
+  /// sequence reaches past `epoch_boundary_sequence` of a higher-epoch
+  /// primary has divergent records to quarantine.
   std::uint64_t primary_epoch = 0;
   std::uint64_t epoch_boundary_sequence = 0;
 };
@@ -418,14 +424,6 @@ struct PromoteReply {
 std::vector<std::uint8_t> EncodeSearchRequest(const SearchRequest& request);
 bool DecodeSearchRequest(std::span<const std::uint8_t> payload,
                          SearchRequest* request);
-
-std::vector<std::uint8_t> EncodePoiAddRequest(const PoiAddRequest& request);
-bool DecodePoiAddRequest(std::span<const std::uint8_t> payload,
-                         PoiAddRequest* request);
-
-std::vector<std::uint8_t> EncodePoiTagRequest(const PoiTagRequest& request);
-bool DecodePoiTagRequest(std::span<const std::uint8_t> payload,
-                         PoiTagRequest* request);
 
 std::vector<std::uint8_t> EncodeFetchSnapshotRequest(
     const FetchSnapshotRequest& request);
@@ -458,43 +456,28 @@ bool DecodePromoteRequest(std::span<const std::uint8_t> payload,
 
 /// Response bodies. Encode* produce the full response payload including
 /// the status byte; Decode* expect the status byte already consumed.
-std::vector<std::uint8_t> EncodeErrorResponse(StatusCode status,
-                                              std::string_view message);
-/// Error body with a trailing u32 retry-after hint in milliseconds (v4,
-/// "Overload control & degradation"). The trailer is tolerant: decoders
-/// that stop after the message string keep working, and
-/// ParseReplyEnvelope-style decoders read it when present. Carried on
-/// OVERLOADED replies; 0 suppresses the trailer.
+/// A nonzero `retry_after_ms` appends the u32 RETRY_AFTER hint (carried
+/// on OVERLOADED replies), the one optional trailing field of the
+/// protocol; readers check for it after the message string.
 std::vector<std::uint8_t> EncodeErrorResponse(StatusCode status,
                                               std::string_view message,
-                                              std::uint32_t retry_after_ms);
+                                              std::uint32_t retry_after_ms = 0);
 std::vector<std::uint8_t> EncodeOkResponse();  // Status byte only.
 
-/// Search-response flags byte (v4+ trailing field).
+/// Search-response flags byte.
 inline constexpr std::uint8_t kSearchFlagDegraded = 0x01;
 
 std::vector<std::uint8_t> EncodeSearchResponse(
-    std::span<const WireResult> results);
-/// v4-aware encoder: appends the flags byte only when the request's
-/// `version` is >= 4 — pre-v4 decoders reject trailing bytes, so the
-/// trailer must be version-gated (unlike the error-body hint above).
-std::vector<std::uint8_t> EncodeSearchResponse(
-    std::span<const WireResult> results, std::uint8_t flags,
-    std::uint8_t version);
-bool DecodeSearchResponse(PayloadReader& reader,
-                          std::vector<WireResult>* results);
-/// Tolerant v4 decoder: `*flags` receives the trailing flags byte when
-/// present, 0 on a pre-v4 body.
+    std::span<const WireResult> results, std::uint8_t flags);
 bool DecodeSearchResponse(PayloadReader& reader,
                           std::vector<WireResult>* results,
                           std::uint8_t* flags);
-std::vector<std::uint8_t> EncodeObjectIdResponse(ObjectId id);
 /// kSnapshot / kReload kOk body: u64 snapshot sequence + file path.
 std::vector<std::uint8_t> EncodeSnapshotResponse(std::uint64_t sequence,
                                                  std::string_view path);
 bool DecodeSnapshotResponse(PayloadReader& reader, std::uint64_t* sequence,
                             std::string* path);
-/// One raw histogram on the wire (STATS v2 trailing section): name, total
+/// One raw histogram on the wire (STATS histogram section): name, total
 /// count, sum of recorded microseconds, and the per-bucket counts (bucket
 /// i covers [2^i, 2^(i+1)) us; see LatencyHistogram).
 struct WireHistogram {
@@ -504,21 +487,16 @@ struct WireHistogram {
   std::vector<std::uint64_t> buckets;
 };
 
-/// Version-1 STATS body: u32 pair count + (string, u64) pairs.
-std::vector<std::uint8_t> EncodeStatsResponse(
-    std::span<const std::pair<std::string, std::uint64_t>> stats);
-/// Version-2 STATS body: the v1 pairs followed by u32 histogram count +
-/// histograms (name, u64 count, u64 sum_micros, u32 buckets, u64 each).
+/// STATS body: u32 pair count + (string, u64) pairs, then u32 histogram
+/// count + histograms (name, u64 count, u64 sum_micros, u32 buckets, u64
+/// each).
 std::vector<std::uint8_t> EncodeStatsResponse(
     std::span<const std::pair<std::string, std::uint64_t>> stats,
     std::span<const WireHistogram> histograms);
-/// Decodes both body versions: a payload ending after the pairs is v1
-/// (histograms, if non-null, is left empty); trailing bytes must be the
-/// v2 histogram section.
 bool DecodeStatsResponse(
     PayloadReader& reader,
     std::vector<std::pair<std::string, std::uint64_t>>* stats,
-    std::vector<WireHistogram>* histograms = nullptr);
+    std::vector<WireHistogram>* histograms);
 /// kMetrics kOk body: one string holding the Prometheus text exposition.
 std::vector<std::uint8_t> EncodeMetricsResponse(std::string_view text);
 bool DecodeMetricsResponse(PayloadReader& reader, std::string* text);

@@ -107,7 +107,7 @@ TEST(AltIndex, MoreLandmarksTightenBounds) {
   EXPECT_GT(improved, total / 10);
 }
 
-// Every kernel this binary can run (scalar, SSE2, AVX2, AVX-512 where the
+// Every kernel this binary can run (scalar, AVX2, AVX-512 where the
 // CPU supports them) must produce bit-identical bounds to the per-pair
 // scalar loop, across landmark counts that exercise row padding (m not a
 // multiple of any vector width), s == t pairs, and landmark vertices.

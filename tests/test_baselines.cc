@@ -131,10 +131,12 @@ TEST_F(BaselineFixture, FsFbsBknnExact) {
   FsFbs fsfbs(graph_, labels, store_, *inverted_, options);
   for (const auto& query : workload_) {
     for (BooleanOp op : {BooleanOp::kDisjunctive, BooleanOp::kConjunctive}) {
-      auto got = fsfbs.BooleanKnn(query.vertex, 4, query.keywords, op);
+      QueryStats stats;
+      auto got = fsfbs.BooleanKnn(query.vertex, 4, query.keywords, op, &stats);
       auto expected =
           expansion_->BooleanKnn(query.vertex, 4, query.keywords, op);
       ASSERT_EQ(got.size(), expected.size()) << "q=" << query.vertex;
+      EXPECT_EQ(stats.results_returned, got.size()) << "q=" << query.vertex;
       for (std::size_t i = 0; i < got.size(); ++i) {
         EXPECT_EQ(got[i].distance, expected[i].distance) << "rank " << i;
       }

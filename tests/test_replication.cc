@@ -141,14 +141,15 @@ TEST_F(ReplicationTest, ReplicaRejectsWritesWithPrimaryAddress) {
   Client client = ConnectTo(*replica_);
 
   const std::vector<std::string> keywords = {"kw0"};
-  const auto add = client.AddPoi("new poi", 1, keywords);
+  const auto add = client.InsertDoc(0, 1, "new poi", keywords);
   EXPECT_EQ(add.status, StatusCode::kNotPrimary);
   EXPECT_EQ(add.error, "127.0.0.1:" + std::to_string(primary_->Port()));
 
-  EXPECT_EQ(client.ClosePoi(0).status, StatusCode::kNotPrimary);
-  EXPECT_EQ(client.TagPoi(0, "kw1").status, StatusCode::kNotPrimary);
-  EXPECT_EQ(client.UntagPoi(0, "kw1").status, StatusCode::kNotPrimary);
-  // The v3 logged mutations are redirected the same way.
+  // Every write opcode is redirected, keyless or keyed.
+  const std::vector<std::string> kw1 = {"kw1"};
+  EXPECT_EQ(client.DeleteDoc(0, 0).status, StatusCode::kNotPrimary);
+  EXPECT_EQ(client.UpdateDoc(0, 0, kw1, {}).status, StatusCode::kNotPrimary);
+  EXPECT_EQ(client.UpdateDoc(0, 0, {}, kw1).status, StatusCode::kNotPrimary);
   EXPECT_EQ(client.InsertDoc(1, 1, "poi", keywords).status,
             StatusCode::kNotPrimary);
   EXPECT_EQ(client.DeleteDoc(2, 0).status, StatusCode::kNotPrimary);
@@ -216,7 +217,7 @@ TEST_F(ReplicationTest, ReplicaCatchesUpAndServesIdenticalResults) {
 
   // Diverge the primary from the replica's synthetic base state.
   const std::vector<std::string> keywords = {"kw0", "kw3"};
-  const auto add = pclient.AddPoi("fresh poi", 7, keywords);
+  const auto add = pclient.InsertDoc(0, 7, "fresh poi", keywords);
   ASSERT_TRUE(add.ok());
   ASSERT_TRUE(pclient.Snapshot().ok());
 
@@ -252,7 +253,8 @@ TEST_F(ReplicationTest, ReplicaCatchesUpAndServesIdenticalResults) {
   EXPECT_EQ(stats.Value("replication_sequence_delta"), 0u);
 
   // A second snapshot on the primary replicates too.
-  ASSERT_TRUE(pclient.TagPoi(add.id, "kw5").ok());
+  const std::vector<std::string> kw5 = {"kw5"};
+  ASSERT_TRUE(pclient.UpdateDoc(0, add.id, kw5, {}).ok());
   ASSERT_TRUE(pclient.Snapshot().ok());
   ASSERT_TRUE(WaitFor([&] { return replica_->SnapshotSequence() >= 2; }));
   const auto tagged = rclient.Search("kw5", 7, 120);
@@ -266,7 +268,7 @@ TEST_F(ReplicationTest, CorruptTransferRejectedThenRetriedCleanly) {
   StartPrimary();
   Client pclient = ConnectTo(*primary_);
   const std::vector<std::string> keywords = {"kw2"};
-  const auto add = pclient.AddPoi("poison test poi", 11, keywords);
+  const auto add = pclient.InsertDoc(0, 11, "poison test poi", keywords);
   ASSERT_TRUE(add.ok());
   ASSERT_TRUE(pclient.Snapshot().ok());
 
@@ -349,7 +351,7 @@ TEST_F(ReplicationTest, FailoverClientPrefersReplicaAndFollowsRedirects) {
   EXPECT_EQ(client.LastEndpoint(), 1u);  // The replica.
 
   const std::vector<std::string> keywords = {"kw1"};
-  const auto add = client.AddPoi("routed write", 5, keywords);
+  const auto add = client.InsertDoc(5, "routed write", keywords);
   ASSERT_TRUE(add.ok());  // Landed on the primary, not NOT_PRIMARY.
   EXPECT_EQ(client.LastEndpoint(), 0u);
 }
@@ -363,7 +365,7 @@ TEST_F(ReplicationTest, FailoverClientFollowsNotPrimaryRedirect) {
   FailoverClient client({{"127.0.0.1", replica_->Port()}});
   client.SetSleepFunction([](std::uint32_t) {});
   const std::vector<std::string> keywords = {"kw1"};
-  const auto add = client.AddPoi("redirected write", 5, keywords);
+  const auto add = client.InsertDoc(5, "redirected write", keywords);
   ASSERT_TRUE(add.ok());
   ASSERT_EQ(client.Endpoints().size(), 2u);
   EXPECT_EQ(client.Endpoints()[1].port, primary_->Port());
@@ -373,7 +375,7 @@ TEST_F(ReplicationTest, FailoverClientSurvivesPrimaryStop) {
   StartPrimary();
   Client pclient = ConnectTo(*primary_);
   const std::vector<std::string> keywords = {"kw0"};
-  ASSERT_TRUE(pclient.AddPoi("pre-crash poi", 9, keywords).ok());
+  ASSERT_TRUE(pclient.InsertDoc(0, 9, "pre-crash poi", keywords).ok());
   ASSERT_TRUE(pclient.Snapshot().ok());
   StartReplica();
   ASSERT_TRUE(WaitFor([&] {
@@ -590,15 +592,16 @@ TEST_F(ReplicationTest, FencedPrimaryRejectsAllWritesWithStaleEpoch) {
   EXPECT_EQ(rejected.status, StatusCode::kStaleEpoch);
 
   // The fence latches: clients that know nothing about epochs are
-  // rejected too, on both the keyed and the legacy write paths — a
-  // fenced ex-primary must not accept ANY write.
+  // rejected too, on every write opcode, keyed or keyless — a fenced
+  // ex-primary must not accept ANY write.
   Client naive = ConnectTo(*primary_);
   EXPECT_EQ(naive.InsertDoc(2, 5, "naive write", tags).status,
             StatusCode::kStaleEpoch);
-  EXPECT_EQ(naive.AddPoi("legacy write", 5, tags).status,
+  EXPECT_EQ(naive.InsertDoc(0, 5, "keyless write", tags).status,
             StatusCode::kStaleEpoch);
-  EXPECT_EQ(naive.TagPoi(0, "kw1").status, StatusCode::kStaleEpoch);
-  EXPECT_GE(primary_->Metrics().requests_stale_epoch.load(), 4u);
+  EXPECT_EQ(naive.UpdateDoc(0, 0, tags, {}).status, StatusCode::kStaleEpoch);
+  EXPECT_EQ(naive.DeleteDoc(0, 0).status, StatusCode::kStaleEpoch);
+  EXPECT_GE(primary_->Metrics().requests_stale_epoch.load(), 5u);
 
   // Reads keep flowing — fencing only guards the write path.
   EXPECT_TRUE(naive.Search("kw0", 3, 5).ok());

@@ -231,7 +231,8 @@ TEST_F(ServerTest, UpdatesThroughServerVisibleToSearches) {
 
   // A keyword no synthetic POI carries.
   const std::vector<std::string> keywords = {"uniquekw"};
-  const auto added = client.AddPoi("newplace", 7, keywords);
+  const std::vector<std::string> another = {"anotherkw"};
+  const auto added = client.InsertDoc(0, 7, "newplace", keywords);
   ASSERT_TRUE(added.ok());
 
   auto found = client.Search("uniquekw", 7, 3);
@@ -242,24 +243,25 @@ TEST_F(ServerTest, UpdatesThroughServerVisibleToSearches) {
   EXPECT_EQ(found.results[0].travel_time, 0u);  // Same vertex.
 
   // Tag with another fresh keyword; searchable immediately.
-  ASSERT_TRUE(client.TagPoi(added.id, "anotherkw").ok());
+  ASSERT_TRUE(client.UpdateDoc(0, added.id, another, {}).ok());
   found = client.Search("uniquekw and anotherkw", 7, 3);
   ASSERT_TRUE(found.ok());
   ASSERT_EQ(found.results.size(), 1u);
 
-  ASSERT_TRUE(client.UntagPoi(added.id, "anotherkw").ok());
+  ASSERT_TRUE(client.UpdateDoc(0, added.id, {}, another).ok());
   found = client.Search("uniquekw and anotherkw", 7, 3);
   ASSERT_TRUE(found.ok());
   EXPECT_TRUE(found.results.empty());
 
-  ASSERT_TRUE(client.ClosePoi(added.id).ok());
+  ASSERT_TRUE(client.DeleteDoc(0, added.id).ok());
   found = client.Search("uniquekw", 7, 3);
   ASSERT_TRUE(found.ok());
   EXPECT_TRUE(found.results.empty());
 
-  // Operating on a closed POI is a BAD_QUERY, not a crash.
-  EXPECT_EQ(client.ClosePoi(added.id).status, StatusCode::kBadQuery);
-  EXPECT_EQ(client.TagPoi(added.id, "x").status, StatusCode::kBadQuery);
+  // Operating on a deleted POI is a BAD_QUERY, not a crash.
+  EXPECT_EQ(client.DeleteDoc(0, added.id).status, StatusCode::kBadQuery);
+  EXPECT_EQ(client.UpdateDoc(0, added.id, another, {}).status,
+            StatusCode::kBadQuery);
 }
 
 TEST_F(ServerTest, IdempotencyCacheSizeOptionAndCountersWork) {
@@ -306,7 +308,7 @@ TEST_F(ServerTest, IdempotencyCacheSizeOptionAndCountersWork) {
 TEST_F(ServerTest, ConcurrentSearchesDuringUpdatesStayConsistent) {
   StartServer();
 
-  // Readers hammer a stable keyword while a writer adds/closes POIs
+  // Readers hammer a stable keyword while a writer inserts/deletes POIs
   // carrying a different one. Every reply must be kOk and every result
   // list internally consistent (sorted by travel time).
   std::atomic<bool> stop{false};
@@ -334,8 +336,8 @@ TEST_F(ServerTest, ConcurrentSearchesDuringUpdatesStayConsistent) {
   Client writer = Connect();
   const std::vector<std::string> churn_kw = {"churnkw"};
   for (int round = 0; round < 20; ++round) {
-    const auto added = writer.AddPoi("churn", 11, churn_kw);
-    if (!added.ok() || !writer.ClosePoi(added.id).ok()) {
+    const auto added = writer.InsertDoc(0, 11, "churn", churn_kw);
+    if (!added.ok() || !writer.DeleteDoc(0, added.id).ok()) {
       ++failures;
       break;
     }
@@ -345,29 +347,55 @@ TEST_F(ServerTest, ConcurrentSearchesDuringUpdatesStayConsistent) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-TEST_F(ServerTest, GarbageStreamGetsErrorFrameThenClose) {
-  StartServer();
-
+/// Raw loopback connection to the test server (protocol-violation cases).
+int RawConnect(std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
+  if (fd < 0) return fd;
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  addr.sin_port = htons(server_->Port());
+  addr.sin_port = htons(port);
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
-            0);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Reads everything `fd` sends until the peer closes.
+std::vector<std::uint8_t> ReadUntilClose(int fd) {
+  std::vector<std::uint8_t> bytes;
+  std::uint8_t chunk[256];
+  for (ssize_t n; (n = ::read(fd, chunk, sizeof chunk)) > 0;) {
+    bytes.insert(bytes.end(), chunk, chunk + n);
+  }
+  return bytes;
+}
+
+/// Reads one whole frame off `fd` into `*bytes`; false on EOF first.
+bool ReadFrame(int fd, std::vector<std::uint8_t>* bytes, FrameHeader* header) {
+  bytes->clear();
+  std::uint8_t chunk[256];
+  std::size_t frame_size = 0;
+  while (TryDecodeFrame(*bytes, header, &frame_size) ==
+         DecodeResult::kNeedMore) {
+    const ssize_t n = ::read(fd, chunk, sizeof chunk);
+    if (n <= 0) return false;
+    bytes->insert(bytes->end(), chunk, chunk + n);
+  }
+  return TryDecodeFrame(*bytes, header, &frame_size) == DecodeResult::kFrame;
+}
+
+TEST_F(ServerTest, GarbageStreamGetsErrorFrameThenClose) {
+  StartServer();
+  const int fd = RawConnect(server_->Port());
+  ASSERT_GE(fd, 0);
 
   const char garbage[] = "GET / HTTP/1.1\r\n\r\n";
   ASSERT_GT(::write(fd, garbage, sizeof garbage - 1), 0);
 
   // The server must answer with one kError frame, then close.
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t chunk[256];
-  for (;;) {
-    const ssize_t n = ::read(fd, chunk, sizeof chunk);
-    if (n <= 0) break;
-    bytes.insert(bytes.end(), chunk, chunk + n);
-  }
+  const std::vector<std::uint8_t> bytes = ReadUntilClose(fd);
   ::close(fd);
 
   FrameHeader header;
@@ -386,42 +414,82 @@ TEST_F(ServerTest, GarbageStreamGetsErrorFrameThenClose) {
 TEST_F(ServerTest, WrongVersionGetsUnsupportedErrorWithRequestId) {
   StartServer();
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  // The server speaks exactly one version: an older frame is refused
+  // like a newer one.
+  for (const int version : {kProtocolVersion - 1, kProtocolVersion + 1}) {
+    const int fd = RawConnect(server_->Port());
+    ASSERT_GE(fd, 0);
+    FrameHeader ping;
+    ping.opcode = Opcode::kPing;
+    ping.request_id = 424242;
+    auto frame = EncodeFrame(ping, {});
+    frame[4] = static_cast<std::uint8_t>(version);
+    ASSERT_EQ(::write(fd, frame.data(), frame.size()),
+              static_cast<ssize_t>(frame.size()));
+    const std::vector<std::uint8_t> bytes = ReadUntilClose(fd);
+    ::close(fd);
+
+    FrameHeader header;
+    std::size_t frame_size = 0;
+    ASSERT_EQ(TryDecodeFrame(bytes, &header, &frame_size),
+              DecodeResult::kFrame)
+        << "version " << version;
+    EXPECT_EQ(header.opcode, Opcode::kError);
+    EXPECT_EQ(header.request_id, 424242u);  // Echoed despite the version.
+    EXPECT_EQ(frame_size, bytes.size());    // Then the server closed.
+
+    PayloadReader reader(std::span<const std::uint8_t>(
+        bytes.data() + kHeaderSize, header.payload_size));
+    EXPECT_EQ(static_cast<StatusCode>(reader.U8()),
+              StatusCode::kUnsupported);
+  }
+}
+
+TEST_F(ServerTest, RetiredWriteOpcodesGetUnsupportedAndConnectionStaysOpen) {
+  StartServer();
+  const int fd = RawConnect(server_->Port());
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server_->Port());
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
-            0);
+
+  // 0x20-0x23 are retired write opcodes. Each frame is well-formed, so
+  // it gets an UNSUPPORTED reply, applies nothing, and the stream stays
+  // usable.
+  for (std::uint8_t retired = 0x20; retired <= 0x23; ++retired) {
+    FrameHeader request;
+    request.opcode = static_cast<Opcode>(retired);
+    request.request_id = 1000 + retired;
+    const std::vector<std::uint8_t> body = {7, 0, 0, 0};
+    const auto frame = EncodeFrame(request, body);
+    ASSERT_EQ(::write(fd, frame.data(), frame.size()),
+              static_cast<ssize_t>(frame.size()));
+    std::vector<std::uint8_t> bytes;
+    FrameHeader header;
+    ASSERT_TRUE(ReadFrame(fd, &bytes, &header)) << int(retired);
+    EXPECT_EQ(header.opcode, request.opcode);
+    EXPECT_EQ(header.request_id, request.request_id);
+    PayloadReader reader(std::span<const std::uint8_t>(
+        bytes.data() + kHeaderSize, header.payload_size));
+    EXPECT_EQ(static_cast<StatusCode>(reader.U8()),
+              StatusCode::kUnsupported);
+  }
 
   FrameHeader ping;
   ping.opcode = Opcode::kPing;
-  ping.request_id = 424242;
-  auto frame = EncodeFrame(ping, {});
-  frame[4] = kProtocolVersion + 1;
+  ping.request_id = 7;
+  const auto frame = EncodeFrame(ping, {});
   ASSERT_EQ(::write(fd, frame.data(), frame.size()),
             static_cast<ssize_t>(frame.size()));
-
   std::vector<std::uint8_t> bytes;
-  std::uint8_t chunk[256];
-  for (;;) {
-    const ssize_t n = ::read(fd, chunk, sizeof chunk);
-    if (n <= 0) break;
-    bytes.insert(bytes.end(), chunk, chunk + n);
-  }
+  FrameHeader header;
+  ASSERT_TRUE(ReadFrame(fd, &bytes, &header));
+  EXPECT_EQ(header.opcode, Opcode::kPing);
+  EXPECT_EQ(bytes[kHeaderSize], static_cast<std::uint8_t>(StatusCode::kOk));
   ::close(fd);
 
-  FrameHeader header;
-  std::size_t frame_size = 0;
-  ASSERT_EQ(TryDecodeFrame(bytes, &header, &frame_size),
-            DecodeResult::kFrame);
-  EXPECT_EQ(header.opcode, Opcode::kError);
-  EXPECT_EQ(header.request_id, 424242u);  // Echoed despite the bad version.
-
-  PayloadReader reader(std::span<const std::uint8_t>(
-      bytes.data() + kHeaderSize, header.payload_size));
-  EXPECT_EQ(static_cast<StatusCode>(reader.U8()), StatusCode::kUnsupported);
+  Client client = Connect();
+  const auto stats = client.Stats();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats.Value("requests_unsupported"), 4u);
+  EXPECT_EQ(stats.Value("mutations_applied"), 0u);
 }
 
 TEST_F(ServerTest, StopDrainsAdmittedRequests) {
@@ -496,9 +564,9 @@ TEST_F(ServerTest, SnapshotAndReloadRestoreStateOverWire) {
   EXPECT_EQ(snap.sequence, 1u);
   EXPECT_TRUE(std::filesystem::exists(snap.path)) << snap.path;
 
-  // Mutate the serving state past recognition: close every result.
+  // Mutate the serving state past recognition: delete every result.
   for (const WireResult& r : before.results) {
-    ASSERT_TRUE(client.ClosePoi(r.object).ok());
+    ASSERT_TRUE(client.DeleteDoc(0, r.object).ok());
   }
   const auto mutated = client.Search("kw3 or kw5", 40, 6);
   ASSERT_TRUE(mutated.ok());
@@ -678,10 +746,11 @@ TEST_F(ServerTest, NonIdempotentUpdateNotRetriedAfterDisconnect) {
 
   server_->Stop();  // Connection is now dead; no replacement server.
 
-  // A torn AddPoi may already be applied server-side, so the wrapper
-  // must surface the transport error on the FIRST attempt, not re-send.
+  // A torn keyless insert may already be applied server-side, so the
+  // wrapper must surface the transport error on the FIRST attempt, not
+  // re-send.
   const std::vector<std::string> keywords = {"kw0"};
-  EXPECT_THROW(client.AddPoi("new poi", 7, keywords), ClientError);
+  EXPECT_THROW(client.InsertDoc(0, 7, "new poi", keywords), ClientError);
   EXPECT_EQ(client.LastAttempts(), 1u);
 }
 
@@ -747,8 +816,8 @@ TEST_F(ServerTest, AcceptErrorMetricStartsAtZero) {
 }
 
 // ---------------------------------------------------------------------
-// Observability: engine counters, v2 STATS histograms, METRICS text,
-// v1 compatibility, and tracing (docs/observability.md).
+// Observability: engine counters, STATS histograms, METRICS text, and
+// tracing (docs/observability.md).
 
 TEST_F(ServerTest, StatsCarryEngineCountersAndHistograms) {
   StartServer();
@@ -769,7 +838,7 @@ TEST_F(ServerTest, StatsCarryEngineCountersAndHistograms) {
   EXPECT_GE(stats.Value("engine_distance_computations"),
             stats.Value("engine_results_returned"));
 
-  // Protocol v2: raw histogram buckets ride along with the pairs.
+  // Raw histogram buckets ride along with the pairs.
   ASSERT_EQ(stats.histograms.size(), 3u);
   EXPECT_EQ(stats.histograms[0].name, "query_latency_us");
   EXPECT_EQ(stats.histograms[0].count, 2u);
@@ -824,55 +893,6 @@ TEST_F(ServerTest, MetricsReturnsPrometheusTextThatMovesWithTraffic) {
   ASSERT_TRUE(second.ok());
   EXPECT_GT(parse(second.text, "kspin_engine_distance_computations"),
             before);
-}
-
-TEST_F(ServerTest, V1StatsRequestGetsPairsOnlyBody) {
-  StartServer();
-  Client warm = Connect();
-  ASSERT_TRUE(warm.Search("kw0", 10, 3).ok());  // Counters move first.
-
-  // A protocol-1 client asks for STATS: the response must echo version 1
-  // and carry a body its strict (pairs-only) decoder fully consumes.
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server_->Port());
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
-            0);
-  FrameHeader request;
-  request.opcode = Opcode::kStats;
-  request.request_id = 777;
-  auto frame = EncodeFrame(request, {});
-  frame[4] = 1;  // Downgrade to protocol version 1.
-  ASSERT_EQ(::write(fd, frame.data(), frame.size()),
-            static_cast<ssize_t>(frame.size()));
-
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t chunk[4096];
-  FrameHeader header;
-  std::size_t frame_size = 0;
-  while (TryDecodeFrame(bytes, &header, &frame_size) ==
-         DecodeResult::kNeedMore) {
-    const ssize_t n = ::read(fd, chunk, sizeof chunk);
-    ASSERT_GT(n, 0);
-    bytes.insert(bytes.end(), chunk, chunk + n);
-  }
-  ::close(fd);
-  ASSERT_EQ(TryDecodeFrame(bytes, &header, &frame_size),
-            DecodeResult::kFrame);
-  EXPECT_EQ(header.opcode, Opcode::kStats);
-  EXPECT_EQ(header.request_id, 777u);
-  EXPECT_EQ(header.version, 1);  // Echoed, not upgraded.
-
-  PayloadReader reader(std::span<const std::uint8_t>(
-      bytes.data() + kHeaderSize, header.payload_size));
-  EXPECT_EQ(static_cast<StatusCode>(reader.U8()), StatusCode::kOk);
-  std::vector<std::pair<std::string, std::uint64_t>> pairs;
-  ASSERT_TRUE(DecodeStatsResponse(reader, &pairs));
-  EXPECT_TRUE(reader.Finished());  // Pairs only: no v2 histogram section.
-  EXPECT_FALSE(pairs.empty());
 }
 
 TEST_F(ServerTest, TraceFileRecordsExecutedSearches) {

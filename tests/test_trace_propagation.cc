@@ -186,7 +186,7 @@ TEST_F(TracePropagationTest,
   FailoverClient client({{"127.0.0.1", servers_[replica]->Port()}});
   client.SetSleepFunction([](std::uint32_t) {});
   const std::vector<std::string> keywords = {"kw1"};
-  ASSERT_TRUE(client.AddPoi("redirected", 5, keywords).ok());
+  ASSERT_TRUE(client.InsertDoc(5, "redirected", keywords).ok());
   const std::uint64_t trace_id = client.LastTraceId();
   ASSERT_NE(trace_id, 0u);
   const std::string hex = "\"trace_id\":\"" + HexTraceId(trace_id) + "\"";
@@ -203,7 +203,7 @@ TEST_F(TracePropagationTest,
   }));
   const std::string primary_dump = servers_[primary]->Recorder().Dump();
   EXPECT_NE(primary_dump.find(hex), std::string::npos);
-  EXPECT_NE(primary_dump.find("\"opcode\":\"POI_ADD\""),
+  EXPECT_NE(primary_dump.find("\"opcode\":\"INSERT_DOC\""),
             std::string::npos);
 }
 

@@ -9,16 +9,22 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <map>
 #include <memory>
+#include <set>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "routing/contraction_hierarchy.h"
 #include "server/client.h"
+#include "server/metrics.h"
 #include "server/server.h"
 #include "service/poi_service.h"
 #include "service/synthetic_catalog.h"
@@ -107,41 +113,21 @@ TEST(WireFrameTest, BadMagicDetectedEvenOnShortPrefix) {
 }
 
 TEST(WireFrameTest, BadVersionStillYieldsRequestId) {
-  FrameHeader header;
-  header.request_id = 99;
-  auto frame = EncodeFrame(header, {});
-  frame[4] = kProtocolVersion + 1;
-  FrameHeader decoded;
-  std::size_t frame_size = 0;
-  EXPECT_EQ(TryDecodeFrame(frame, &decoded, &frame_size),
-            DecodeResult::kBadVersion);
-  // The header is filled so the server can address the error frame.
-  EXPECT_EQ(decoded.request_id, 99u);
-  EXPECT_EQ(decoded.version, kProtocolVersion + 1);
-}
-
-TEST(WireFrameTest, WholeSupportedVersionRangeAccepted) {
-  // v1 clients must keep working against a v2 server (docs/protocol.md:
-  // responses echo the request's version, so old decoders never see new
-  // trailing fields). Version 0 is below the floor.
-  for (std::uint8_t v = kMinProtocolVersion; v <= kProtocolVersion; ++v) {
+  // Exactly one version is spoken: older and newer ones are both refused.
+  for (const int version : {kProtocolVersion - 1, kProtocolVersion + 1}) {
     FrameHeader header;
+    header.request_id = 99;
     auto frame = EncodeFrame(header, {});
-    frame[4] = v;
+    frame[4] = static_cast<std::uint8_t>(version);
     FrameHeader decoded;
     std::size_t frame_size = 0;
     EXPECT_EQ(TryDecodeFrame(frame, &decoded, &frame_size),
-              DecodeResult::kFrame)
-        << "version " << int(v);
-    EXPECT_EQ(decoded.version, v);
+              DecodeResult::kBadVersion)
+        << "version " << version;
+    // The header is filled so the server can address the error frame.
+    EXPECT_EQ(decoded.request_id, 99u);
+    EXPECT_EQ(decoded.version, version);
   }
-  FrameHeader header;
-  auto frame = EncodeFrame(header, {});
-  frame[4] = 0;
-  FrameHeader decoded;
-  std::size_t frame_size = 0;
-  EXPECT_EQ(TryDecodeFrame(frame, &decoded, &frame_size),
-            DecodeResult::kBadVersion);
 }
 
 TEST(WireFrameTest, OversizedPayloadRejected) {
@@ -155,25 +141,7 @@ TEST(WireFrameTest, OversizedPayloadRejected) {
             DecodeResult::kTooLarge);
 }
 
-TEST(WireFrameTest, NonZeroReservedBytesRejectedPreV5) {
-  // v5 turned the reserved u16 at offset 6 into a flags field; on older
-  // versions nonzero bytes there must still be rejected so a v5 client
-  // accidentally talking down-level fails loudly instead of silently
-  // having its flags ignored.
-  for (std::uint8_t v = kMinProtocolVersion; v < 5; ++v) {
-    FrameHeader header;
-    auto frame = EncodeFrame(header, {});
-    frame[4] = v;
-    frame[6] = 1;
-    FrameHeader decoded;
-    std::size_t frame_size = 0;
-    EXPECT_EQ(TryDecodeFrame(frame, &decoded, &frame_size),
-              DecodeResult::kBadVersion)
-        << "version " << int(v);
-  }
-}
-
-TEST(WireFrameTest, V5FlagsFieldRoundTrips) {
+TEST(WireFrameTest, FlagsFieldRoundTrips) {
   FrameHeader header;
   header.flags = kFrameFlagTraceContext;
   const auto frame = EncodeFrame(header, {});
@@ -182,13 +150,6 @@ TEST(WireFrameTest, V5FlagsFieldRoundTrips) {
   ASSERT_EQ(TryDecodeFrame(frame, &decoded, &frame_size),
             DecodeResult::kFrame);
   EXPECT_EQ(decoded.flags, kFrameFlagTraceContext);
-  // Encoding at a pre-v5 version must not emit the flags (the bytes were
-  // reserved-zero there), so v4 bodies stay byte-identical.
-  FrameHeader old = header;
-  old.version = 4;
-  const auto old_frame = EncodeFrame(old, {});
-  EXPECT_EQ(old_frame[6], 0);
-  EXPECT_EQ(old_frame[7], 0);
 }
 
 TEST(WireFrameTest, TraceTrailerSplitAndRoundTrip) {
@@ -302,36 +263,18 @@ TEST(BodyCodecTest, SearchRequestRejectsTrailingGarbage) {
   EXPECT_FALSE(DecodeSearchRequest(bytes, &decoded));
 }
 
-TEST(BodyCodecTest, PoiAddRequestRoundTrip) {
-  PoiAddRequest request;
-  request.vertex = 9;
-  request.name = "cafe";
-  request.keywords = {"coffee", "wifi", "open_late"};
-  PoiAddRequest decoded;
-  ASSERT_TRUE(DecodePoiAddRequest(EncodePoiAddRequest(request), &decoded));
-  EXPECT_EQ(decoded.vertex, request.vertex);
-  EXPECT_EQ(decoded.name, request.name);
-  EXPECT_EQ(decoded.keywords, request.keywords);
-}
-
-TEST(BodyCodecTest, PoiTagRequestRoundTrip) {
-  PoiTagRequest request{77, "sushi"};
-  PoiTagRequest decoded;
-  ASSERT_TRUE(DecodePoiTagRequest(EncodePoiTagRequest(request), &decoded));
-  EXPECT_EQ(decoded.object, 77u);
-  EXPECT_EQ(decoded.keyword, "sushi");
-}
-
 TEST(BodyCodecTest, SearchResponseRoundTrip) {
   std::vector<WireResult> results(2);
   results[0] = {5, 120, 0.25, "poi5"};
   results[1] = {9, 480, 17.5, "poi9"};
-  const auto bytes = EncodeSearchResponse(results);
+  const auto bytes = EncodeSearchResponse(results, 0);
 
   PayloadReader reader(bytes);
   EXPECT_EQ(static_cast<StatusCode>(reader.U8()), StatusCode::kOk);
   std::vector<WireResult> decoded;
-  ASSERT_TRUE(DecodeSearchResponse(reader, &decoded));
+  std::uint8_t flags = 0xff;
+  ASSERT_TRUE(DecodeSearchResponse(reader, &decoded, &flags));
+  EXPECT_EQ(flags, 0u);
   ASSERT_EQ(decoded.size(), 2u);
   EXPECT_EQ(decoded[0].object, 5u);
   EXPECT_EQ(decoded[0].travel_time, 120u);
@@ -350,8 +293,7 @@ TEST(BodyCodecTest, ErrorResponseCarriesStatusAndMessage) {
 }
 
 TEST(BodyCodecTest, ErrorResponseAppendsRetryAfterTrailerOnlyWhenSet) {
-  // retry_after 0 must encode byte-identically to the 2-arg form so old
-  // decoders (which read status + message and stop) see nothing new.
+  // retry_after 0 writes no hint: the body ends after the message.
   EXPECT_EQ(EncodeErrorResponse(StatusCode::kOverloaded, "shed", 0),
             EncodeErrorResponse(StatusCode::kOverloaded, "shed"));
 
@@ -364,25 +306,10 @@ TEST(BodyCodecTest, ErrorResponseAppendsRetryAfterTrailerOnlyWhenSet) {
   EXPECT_TRUE(reader.Finished());
 }
 
-TEST(BodyCodecTest, SearchResponseFlagsAreVersionGated) {
-  std::vector<WireResult> results(1);
-  results[0] = {5, 120, 0.25, "poi5"};
-
-  // v3 request: no flags byte, even when degraded — a v3 decoder would
-  // reject the trailing byte.
-  const auto v3 = EncodeSearchResponse(results, kSearchFlagDegraded, 3);
-  EXPECT_EQ(v3, EncodeSearchResponse(results));
-
-  // v4 request: one flags byte trails the result list.
-  const auto v4 = EncodeSearchResponse(results, kSearchFlagDegraded, 4);
-  ASSERT_EQ(v4.size(), v3.size() + 1);
-  EXPECT_EQ(v4.back(), kSearchFlagDegraded);
-}
-
 TEST(BodyCodecTest, SearchResponseFlagsRoundTrip) {
   std::vector<WireResult> results(1);
   results[0] = {9, 480, 17.5, "poi9"};
-  const auto bytes = EncodeSearchResponse(results, kSearchFlagDegraded, 4);
+  const auto bytes = EncodeSearchResponse(results, kSearchFlagDegraded);
 
   PayloadReader reader(bytes);
   EXPECT_EQ(static_cast<StatusCode>(reader.U8()), StatusCode::kOk);
@@ -393,27 +320,28 @@ TEST(BodyCodecTest, SearchResponseFlagsRoundTrip) {
   EXPECT_EQ(decoded[0].object, 9u);
   EXPECT_EQ(flags, kSearchFlagDegraded);
 
-  // A flag-less (pre-v4) body decodes with flags 0.
-  const auto legacy = EncodeSearchResponse(results);
-  PayloadReader legacy_reader(legacy);
-  EXPECT_EQ(static_cast<StatusCode>(legacy_reader.U8()), StatusCode::kOk);
-  flags = 0xff;
-  ASSERT_TRUE(DecodeSearchResponse(legacy_reader, &decoded, &flags));
-  EXPECT_EQ(flags, 0u);
+  // The flags byte is part of the one body length: without it the body
+  // is truncated.
+  const std::vector<std::uint8_t> flagless(bytes.begin(), bytes.end() - 1);
+  PayloadReader flagless_reader(flagless);
+  EXPECT_EQ(static_cast<StatusCode>(flagless_reader.U8()), StatusCode::kOk);
+  EXPECT_FALSE(DecodeSearchResponse(flagless_reader, &decoded, &flags));
 }
 
 TEST(BodyCodecTest, StatsResponseRoundTrip) {
   const std::vector<std::pair<std::string, std::uint64_t>> stats = {
       {"requests_ok", 12}, {"queue_depth", 0}, {"query_latency_p99_us", 512}};
-  const auto bytes = EncodeStatsResponse(stats);
+  const auto bytes = EncodeStatsResponse(stats, {});
   PayloadReader reader(bytes);
   EXPECT_EQ(static_cast<StatusCode>(reader.U8()), StatusCode::kOk);
   std::vector<std::pair<std::string, std::uint64_t>> decoded;
-  ASSERT_TRUE(DecodeStatsResponse(reader, &decoded));
+  std::vector<WireHistogram> histograms;
+  ASSERT_TRUE(DecodeStatsResponse(reader, &decoded, &histograms));
   EXPECT_EQ(decoded, stats);
+  EXPECT_TRUE(histograms.empty());
 }
 
-TEST(BodyCodecTest, StatsResponseV2CarriesHistograms) {
+TEST(BodyCodecTest, StatsResponseCarriesHistograms) {
   const std::vector<std::pair<std::string, std::uint64_t>> stats = {
       {"requests_ok", 12}, {"queue_depth", 0}};
   std::vector<WireHistogram> histograms(2);
@@ -438,40 +366,6 @@ TEST(BodyCodecTest, StatsResponseV2CarriesHistograms) {
             (std::vector<std::uint64_t>{0, 3, 90, 7}));
   EXPECT_EQ(decoded_histograms[1].name, "update_latency_us");
   EXPECT_TRUE(decoded_histograms[1].buckets.empty());
-}
-
-TEST(BodyCodecTest, StatsResponseV1BodyDecodesWithoutHistograms) {
-  // A v1 server's body ends after the pairs; a histogram-aware decoder
-  // must accept it and simply report no histograms.
-  const std::vector<std::pair<std::string, std::uint64_t>> stats = {
-      {"requests_ok", 3}};
-  const auto bytes = EncodeStatsResponse(stats);
-  PayloadReader reader(bytes);
-  EXPECT_EQ(static_cast<StatusCode>(reader.U8()), StatusCode::kOk);
-  std::vector<std::pair<std::string, std::uint64_t>> decoded;
-  std::vector<WireHistogram> histograms;
-  ASSERT_TRUE(DecodeStatsResponse(reader, &decoded, &histograms));
-  EXPECT_EQ(decoded, stats);
-  EXPECT_TRUE(histograms.empty());
-}
-
-TEST(BodyCodecTest, StatsResponseV2BodySkipsHistogramsWhenUnwanted) {
-  // The histogram-oblivious decode (histograms == nullptr) still has to
-  // walk the v2 histogram section — discarding it — so a caller that only
-  // wants the pairs keeps working against newer servers.
-  std::vector<WireHistogram> histograms(1);
-  histograms[0].name = "query_latency_us";
-  histograms[0].count = 3;
-  histograms[0].buckets = {1, 2};
-  const std::vector<std::pair<std::string, std::uint64_t>> pairs = {
-      {"requests_ok", 1}};
-  const auto bytes = EncodeStatsResponse(pairs, histograms);
-  PayloadReader reader(bytes);
-  EXPECT_EQ(static_cast<StatusCode>(reader.U8()), StatusCode::kOk);
-  std::vector<std::pair<std::string, std::uint64_t>> decoded;
-  ASSERT_TRUE(DecodeStatsResponse(reader, &decoded));
-  EXPECT_EQ(decoded, pairs);
-  EXPECT_TRUE(reader.Finished());
 }
 
 TEST(BodyCodecTest, MetricsResponseRoundTrip) {
@@ -585,6 +479,14 @@ TEST(BodyCodecTest, MutationRequestsRejectTruncationAndTrailingGarbage) {
     EXPECT_FALSE(DecodeDeleteDocRequest(trailing, &d));
     EXPECT_FALSE(DecodeUpdateDocRequest(trailing, &u));
     EXPECT_FALSE(DecodeFetchOplogRequest(trailing, &f));
+    // Each body has exactly one length: one missing its 8-byte epoch
+    // section is truncated, not an older revision.
+    auto no_epoch = bytes;
+    no_epoch.resize(bytes.size() - 8);
+    EXPECT_FALSE(DecodeInsertDocRequest(no_epoch, &i));
+    EXPECT_FALSE(DecodeDeleteDocRequest(no_epoch, &d));
+    EXPECT_FALSE(DecodeUpdateDocRequest(no_epoch, &u));
+    EXPECT_FALSE(DecodeFetchOplogRequest(no_epoch, &f));
   }
 }
 
@@ -635,53 +537,6 @@ TEST(BodyCodecTest, MutationRequestsCarryFenceEpoch) {
   EXPECT_EQ(update_decoded.fence_epoch, 13u);
 }
 
-TEST(BodyCodecTest, LegacyBodiesWithoutEpochTrailerStillDecode) {
-  // A pre-epoch peer encodes the same bodies minus the trailing epoch
-  // section; stripping the trailer from our own encoding reproduces that
-  // byte stream exactly. Decoding must succeed with the epoch zeroed —
-  // this is the compatibility contract that makes the fields additive.
-  InsertDocRequest insert;
-  insert.vertex = 1;
-  insert.name = "x";
-  insert.fence_epoch = 42;
-  auto bytes = EncodeInsertDocRequest(insert);
-  bytes.resize(bytes.size() - 8);
-  InsertDocRequest insert_decoded;
-  ASSERT_TRUE(DecodeInsertDocRequest(bytes, &insert_decoded));
-  EXPECT_EQ(insert_decoded.fence_epoch, 0u);
-  EXPECT_EQ(insert_decoded.name, "x");
-
-  auto fetch_bytes = EncodeFetchOplogRequest({42, 65536, 5});
-  fetch_bytes.resize(fetch_bytes.size() - 8);
-  FetchOplogRequest fetch_decoded;
-  ASSERT_TRUE(DecodeFetchOplogRequest(fetch_bytes, &fetch_decoded));
-  EXPECT_EQ(fetch_decoded.from_sequence, 42u);
-  EXPECT_EQ(fetch_decoded.requester_epoch, 0u);
-
-  HealthInfo info;
-  info.role = 1;
-  info.applied_sequence = 17;
-  info.primary_epoch = 3;
-  auto health_bytes = EncodeHealthResponse(info);
-  health_bytes.resize(health_bytes.size() - 16);
-  PayloadReader health_reader(health_bytes);
-  EXPECT_EQ(static_cast<StatusCode>(health_reader.U8()), StatusCode::kOk);
-  HealthInfo health_decoded;
-  ASSERT_TRUE(DecodeHealthResponse(health_reader, &health_decoded));
-  EXPECT_EQ(health_decoded.role, 1);
-  EXPECT_EQ(health_decoded.applied_sequence, 0u);
-  EXPECT_EQ(health_decoded.primary_epoch, 0u);
-
-  auto mut_bytes = EncodeMutationResponse({9, 8, 7});
-  mut_bytes.resize(mut_bytes.size() - 8);
-  PayloadReader mut_reader(mut_bytes);
-  EXPECT_EQ(static_cast<StatusCode>(mut_reader.U8()), StatusCode::kOk);
-  MutationReply mut_decoded;
-  ASSERT_TRUE(DecodeMutationResponse(mut_reader, &mut_decoded));
-  EXPECT_EQ(mut_decoded.sequence, 9u);
-  EXPECT_EQ(mut_decoded.primary_epoch, 0u);
-}
-
 TEST(BodyCodecTest, HealthResponseCarriesEpochAndAppliedSequence) {
   HealthInfo info;
   info.role = 0;
@@ -711,10 +566,10 @@ TEST(BodyCodecTest, PromoteRequestRoundTrip) {
   ASSERT_TRUE(
       DecodePromoteRequest(EncodePromoteRequest(request), &decoded));
   EXPECT_EQ(decoded.min_applied_sequence, 77u);
-  // An empty body means "no applied-sequence guard" so a bare frame works.
+  // The guard is always on the wire (0 = none): an empty body is
+  // truncated.
   PromoteRequest empty;
-  ASSERT_TRUE(DecodePromoteRequest({}, &empty));
-  EXPECT_EQ(empty.min_applied_sequence, 0u);
+  EXPECT_FALSE(DecodePromoteRequest({}, &empty));
 }
 
 TEST(BodyCodecTest, PromoteResponseRoundTrip) {
@@ -732,7 +587,7 @@ TEST(BodyCodecTest, PromoteResponseRoundTrip) {
   EXPECT_EQ(decoded.role, 0);
 }
 
-TEST(BodyCodecTest, OplogChunkCarriesEpochTrailer) {
+TEST(BodyCodecTest, OplogChunkCarriesEpochSection) {
   OplogChunk chunk;
   chunk.last_sequence = 5;
   chunk.primary_epoch = 2;
@@ -746,14 +601,12 @@ TEST(BodyCodecTest, OplogChunkCarriesEpochTrailer) {
     EXPECT_EQ(decoded.primary_epoch, 2u);
     EXPECT_EQ(decoded.epoch_boundary_sequence, 4u);
   }
-  // Pre-epoch peers stop after the records; the trailer must be optional.
+  // Without its 16-byte epoch section the body is truncated.
   bytes.resize(bytes.size() - 16);
   PayloadReader reader(bytes);
   EXPECT_EQ(static_cast<StatusCode>(reader.U8()), StatusCode::kOk);
   OplogChunk decoded;
-  ASSERT_TRUE(DecodeOplogChunkResponse(reader, &decoded));
-  EXPECT_EQ(decoded.primary_epoch, 0u);
-  EXPECT_EQ(decoded.epoch_boundary_sequence, 0u);
+  EXPECT_FALSE(DecodeOplogChunkResponse(reader, &decoded));
 }
 
 TEST(BodyCodecTest, OplogChunkCrcDetectsFlippedBit) {
@@ -780,7 +633,7 @@ TEST(BodyCodecTest, OplogChunkCrcDetectsFlippedBit) {
 
   // A flipped bit inside a shipped record must fail the per-record CRC —
   // corruption in transit never reaches a replica's log. The last 16
-  // payload bytes are the epoch trailer, so aim before it.
+  // payload bytes are the epoch section, so aim before it.
   bytes[bytes.size() - 16 - 5] ^= 0x08;
   PayloadReader reader(bytes);
   EXPECT_EQ(static_cast<StatusCode>(reader.U8()), StatusCode::kOk);
@@ -810,6 +663,48 @@ TEST(BodyCodecTest, SnapshotChunkCrcDetectsFlippedBit) {
   EXPECT_EQ(static_cast<StatusCode>(reader.U8()), StatusCode::kOk);
   SnapshotChunk decoded;
   EXPECT_FALSE(DecodeSnapshotChunkResponse(reader, &decoded));
+}
+
+TEST(OpcodeTableTest, EveryOpcodeHasOneRowAndOneStatsKey) {
+  // Every Opcode but kError, the server-to-client fatal-error frame.
+  const Opcode spoken[] = {
+      Opcode::kPing,          Opcode::kStats,         Opcode::kHealth,
+      Opcode::kMetrics,       Opcode::kDumpDiag,      Opcode::kSearchBoolean,
+      Opcode::kSearchRanked,  Opcode::kInsertDoc,     Opcode::kDeleteDoc,
+      Opcode::kUpdateDoc,     Opcode::kSnapshot,      Opcode::kReload,
+      Opcode::kFetchSnapshot, Opcode::kFetchOplog,    Opcode::kPromote,
+  };
+  ASSERT_EQ(std::size(spoken), kNumOpcodes);
+  std::set<std::string_view> names;
+  for (const Opcode opcode : spoken) {
+    const OpcodeInfo* row = FindOpcode(opcode);
+    ASSERT_NE(row, nullptr) << static_cast<int>(opcode);
+    EXPECT_EQ(std::count_if(std::begin(kOpcodeTable), std::end(kOpcodeTable),
+                            [&](const OpcodeInfo& r) {
+                              return r.opcode == opcode;
+                            }),
+              1)
+        << row->name;
+    EXPECT_TRUE(names.insert(row->name).second) << row->name;
+  }
+  // No other byte has a row, kError included.
+  for (int byte = 0; byte < 256; ++byte) {
+    const auto opcode = static_cast<Opcode>(byte);
+    if (std::find(std::begin(spoken), std::end(spoken), opcode) ==
+        std::end(spoken)) {
+      EXPECT_EQ(FindOpcode(opcode), nullptr) << byte;
+    }
+  }
+  // STATS reports exactly one opcode_<name> counter per row.
+  const ServerMetrics metrics;
+  std::map<std::string, int> opcode_keys;
+  for (const auto& [key, value] : metrics.FullSnapshot(0).counters) {
+    if (key.rfind("opcode_", 0) == 0) ++opcode_keys[key];
+  }
+  EXPECT_EQ(opcode_keys.size(), kNumOpcodes);
+  for (const OpcodeInfo& row : kOpcodeTable) {
+    EXPECT_EQ(opcode_keys["opcode_" + std::string(row.name)], 1) << row.name;
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -899,10 +794,6 @@ TEST(WireFuzzTest, BodyDecodersNeverCrashOnRandomPayloads) {
     // absence of crashes/over-reads (ASan) on arbitrary input.
     SearchRequest search;
     DecodeSearchRequest(payload, &search);
-    PoiAddRequest add;
-    DecodePoiAddRequest(payload, &add);
-    PoiTagRequest tag;
-    DecodePoiTagRequest(payload, &tag);
     FetchSnapshotRequest fetch;
     DecodeFetchSnapshotRequest(payload, &fetch);
     InsertDocRequest insert;
@@ -913,16 +804,14 @@ TEST(WireFuzzTest, BodyDecodersNeverCrashOnRandomPayloads) {
     DecodeUpdateDocRequest(payload, &update);
     FetchOplogRequest fetch_oplog;
     DecodeFetchOplogRequest(payload, &fetch_oplog);
+    PromoteRequest promote;
+    DecodePromoteRequest(payload, &promote);
     // Response decoders.
     {
       PayloadReader reader(payload);
       std::vector<WireResult> results;
-      DecodeSearchResponse(reader, &results);
-    }
-    {
-      PayloadReader reader(payload);
-      std::vector<std::pair<std::string, std::uint64_t>> stats;
-      DecodeStatsResponse(reader, &stats);
+      std::uint8_t flags = 0;
+      DecodeSearchResponse(reader, &results, &flags);
     }
     {
       PayloadReader reader(payload);
@@ -965,7 +854,7 @@ TEST(WireFuzzTest, BodyDecodersNeverCrashOnRandomPayloads) {
 }
 
 TEST(WireFuzzTest, MutationDecodersSurviveMutatedValidBodies) {
-  // Seed the fuzz with structurally valid v3 bodies, then bit-flip and
+  // Seed the fuzz with structurally valid mutation bodies, then bit-flip and
   // truncate: the decoders must reject damage without over-reading.
   Fuzzer fuzz(0x0B10609u);
   InsertDocRequest insert;

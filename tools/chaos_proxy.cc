@@ -223,6 +223,9 @@ int Main(int argc, char** argv) {
       fds.push_back({conn.target_fd, target_events, 0});
     }
     ::poll(fds.data(), fds.size(), static_cast<int>(kTickMs));
+    // Only connections in this tick's poll set have pollfds; the ones
+    // accepted below are served from the next tick on.
+    const std::size_t polled = connections.size();
 
     // New connections. Under partition they are accepted then dropped on
     // the floor — the client sees an immediate RST/EOF, not a timeout,
@@ -262,7 +265,8 @@ int Main(int argc, char** argv) {
 
     const auto now = Clock::now();
     std::size_t fd_index = 1;
-    for (auto& conn : connections) {
+    for (std::size_t c = 0; c < polled; ++c) {
+      Connection& conn = connections[c];
       const pollfd& client_poll = fds[fd_index++];
       const pollfd& target_poll = fds[fd_index++];
       if (conn.client_fd < 0) continue;

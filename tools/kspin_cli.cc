@@ -43,7 +43,7 @@
 //                    --tags=thai,takeaway
 //   kspin_cli delete --endpoints=H:P[,...] --id=N
 //   kspin_cli update --endpoints=H:P[,...] --id=N [--add=a,b] [--remove=c]
-//       Durable write-path mutations (v3 opcodes, docs/protocol.md):
+//       Durable write-path mutations (docs/protocol.md):
 //       idempotency-keyed so retries and failover redirects apply at most
 //       once; the reply's op-log sequence is printed.
 //   kspin_cli health --endpoints=H:P[,H:P...]

@@ -10,16 +10,12 @@
 //   health                              role, snapshot sequence, uptime
 //   search   <vertex> <k> <query...>    boolean kNN
 //   ranked   <vertex> <k> <query...>    ranked top-k
-//   add      <vertex> <name> <kw...>    add a POI, prints its id
-//   close    <id>                       mark a POI closed
-//   tag      <id> <keyword>             add a keyword to a POI
-//   untag    <id> <keyword>             remove a keyword from a POI
-//   insert   <vertex> <name> <kw...>    durable write-path add (v3):
+//   insert   <vertex> <name> <kw...>    add a POI through the op log:
 //                                       idempotency-keyed, safe to retry;
 //                                       prints "<id>\tseq=<sequence>"
-//   delete   <id>                       durable write-path close (v3)
+//   delete   <id>                       remove a POI from search
 //   update   <id> <+kw|-kw>...          add (+) / remove (-) keyword tags
-//                                       as one logged operation (v3)
+//                                       as one logged operation
 //   snapshot                            write a snapshot now, print its path
 //   reload                              restore the newest valid snapshot
 //   promote  [min_applied_seq]          flip the addressed endpoint (the
@@ -70,9 +66,7 @@ void Usage() {
       "[--retry-budget-ms=T] [--fence-epoch=N] <command> [args...]\n"
       "commands: ping | stats | metrics | health | "
       "search <vertex> <k> <query...> |\n"
-      "          ranked <vertex> <k> <query...> | add <vertex> <name> "
-      "<kw...> |\n"
-      "          close <id> | tag <id> <kw> | untag <id> <kw> |\n"
+      "          ranked <vertex> <k> <query...> |\n"
       "          insert <vertex> <name> <kw...> | delete <id> |\n"
       "          update <id> <+kw|-kw>... | snapshot | reload |\n"
       "          promote [min_applied_seq]\n");
@@ -264,36 +258,6 @@ int Main(int argc, char** argv) {
     }
     if (command == "search" || command == "ranked") {
       return RunSearch(client, command == "ranked", args, deadline_ms);
-    }
-    if (command == "add") {
-      if (args.size() < 3) {
-        Usage();
-        return 1;
-      }
-      const VertexId vertex = static_cast<VertexId>(std::stoul(args[0]));
-      const std::vector<std::string> keywords(args.begin() + 2,
-                                              args.end());
-      const auto reply = client.AddPoi(args[1], vertex, keywords);
-      if (const int rc = ReportStatus(reply)) return rc;
-      std::printf("%u\n", reply.id);
-      return 0;
-    }
-    if (command == "close") {
-      if (args.size() != 1) {
-        Usage();
-        return 1;
-      }
-      return ReportStatus(
-          client.ClosePoi(static_cast<ObjectId>(std::stoul(args[0]))));
-    }
-    if (command == "tag" || command == "untag") {
-      if (args.size() != 2) {
-        Usage();
-        return 1;
-      }
-      const ObjectId id = static_cast<ObjectId>(std::stoul(args[0]));
-      return ReportStatus(command == "tag" ? client.TagPoi(id, args[1])
-                                           : client.UntagPoi(id, args[1]));
     }
     if (command == "insert") {
       if (args.size() < 3) {

@@ -1,6 +1,6 @@
 // Load harness for a running kspin_server (optionally behind
 // chaos_proxy): drives alternating traffic phases against a live
-// endpoint and reports tail latency from the server's own v2 STATS
+// endpoint and reports tail latency from the server's own STATS
 // histograms, so the numbers include queueing the client never sees.
 //
 //   load_harness --port=P [--host=H] [--threads=N] [--seconds=S]
@@ -342,7 +342,7 @@ int Main(int argc, char** argv) {
         return 1;
       }
 
-      // Server-side latency for just this phase: the v2 histogram delta.
+      // Server-side latency for just this phase: the histogram delta.
       const auto* hb = FindHistogram(before, "query_latency_us");
       const auto* ha = FindHistogram(after, "query_latency_us");
       std::uint64_t p50 = 0, p99 = 0, p999 = 0;

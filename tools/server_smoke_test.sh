@@ -103,10 +103,11 @@ echo "smoke: search returned $(wc -l <<<"$RESULTS") results"
 "$CLIENT" --port="$PORT" ranked 5 3 kw0 kw2 >/dev/null
 echo "smoke: ranked search ok"
 
-POI_ID="$("$CLIENT" --port="$PORT" add 7 smoketestpoi smokekw)"
+POI_OUT="$("$CLIENT" --port="$PORT" insert 7 smoketestpoi smokekw)"
+POI_ID="${POI_OUT%%$'\t'*}"
 FOUND="$("$CLIENT" --port="$PORT" search 7 1 smokekw)"
 grep -q "smoketestpoi" <<<"$FOUND" || { echo "smoke: added POI not found" >&2; exit 1; }
-"$CLIENT" --port="$PORT" close "$POI_ID"
+"$CLIENT" --port="$PORT" delete "$POI_ID" >/dev/null
 echo "smoke: update cycle ok (poi id $POI_ID)"
 
 # Bad queries must be rejected without killing the server.
@@ -145,7 +146,8 @@ echo "smoke: graceful shutdown ok"
 start_server --snapshot-dir="$SNAPDIR"
 echo "smoke: snapshot server up on port $PORT"
 
-CRASH_ID="$("$CLIENT" --port="$PORT" add 9 crashpoi crashkw)"
+CRASH_OUT="$("$CLIENT" --port="$PORT" insert 9 crashpoi crashkw)"
+CRASH_ID="${CRASH_OUT%%$'\t'*}"
 BASELINE_A="$("$CLIENT" --port="$PORT" search 5 5 "kw0 or kw1")"
 BASELINE_B="$("$CLIENT" --port="$PORT" search 9 3 crashkw)"
 grep -q "crashpoi" <<<"$BASELINE_B" || { echo "smoke: crashpoi missing pre-crash" >&2; exit 1; }
@@ -198,7 +200,8 @@ start_server --snapshot-dir="$PSNAPDIR"
 PRIMARY_PORT="$PORT"
 echo "smoke: primary up on port $PRIMARY_PORT"
 
-REPL_ID="$("$CLIENT" --port="$PRIMARY_PORT" add 11 replpoi replkw)"
+REPL_OUT="$("$CLIENT" --port="$PRIMARY_PORT" insert 11 replpoi replkw)"
+REPL_ID="${REPL_OUT%%$'\t'*}"
 "$CLIENT" --port="$PRIMARY_PORT" snapshot >/dev/null
 echo "smoke: primary snapshot written (poi id $REPL_ID)"
 
@@ -240,7 +243,8 @@ echo "smoke: replica reads byte-identical to primary"
 
 # A write sent to the replica endpoint follows the NOT_PRIMARY redirect
 # to the live primary and succeeds there.
-REDIR_ID="$("$CLIENT" --port="$REPLICA_PORT" add 13 redirpoi redirkw)"
+REDIR_OUT="$("$CLIENT" --port="$REPLICA_PORT" insert 13 redirpoi redirkw)"
+REDIR_ID="${REDIR_OUT%%$'\t'*}"
 FOUND_ON_PRIMARY="$("$CLIENT" --port="$PRIMARY_PORT" search 13 1 redirkw)"
 grep -q "redirpoi" <<<"$FOUND_ON_PRIMARY" || { echo "smoke: redirected write missing on primary" >&2; exit 1; }
 echo "smoke: replica write redirected to primary (poi id $REDIR_ID)"
@@ -303,7 +307,7 @@ DIST2="$(awk '$1 == "kspin_engine_distance_computations" { print $2 }' <<<"$SCRA
 echo "smoke: metrics scrape ok (engine_distance_computations $DIST1 -> $DIST2)"
 
 # With the primary gone, writes must fail rather than land on the replica.
-if "$CLIENT" --port="$REPLICA_PORT" add 14 orphanpoi orphankw 2>/dev/null; then
+if "$CLIENT" --port="$REPLICA_PORT" insert 14 orphanpoi orphankw 2>/dev/null; then
   echo "smoke: write unexpectedly succeeded with primary dead" >&2
   exit 1
 fi
@@ -323,7 +327,7 @@ wait "$REPLICA_PID" 2>/dev/null || true
 REPLICA_PID=""
 
 # ---- durable mutations: op log, kill -9 replay, tailing, failover ----
-# The v3 write path: acked insert/update/delete land in the op log before
+# The write path: acked insert/update/delete land in the op log before
 # the reply goes out, so they must survive a kill -9 with no snapshot
 # covering them, ship to a replica as log records (not a snapshot
 # transfer), and stay readable through a failover client.
