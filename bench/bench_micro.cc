@@ -2,24 +2,12 @@
 // K-SPIN query is composed of: ALT lower bounds, point-to-point distance
 // queries per technique, inverted-heap creation/extraction, quadtree point
 // location, and NVD construction. Complements the per-figure harnesses.
-//
-// `--json=FILE` switches to a self-contained lower-bound throughput probe
-// (no google-benchmark): it measures the scalar per-pair path and the SIMD
-// batch path over the same random-target workload and writes one JSON
-// object — consumed by tools/check_bench_lb.py in CI and recorded in
-// BENCH_lb.json (docs/performance.md).
 #include <benchmark/benchmark.h>
-
-#include <chrono>
-#include <cstdio>
-#include <string>
-#include <string_view>
 
 #include "bench_common.h"
 #include "common/random.h"
 #include "kspin/inverted_heap.h"
 #include "nvd/nvd.h"
-#include "routing/alt_kernels.h"
 
 namespace kspin::bench {
 namespace {
@@ -72,24 +60,6 @@ void BM_AltLowerBound(benchmark::State& bench) {
   }
 }
 BENCHMARK(BM_AltLowerBound);
-
-void BM_AltLowerBoundBatch(benchmark::State& bench) {
-  MicroState& s = State();
-  constexpr std::size_t kBlock = 256;
-  std::vector<VertexId> targets(kBlock);
-  for (VertexId& t : targets) t = s.RandomVertex();
-  std::vector<Distance> out(kBlock);
-  const VertexId src = s.RandomVertex();
-  for (auto _ : bench) {
-    s.alt.LowerBoundBatch(src, targets, out);
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  bench.SetItemsProcessed(
-      static_cast<std::int64_t>(bench.iterations()) * kBlock);
-  bench.SetLabel(detail::AltBatchKernelName());
-}
-BENCHMARK(BM_AltLowerBoundBatch);
 
 void BM_DistanceDijkstra(benchmark::State& bench) {
   MicroState& s = State();
@@ -251,99 +221,7 @@ void BM_BknnDisjunctiveInstrumented(benchmark::State& bench) {
 }
 BENCHMARK(BM_BknnDisjunctiveInstrumented);
 
-// ----- --json lower-bound throughput probe ---------------------------------
-
-/// Runs `pass` (evaluating `evals_per_pass` lower bounds) repeatedly for
-/// ~0.5 s of wall clock and returns evaluations per second.
-template <typename Pass>
-double MeasureEvalsPerSec(std::size_t evals_per_pass, Pass&& pass) {
-  using Clock = std::chrono::steady_clock;
-  pass();  // Warm caches and fault in the matrix.
-  std::uint64_t evals = 0;
-  double elapsed = 0.0;
-  const Clock::time_point start = Clock::now();
-  do {
-    pass();
-    evals += evals_per_pass;
-    elapsed = std::chrono::duration<double>(Clock::now() - start).count();
-  } while (elapsed < 0.5);
-  return static_cast<double>(evals) / elapsed;
-}
-
-int RunJsonLbProbe(const std::string& path) {
-  Dataset dataset = Dataset::Load("ME");
-  AltIndex alt{dataset.graph, 16};
-  Rng rng{1234};
-  const auto random_vertex = [&] {
-    return static_cast<VertexId>(
-        rng.UniformInt(0, dataset.graph.NumVertices() - 1));
-  };
-
-  // One source pricing a block of random targets: the inverted-heap access
-  // pattern FlushPending produces. Scalar and batch run the same workload.
-  constexpr std::size_t kBlock = 256;
-  std::vector<VertexId> targets(kBlock);
-  for (VertexId& t : targets) t = random_vertex();
-  std::vector<Distance> out(kBlock);
-  const VertexId src = random_vertex();
-  Distance sink = 0;  // Defeats dead-code elimination.
-
-  const double scalar = MeasureEvalsPerSec(kBlock, [&] {
-    for (std::size_t i = 0; i < kBlock; ++i) {
-      sink ^= alt.LowerBound(src, targets[i]);
-    }
-  });
-  const double batch = MeasureEvalsPerSec(kBlock, [&] {
-    alt.LowerBoundBatch(src, targets, out);
-    sink ^= out[0];
-  });
-  // The seed benchmark's access pattern (one pinned pair, cache hot) for
-  // cross-version comparisons against historical BM_AltLowerBound ns/op.
-  const VertexId pin_a = random_vertex(), pin_b = random_vertex();
-  const double pinned = MeasureEvalsPerSec(1024, [&] {
-    for (int i = 0; i < 1024; ++i) sink ^= alt.LowerBound(pin_a, pin_b);
-  });
-
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"dataset\": \"ME\",\n"
-               "  \"landmarks\": %zu,\n"
-               "  \"row_stride\": %zu,\n"
-               "  \"kernel\": \"%s\",\n"
-               "  \"block_size\": %zu,\n"
-               "  \"scalar_evals_per_sec\": %.0f,\n"
-               "  \"batch_evals_per_sec\": %.0f,\n"
-               "  \"pinned_pair_evals_per_sec\": %.0f,\n"
-               "  \"batch_speedup\": %.3f,\n"
-               "  \"checksum\": %llu\n"
-               "}\n",
-               alt.Landmarks().size(), alt.RowStride(),
-               detail::AltBatchKernelName(), kBlock, scalar, batch, pinned,
-               batch / scalar, static_cast<unsigned long long>(sink));
-  std::fclose(f);
-  std::printf("kernel=%s scalar=%.0f batch=%.0f speedup=%.2fx\n",
-              detail::AltBatchKernelName(), scalar, batch, batch / scalar);
-  return 0;
-}
-
 }  // namespace
 }  // namespace kspin::bench
 
-int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg.rfind("--json=", 0) == 0) {
-      return kspin::bench::RunJsonLbProbe(std::string(arg.substr(7)));
-    }
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

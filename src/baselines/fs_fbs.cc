@@ -99,8 +99,21 @@ std::vector<BkNNResult> FsFbs::BooleanKnn(
     VertexId q, std::uint32_t k, std::span<const KeywordId> keywords,
     BooleanOp op, QueryStats* stats) {
   if (k == 0 || keywords.empty()) return {};
-  const auto finish = [stats](std::vector<BkNNResult> results) {
-    if (stats != nullptr) stats->results_returned += results.size();
+  // Objects whose exact distance a list scan paid for; the frequent search
+  // reads distances off the labels and pays none.
+  std::vector<ObjectId> scanned;
+  const auto finish = [stats, &scanned](std::vector<BkNNResult> results) {
+    if (stats != nullptr) {
+      // K-SPIN's rule: a distance paid for an object outside the answer
+      // is a false positive.
+      for (ObjectId o : scanned) {
+        if (std::none_of(results.begin(), results.end(),
+                         [o](const BkNNResult& r) { return r.object == o; })) {
+          ++stats->false_positive_distances;
+        }
+      }
+      stats->results_returned += results.size();
+    }
     return results;
   };
 
@@ -118,7 +131,7 @@ std::vector<BkNNResult> FsFbs::BooleanKnn(
       for (KeywordId t : infrequent) {
         if (inverted_.ListSize(t) < inverted_.ListSize(rarest)) rarest = t;
       }
-      return finish(ScanList(q, k, keywords, rarest, op, stats));
+      return finish(ScanList(q, k, keywords, rarest, op, &scanned, stats));
     }
     return finish(FrequentSearch(q, k, keywords, op, stats));
   }
@@ -130,7 +143,8 @@ std::vector<BkNNResult> FsFbs::BooleanKnn(
     merged = FrequentSearch(q, k, frequent, op, stats);
   }
   for (KeywordId t : infrequent) {
-    std::vector<BkNNResult> part = ScanList(q, k, keywords, t, op, stats);
+    std::vector<BkNNResult> part =
+        ScanList(q, k, keywords, t, op, &scanned, stats);
     merged.insert(merged.end(), part.begin(), part.end());
   }
   std::sort(merged.begin(), merged.end(),
@@ -150,6 +164,7 @@ std::vector<BkNNResult> FsFbs::BooleanKnn(
 std::vector<BkNNResult> FsFbs::ScanList(VertexId q, std::uint32_t k,
                                         std::span<const KeywordId> keywords,
                                         KeywordId scan_keyword, BooleanOp op,
+                                        std::vector<ObjectId>* scanned,
                                         QueryStats* stats) const {
   // "For infrequent keywords, FS-FBS simply computes network distances to
   // all vertices containing the infrequent keyword": no ordered access, no
@@ -168,6 +183,7 @@ std::vector<BkNNResult> FsFbs::ScanList(VertexId q, std::uint32_t k,
       if (!all) continue;
     }
     const Distance d = labels_.Query(q, store_.ObjectVertex(o));
+    scanned->push_back(o);
     ++local.network_distance_computations;
     ++local.candidates_extracted;
     results.push_back({o, d});

@@ -75,9 +75,11 @@ class FsFbs {
   std::vector<BkNNResult> FrequentSearch(
       VertexId q, std::uint32_t k, std::span<const KeywordId> keywords,
       BooleanOp op, QueryStats* stats) const;
+  /// Appends every object whose exact distance it computes to `scanned`.
   std::vector<BkNNResult> ScanList(VertexId q, std::uint32_t k,
                                    std::span<const KeywordId> keywords,
                                    KeywordId scan_keyword, BooleanOp op,
+                                   std::vector<ObjectId>* scanned,
                                    QueryStats* stats) const;
 
   const Graph& graph_;

@@ -53,11 +53,6 @@ class CacheAlignedAllocator {
 template <typename T>
 using AlignedVector = std::vector<T, CacheAlignedAllocator<T>>;
 
-/// Rounds `n` up to a multiple of `multiple` (a power of two).
-constexpr std::size_t RoundUpPow2(std::size_t n, std::size_t multiple) {
-  return (n + multiple - 1) & ~(multiple - 1);
-}
-
 /// Many small immutable lists packed into one contiguous pod pool with a
 /// CSR offset table — the arena replacement for vector<vector<T>>. Lists
 /// are appended once (construction / deserialization) and then read-only;

@@ -137,26 +137,6 @@ inline void WriteHeader(std::ostream& out, const char magic[8],
   WritePod(out, version);
 }
 
-/// Validates the magic and returns the version, accepting any version in
-/// [1, max_version]. For artifacts with backward-compatible readers (the
-/// ALT index keeps loading its landmark-major v1 files).
-inline std::uint32_t ReadHeaderVersion(std::istream& in, const char magic[8],
-                                       std::uint32_t max_version) {
-  char read_magic[8] = {};
-  in.read(read_magic, 8);
-  if (!in || std::memcmp(read_magic, magic, 8) != 0) {
-    throw SerializationError(std::string("bad magic; expected '") +
-                             std::string(magic, 8) + "'");
-  }
-  const auto version = ReadPod<std::uint32_t>(in);
-  if (version == 0 || version > max_version) {
-    throw SerializationError("unsupported version " +
-                             std::to_string(version) + " (max supported " +
-                             std::to_string(max_version) + ")");
-  }
-  return version;
-}
-
 /// Validates the artifact header; throws SerializationError on mismatch.
 inline void CheckHeader(std::istream& in, const char magic[8],
                         std::uint32_t expected_version) {

@@ -19,9 +19,8 @@ constexpr char kHlMagic[8] = {'K', 'S', 'P', 'H', 'L', 'B', 'L', '1'};
 constexpr char kKwixMagic[8] = {'K', 'S', 'P', 'K', 'W', 'I', 'X', '1'};
 constexpr char kCatalogMagic[8] = {'K', 'S', 'P', 'P', 'C', 'A', 'T', '1'};
 constexpr std::uint32_t kVersion = 1;
-/// ALT format: v1 stored the landmark-major matrix (d[l*n + v]); v2 stores
-/// the vertex-major matrix compactly (d[v*m + l], no row padding). Old v1
-/// files keep loading via a transpose.
+/// ALT format v2: the vertex-major matrix d[v*m + l]. v1 (landmark-major)
+/// is rejected like any unknown version.
 constexpr std::uint32_t kAltVersion = 2;
 
 }  // namespace
@@ -97,50 +96,17 @@ void SaveAltIndex(const AltIndex& alt, std::ostream& out) {
   io::WriteHeader(out, kAltMagic, kAltVersion);
   io::WritePod<std::uint64_t>(out, alt.num_vertices_);
   io::WritePodVector(out, alt.landmarks_);
-  // Compact vertex-major matrix: rows are written without their SIMD
-  // padding, so the on-disk size is independent of the in-memory stride.
-  const std::size_t m = alt.landmarks_.size();
-  io::WritePod<std::uint64_t>(out, alt.num_vertices_ * m);
-  for (std::size_t v = 0; v < alt.num_vertices_; ++v) {
-    out.write(reinterpret_cast<const char*>(
-                  alt.RowData(static_cast<VertexId>(v))),
-              static_cast<std::streamsize>(m * sizeof(Distance)));
-  }
-  io::CheckWrite(out);
+  io::WritePodVector(out, alt.distances_);
 }
 
 AltIndex LoadAltIndex(std::istream& in) {
-  const std::uint32_t version =
-      io::ReadHeaderVersion(in, kAltMagic, kAltVersion);
+  io::CheckHeader(in, kAltMagic, kAltVersion);
   AltIndex alt;
   alt.num_vertices_ = io::ReadPod<std::uint64_t>(in);
   alt.landmarks_ = io::ReadPodVector<VertexId>(in);
-  const std::size_t m = alt.landmarks_.size();
-  const auto count = io::ReadPod<std::uint64_t>(in);
-  if (count != m * alt.num_vertices_) {
+  alt.distances_ = io::ReadPodVectorAs<AlignedVector<Distance>>(in);
+  if (alt.distances_.size() != alt.landmarks_.size() * alt.num_vertices_) {
     throw io::SerializationError("inconsistent ALT arrays");
-  }
-  alt.InitLayout(alt.num_vertices_, m);
-  if (version >= 2) {
-    // Vertex-major compact rows: stream each row straight into its padded
-    // in-memory slot.
-    for (std::size_t v = 0; v < alt.num_vertices_; ++v) {
-      in.read(reinterpret_cast<char*>(
-                  alt.MutableRowData(static_cast<VertexId>(v))),
-              static_cast<std::streamsize>(m * sizeof(Distance)));
-      if (!in) throw io::SerializationError("truncated ALT distance rows");
-    }
-    return alt;
-  }
-  // v1: landmark-major d[l*n + v]; transpose into the vertex-major layout.
-  std::vector<Distance> column(alt.num_vertices_);
-  for (std::size_t l = 0; l < m; ++l) {
-    in.read(reinterpret_cast<char*>(column.data()),
-            static_cast<std::streamsize>(column.size() * sizeof(Distance)));
-    if (!in) throw io::SerializationError("truncated ALT distance rows");
-    for (std::size_t v = 0; v < alt.num_vertices_; ++v) {
-      alt.MutableRowData(static_cast<VertexId>(v))[l] = column[v];
-    }
   }
   return alt;
 }

@@ -10,24 +10,10 @@ void InvertedHeap::StageNew(const SiteObject& site) {
   scratch_->pending.push_back(site);
 }
 
-namespace {
-
-/// Frontier size below which per-pair pricing beats the batch kernel
-/// (dispatch, staging arrays, and the horizontal-max epilogue amortize
-/// over ~one AVX2 row-quad). Both paths are bit-identical, so the
-/// threshold is a pure performance knob.
-constexpr std::size_t kScalarFlushThreshold = 8;
-
-}  // namespace
-
 void InvertedHeap::FlushPending() {
   std::vector<SiteObject>& pending = scratch_->pending;
   if (pending.empty()) return;
 
-  // One flush = one batch pricing of the staged frontier. Small frontiers
-  // (the common LazyReheap case) are priced with the per-pair loop; large
-  // ones go through LowerBoundBatch, where the ALT module keeps the query
-  // row hot and runs its SIMD kernel across the block.
   stats_.lower_bounds_computed += pending.size();
   stats_.lb_batch_items += pending.size();
   stats_.insertions += pending.size();
@@ -39,25 +25,10 @@ void InvertedHeap::FlushPending() {
   // push_heap sifts. Extraction order is unaffected either way — the
   // comparator is a strict total order on (lower_bound, object).
   const bool bulk = entries.empty();
-  if (pending.size() < kScalarFlushThreshold) {
-    for (const SiteObject& site : pending) {
-      const Distance lb = lower_bounds_->LowerBound(query_, site.vertex);
-      entries.push_back({lb, site.object, site.vertex});
-      if (!bulk) std::push_heap(entries.begin(), entries.end(), greater);
-    }
-  } else {
-    std::vector<VertexId>& vertices = scratch_->batch_vertices;
-    std::vector<Distance>& bounds = scratch_->batch_bounds;
-    vertices.resize(pending.size());
-    bounds.resize(pending.size());
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      vertices[i] = pending[i].vertex;
-    }
-    lower_bounds_->LowerBoundBatch(query_, vertices, bounds);
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      entries.push_back({bounds[i], pending[i].object, pending[i].vertex});
-      if (!bulk) std::push_heap(entries.begin(), entries.end(), greater);
-    }
+  for (const SiteObject& site : pending) {
+    const Distance lb = lower_bounds_->LowerBound(query_, site.vertex);
+    entries.push_back({lb, site.object, site.vertex});
+    if (!bulk) std::push_heap(entries.begin(), entries.end(), greater);
   }
   if (bulk) std::make_heap(entries.begin(), entries.end(), greater);
   pending.clear();
@@ -71,8 +42,7 @@ InvertedHeap::Candidate InvertedHeap::ExtractMin() {
   ++stats_.extractions;
 
   // LazyReheap (Algorithm 4): inject the adjacent objects of the extracted
-  // candidate so Property 1 keeps holding for the remaining objects. The
-  // injected frontier is lower-bounded as one block.
+  // candidate so Property 1 keeps holding for the remaining objects.
   scratch_->expand.clear();
   nvd_->ExpandCandidates(top.object, &scratch_->expand);
   for (const SiteObject& site : scratch_->expand) StageNew(site);

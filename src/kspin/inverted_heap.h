@@ -7,12 +7,10 @@
 // Theorem 1), and each extraction triggers LazyReheap (Algorithm 4), which
 // injects the adjacent objects of the extracted one.
 //
-// Candidate frontiers are lower-bounded in *blocks*: newly injected sites
-// are staged in a pending buffer and priced with one LowerBoundBatch call
-// (SIMD on the ALT module) instead of one virtual call per candidate —
-// see docs/performance.md. Batching never changes results: the kernels
-// are bit-identical to the scalar loop and extraction order is a strict
-// total order on (lower_bound, object).
+// Newly injected sites are staged in a pending buffer and flushed
+// together: each is priced with one LowerBound call, and a flush into an
+// empty heap seeds it with one make_heap (docs/performance.md).
+// Extraction order is a strict total order on (lower_bound, object).
 //
 // Storage: every heap operates on an InvertedHeap::Scratch — the heap
 // array, the dedup set and the expansion buffers. A query workspace can
@@ -38,8 +36,8 @@ struct HeapStats {
   std::uint64_t lower_bounds_computed = 0;
   std::uint64_t insertions = 0;
   std::uint64_t extractions = 0;
-  /// Batching effectiveness: LowerBoundBatch calls issued and candidates
-  /// priced across them (items / calls = mean frontier block size).
+  /// Pending-buffer flushes and candidates priced across them
+  /// (items / calls = mean frontier size per flush).
   std::uint64_t lb_batch_calls = 0;
   std::uint64_t lb_batch_items = 0;
 };
@@ -69,9 +67,7 @@ class InvertedHeap {
     AlignedVector<Entry> entries;      // Binary min-heap via std::*_heap.
     StampedIdSet inserted;             // Dedup of injected objects.
     std::vector<SiteObject> expand;    // LazyReheap expansion buffer.
-    std::vector<SiteObject> pending;   // Staged sites awaiting batch LB.
-    std::vector<VertexId> batch_vertices;  // LowerBoundBatch inputs...
-    std::vector<Distance> batch_bounds;    // ...and outputs.
+    std::vector<SiteObject> pending;   // Staged sites awaiting pricing.
 
     void Reset() {
       entries.clear();

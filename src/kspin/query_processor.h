@@ -60,9 +60,8 @@ struct QueryStats {
   std::uint64_t lower_bounds_computed = 0;
   std::uint64_t heaps_created = 0;
   std::uint64_t heap_insertions = 0;
-  /// Batched lower-bounding (docs/performance.md): LowerBoundBatch calls
-  /// issued and candidates priced across them. items / calls is the mean
-  /// frontier block size the SIMD kernels amortize over.
+  /// Inverted-heap flushes and candidates priced across them
+  /// (docs/performance.md). items / calls = mean frontier per flush.
   std::uint64_t lb_batch_calls = 0;
   std::uint64_t lb_batch_items = 0;
   /// Distances computed for objects that did not make the final top-k —

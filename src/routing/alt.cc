@@ -19,14 +19,16 @@ AltIndex::AltIndex(const Graph& graph, std::uint32_t num_landmarks,
   }
   num_landmarks = static_cast<std::uint32_t>(
       std::min<std::size_t>(num_landmarks, num_vertices));
-  InitLayout(num_vertices, num_landmarks);
+  num_vertices_ = num_vertices;
+  distances_.assign(num_vertices * num_landmarks, 0);
 
   Rng rng(seed);
   DijkstraWorkspace workspace(num_vertices);
-  const auto scatter_column = [this](std::size_t l,
-                                     const std::vector<Distance>& d) {
-    for (VertexId v = 0; v < d.size(); ++v) {
-      MutableRowData(v)[l] = d[v];
+  const auto scatter_column = [this, num_landmarks](
+                                  std::size_t l,
+                                  const std::vector<Distance>& d) {
+    for (std::size_t v = 0; v < d.size(); ++v) {
+      distances_[v * num_landmarks + l] = d[v];
     }
   };
 

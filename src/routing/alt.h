@@ -5,24 +5,19 @@
 // the triangle inequality then yields a lower bound on d(s, t) in O(m):
 //   d(s, t) >= |d(l, s) - d(l, t)| for every landmark l.
 //
-// Storage is vertex-major: distances_[v * row_stride_ + l] holds d(l, v),
-// so one lower-bound evaluation touches exactly two contiguous, 64-byte-
-// aligned rows (the landmark-major transpose would scatter m cache lines
-// per call). Rows are zero-padded to a multiple of 8 landmarks so the
-// SIMD batch kernels (alt_kernels.h) never need a tail loop — padding
-// lanes contribute |0 - 0| = 0 to the max and cannot change the bound.
+// Storage is vertex-major: distances_[v * m + l] holds d(l, v), so one
+// lower-bound evaluation reads exactly two contiguous rows (the
+// landmark-major transpose would scatter m cache lines per call).
 #ifndef KSPIN_ROUTING_ALT_H_
 #define KSPIN_ROUTING_ALT_H_
 
 #include <cstdint>
 #include <iosfwd>
-#include <span>
 #include <vector>
 
 #include "common/arena.h"
 #include "common/types.h"
 #include "graph/graph.h"
-#include "routing/alt_kernels.h"
 #include "routing/lower_bound.h"
 
 namespace kspin {
@@ -47,8 +42,8 @@ class AltIndex : public LowerBoundModule {
   /// Lower bound on the network distance d(s, t). Guaranteed
   /// LowerBound(s, t) <= d(s, t), with equality when s or t is a landmark.
   Distance LowerBound(VertexId s, VertexId t) const override {
-    const Distance* a = RowData(s);
-    const Distance* b = RowData(t);
+    const Distance* a = Row(s);
+    const Distance* b = Row(t);
     Distance best = 0;
     for (std::size_t l = 0; l < landmarks_.size(); ++l) {
       const Distance ds = a[l];
@@ -59,36 +54,12 @@ class AltIndex : public LowerBoundModule {
     return best;
   }
 
-  /// Batch lower bounds via the runtime-selected SIMD kernel: the source
-  /// row is loaded once and held in registers across the whole block, and
-  /// upcoming target rows are software-prefetched. Bit-identical to the
-  /// per-pair LowerBound loop.
-  void LowerBoundBatch(VertexId s, std::span<const VertexId> targets,
-                       std::span<Distance> out) const override {
-    detail::AltBatchKernel()(RowData(s), distances_.data(), row_stride_,
-                             targets.data(), targets.size(), out.data());
-  }
-
   /// The chosen landmark vertices.
   const std::vector<VertexId>& Landmarks() const { return landmarks_; }
 
-  /// Distance from landmark index l to vertex v.
-  Distance LandmarkDistance(std::size_t l, VertexId v) const {
-    return distances_[static_cast<std::size_t>(v) * row_stride_ + l];
-  }
-
-  /// Vertex v's landmark row including zero padding (row_stride_ wide,
-  /// 64-byte aligned). Exposed for the kernels, benches and tests.
-  std::span<const Distance> LandmarkRow(VertexId v) const {
-    return {RowData(v), row_stride_};
-  }
-
-  /// Distances per row (landmark count rounded up to a multiple of 8).
-  std::size_t RowStride() const { return row_stride_; }
-
   std::string Name() const override { return "alt"; }
 
-  /// Approximate index memory in bytes (padding included — it is resident).
+  /// Approximate index memory in bytes.
   std::size_t MemoryBytes() const override {
     return distances_.size() * sizeof(Distance) +
            landmarks_.size() * sizeof(VertexId);
@@ -99,22 +70,12 @@ class AltIndex : public LowerBoundModule {
   friend AltIndex LoadAltIndex(std::istream&);
   AltIndex() = default;  // For deserialization only.
 
-  /// Sizes the vertex-major matrix for `num_landmarks` (zero-filled).
-  void InitLayout(std::size_t num_vertices, std::size_t num_landmarks) {
-    num_vertices_ = num_vertices;
-    row_stride_ = RoundUpPow2(num_landmarks, 8);
-    distances_.assign(num_vertices * row_stride_, 0);
-  }
-
-  const Distance* RowData(VertexId v) const {
-    return distances_.data() + static_cast<std::size_t>(v) * row_stride_;
-  }
-  Distance* MutableRowData(VertexId v) {
-    return distances_.data() + static_cast<std::size_t>(v) * row_stride_;
+  const Distance* Row(VertexId v) const {
+    return distances_.data() +
+           static_cast<std::size_t>(v) * landmarks_.size();
   }
 
   std::size_t num_vertices_ = 0;
-  std::size_t row_stride_ = 0;
   std::vector<VertexId> landmarks_;
   AlignedVector<Distance> distances_;  // Vertex-major: vertex x landmark.
 };

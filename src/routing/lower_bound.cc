@@ -72,27 +72,6 @@ Distance MaxLowerBound::LowerBound(VertexId s, VertexId t) const {
   return best;
 }
 
-void MaxLowerBound::LowerBoundBatch(VertexId s,
-                                    std::span<const VertexId> targets,
-                                    std::span<Distance> out) const {
-  if (alt_only_ != nullptr) {
-    alt_only_->AltIndex::LowerBoundBatch(s, targets, out);
-    return;
-  }
-  children_.front()->LowerBoundBatch(s, targets, out);
-  if (children_.size() == 1) return;
-  // Composites are shared across serving threads, so the per-child
-  // scratch must not live in the (const) object.
-  thread_local std::vector<Distance> child_out;
-  child_out.resize(targets.size());
-  for (std::size_t c = 1; c < children_.size(); ++c) {
-    children_[c]->LowerBoundBatch(s, targets, child_out);
-    for (std::size_t i = 0; i < targets.size(); ++i) {
-      out[i] = std::max(out[i], child_out[i]);
-    }
-  }
-}
-
 std::string MaxLowerBound::Name() const {
   std::string name = "max(";
   for (std::size_t i = 0; i < children_.size(); ++i) {

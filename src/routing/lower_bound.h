@@ -6,12 +6,6 @@
 // lower-bound heuristics." — this header provides the abstraction, an
 // index-free Euclidean heuristic, and a tightest-of composite; the ALT
 // landmark index (alt.h) is the primary implementation.
-//
-// The module exposes two granularities: the classic per-pair LowerBound
-// and LowerBoundBatch over a block of targets. Batching is the hot-path
-// contract (docs/performance.md): the inverted heaps bound whole candidate
-// frontiers per call, letting ALT amortize its row load and run its SIMD
-// kernel instead of paying one virtual call per candidate.
 #ifndef KSPIN_ROUTING_LOWER_BOUND_H_
 #define KSPIN_ROUTING_LOWER_BOUND_H_
 
@@ -35,10 +29,8 @@ class LowerBoundModule {
   /// A lower bound on the network distance d(s, t).
   virtual Distance LowerBound(VertexId s, VertexId t) const = 0;
 
-  /// Lower bounds for a block of targets: out[i] = LowerBound(s,
-  /// targets[i]). `out` must have targets.size() slots. Every override
-  /// must be value-identical to this default per-pair loop — callers
-  /// may mix granularities freely (and tests assert bit-equality).
+  /// out[i] = LowerBound(s, targets[i]). Kept only because perfbench's
+  /// TimedLowerBound overrides it and perfbench/ is frozen.
   virtual void LowerBoundBatch(VertexId s,
                                std::span<const VertexId> targets,
                                std::span<Distance> out) const {
@@ -89,9 +81,6 @@ class MaxLowerBound : public LowerBoundModule {
   explicit MaxLowerBound(std::vector<const LowerBoundModule*> children);
 
   Distance LowerBound(VertexId s, VertexId t) const override;
-  void LowerBoundBatch(VertexId s, std::span<const VertexId> targets,
-                       std::span<Distance> out) const override;
-
   std::string Name() const override;
   std::size_t MemoryBytes() const override {
     std::size_t total = 0;

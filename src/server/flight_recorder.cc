@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cinttypes>
 #include <cstdio>
+#include <iterator>
 
 #include "server/wire.h"
 
@@ -11,7 +12,8 @@ namespace kspin::server {
 namespace {
 
 // Word layout shared by writer and dump. Word 0 is the record kind, word
-// 1 the timestamp; the rest is kind-specific (see Encode* below).
+// 1 the timestamp; the rest is kind-specific (see RecordSpan and
+// RecordEvent below).
 constexpr std::uint64_t kKindSpan = 1;
 constexpr std::uint64_t kKindEvent = 2;
 
@@ -58,8 +60,8 @@ std::string_view DiagShedCauseName(DiagShedCause cause) {
 }
 
 FlightRecorder::FlightRecorder(std::size_t capacity)
-    : capacity_(std::max<std::size_t>(capacity, 64)),
-      slots_(new Slot[capacity_]),
+    : spans_(std::max<std::size_t>(capacity, 64)),
+      events_(kEventCapacity),
       start_(std::chrono::steady_clock::now()) {}
 
 std::uint64_t FlightRecorder::NowMicros() const {
@@ -74,10 +76,12 @@ std::uint64_t FlightRecorder::NextSpanId() {
 }
 
 void FlightRecorder::WriteSlot(
-    const std::uint64_t (&words)[kWordsPerSlot]) {
+    Ring& ring, const std::uint64_t (&words)[kWordsPerSlot]) {
   const std::uint64_t seq =
-      cursor_.fetch_add(1, std::memory_order_relaxed) + 1;
-  Slot& slot = slots_[seq % capacity_];
+      sequence_.fetch_add(1, std::memory_order_relaxed) + 1;
+  const std::uint64_t claimed =
+      ring.cursor.fetch_add(1, std::memory_order_relaxed);
+  Slot& slot = ring.slots[claimed % ring.capacity];
   // Invalidate first so a dump racing this overwrite sees a stamp
   // mismatch instead of a half-new record with the old stamp.
   slot.stamp.store(0, std::memory_order_release);
@@ -108,7 +112,7 @@ void FlightRecorder::RecordSpan(const SpanRecord& span) {
   words[11] = static_cast<std::uint64_t>(span.distance_computations) |
               static_cast<std::uint64_t>(span.false_positive_distances)
                   << 32;
-  WriteSlot(words);
+  WriteSlot(spans_, words);
 }
 
 void FlightRecorder::RecordEvent(DiagEvent event, std::uint64_t a,
@@ -119,97 +123,115 @@ void FlightRecorder::RecordEvent(DiagEvent event, std::uint64_t a,
   words[2] = static_cast<std::uint64_t>(event);
   words[3] = a;
   words[4] = b;
-  WriteSlot(words);
+  WriteSlot(events_, words);
 }
 
-std::string FlightRecorder::Dump(std::size_t max_bytes) const {
-  const std::uint64_t end = cursor_.load(std::memory_order_acquire);
-  const std::uint64_t begin =
-      end > capacity_ ? end - capacity_ + 1 : std::uint64_t{1};
+namespace {
 
-  std::vector<std::string> lines;
-  lines.reserve(end >= begin ? static_cast<std::size_t>(end - begin + 1)
-                             : 0);
+// One record as a JSON line; empty for an unknown kind.
+std::string RenderRecord(std::uint64_t seq, const std::uint64_t* words) {
   char buf[512];
-  for (std::uint64_t seq = begin; seq <= end; ++seq) {
-    const Slot& slot = slots_[seq % capacity_];
+  int n = 0;
+  if (words[0] == kKindSpan) {
+    n = std::snprintf(
+        buf, sizeof buf,
+        "{\"kind\":\"span\",\"seq\":%" PRIu64 ",\"t_us\":%" PRIu64
+        ",\"trace_id\":\"%016" PRIx64 "\",\"parent_span_id\":\"%016"
+        PRIx64 "\",\"span_id\":\"%016" PRIx64
+        "\",\"opcode\":\"%s\",\"status\":\"%s\",\"degraded\":%u,"
+        "\"queue_us\":%u,\"execute_us\":%u,\"reply_us\":%u,"
+        "\"results\":%u,\"heap_build_ns\":%" PRIu64 ",\"search_ns\":%"
+        PRIu64 ",\"heap_pops\":%u,\"lower_bounds\":%u,"
+        "\"distance_computations\":%u,\"false_positive_distances\":%u}",
+        seq, words[1], words[2], words[3], words[4],
+        OpcodeName(static_cast<std::uint8_t>(words[5])).c_str(),
+        std::string(
+            StatusName(static_cast<StatusCode>(words[5] >> 8 & 0xFF)))
+            .c_str(),
+        static_cast<unsigned>(words[5] >> 16 & 0xFF),
+        static_cast<unsigned>(words[6] & 0xFFFFFFFF),
+        static_cast<unsigned>(words[6] >> 32),
+        static_cast<unsigned>(words[7] & 0xFFFFFFFF),
+        static_cast<unsigned>(words[7] >> 32), words[8], words[9],
+        static_cast<unsigned>(words[10] & 0xFFFFFFFF),
+        static_cast<unsigned>(words[10] >> 32),
+        static_cast<unsigned>(words[11] & 0xFFFFFFFF),
+        static_cast<unsigned>(words[11] >> 32));
+  } else if (words[0] == kKindEvent) {
+    const auto event = static_cast<DiagEvent>(words[2]);
+    if (event == DiagEvent::kShedBurst) {
+      n = std::snprintf(
+          buf, sizeof buf,
+          "{\"kind\":\"event\",\"seq\":%" PRIu64 ",\"t_us\":%" PRIu64
+          ",\"type\":\"SHED_BURST\",\"cause\":\"%s\",\"count\":%" PRIu64
+          "}",
+          seq, words[1],
+          std::string(
+              DiagShedCauseName(static_cast<DiagShedCause>(words[3])))
+              .c_str(),
+          words[4]);
+    } else {
+      n = std::snprintf(
+          buf, sizeof buf,
+          "{\"kind\":\"event\",\"seq\":%" PRIu64 ",\"t_us\":%" PRIu64
+          ",\"type\":\"%s\",\"a\":%" PRIu64 ",\"b\":%" PRIu64 "}",
+          seq, words[1],
+          std::string(DiagEventName(event)).c_str(), words[3],
+          words[4]);
+    }
+  }
+  return n > 0 ? std::string(buf, static_cast<std::size_t>(n))
+               : std::string();
+}
+
+}  // namespace
+
+std::vector<FlightRecorder::Line> FlightRecorder::StableLines(
+    const Ring& ring) const {
+  std::vector<Line> lines;
+  lines.reserve(ring.capacity);
+  for (std::size_t i = 0; i < ring.capacity; ++i) {
+    const Slot& slot = ring.slots[i];
     std::uint64_t words[kWordsPerSlot];
-    const std::uint64_t s1 = slot.stamp.load(std::memory_order_acquire);
-    if (s1 != seq) continue;  // Already overwritten (or mid-write).
-    for (std::size_t i = 0; i < kWordsPerSlot; ++i) {
-      words[i] = slot.words[i].load(std::memory_order_relaxed);
+    const std::uint64_t seq = slot.stamp.load(std::memory_order_acquire);
+    if (seq == 0) continue;  // Never written (or mid-write).
+    for (std::size_t w = 0; w < kWordsPerSlot; ++w) {
+      words[w] = slot.words[w].load(std::memory_order_relaxed);
     }
     // Acquire re-check: the copy is only kept if no writer touched the
     // slot in between (WriteSlot zeroes the stamp before the words).
-    if (slot.stamp.load(std::memory_order_acquire) != s1) continue;
-
-    int n = 0;
-    if (words[0] == kKindSpan) {
-      n = std::snprintf(
-          buf, sizeof buf,
-          "{\"kind\":\"span\",\"seq\":%" PRIu64 ",\"t_us\":%" PRIu64
-          ",\"trace_id\":\"%016" PRIx64 "\",\"parent_span_id\":\"%016"
-          PRIx64 "\",\"span_id\":\"%016" PRIx64
-          "\",\"opcode\":\"%s\",\"status\":\"%s\",\"degraded\":%u,"
-          "\"queue_us\":%u,\"execute_us\":%u,\"reply_us\":%u,"
-          "\"results\":%u,\"heap_build_ns\":%" PRIu64 ",\"search_ns\":%"
-          PRIu64 ",\"heap_pops\":%u,\"lower_bounds\":%u,"
-          "\"distance_computations\":%u,\"false_positive_distances\":%u}",
-          seq, words[1], words[2], words[3], words[4],
-          OpcodeName(static_cast<std::uint8_t>(words[5])).c_str(),
-          std::string(
-              StatusName(static_cast<StatusCode>(words[5] >> 8 & 0xFF)))
-              .c_str(),
-          static_cast<unsigned>(words[5] >> 16 & 0xFF),
-          static_cast<unsigned>(words[6] & 0xFFFFFFFF),
-          static_cast<unsigned>(words[6] >> 32),
-          static_cast<unsigned>(words[7] & 0xFFFFFFFF),
-          static_cast<unsigned>(words[7] >> 32), words[8], words[9],
-          static_cast<unsigned>(words[10] & 0xFFFFFFFF),
-          static_cast<unsigned>(words[10] >> 32),
-          static_cast<unsigned>(words[11] & 0xFFFFFFFF),
-          static_cast<unsigned>(words[11] >> 32));
-    } else if (words[0] == kKindEvent) {
-      const auto event = static_cast<DiagEvent>(words[2]);
-      if (event == DiagEvent::kShedBurst) {
-        n = std::snprintf(
-            buf, sizeof buf,
-            "{\"kind\":\"event\",\"seq\":%" PRIu64 ",\"t_us\":%" PRIu64
-            ",\"type\":\"SHED_BURST\",\"cause\":\"%s\",\"count\":%" PRIu64
-            "}",
-            seq, words[1],
-            std::string(
-                DiagShedCauseName(static_cast<DiagShedCause>(words[3])))
-                .c_str(),
-            words[4]);
-      } else {
-        n = std::snprintf(
-            buf, sizeof buf,
-            "{\"kind\":\"event\",\"seq\":%" PRIu64 ",\"t_us\":%" PRIu64
-            ",\"type\":\"%s\",\"a\":%" PRIu64 ",\"b\":%" PRIu64 "}",
-            seq, words[1],
-            std::string(DiagEventName(event)).c_str(), words[3],
-            words[4]);
-      }
-    } else {
-      continue;  // Unknown kind (future revision); skip.
-    }
-    if (n > 0) lines.emplace_back(buf, static_cast<std::size_t>(n));
+    if (slot.stamp.load(std::memory_order_acquire) != seq) continue;
+    std::string text = RenderRecord(seq, words);
+    if (!text.empty()) lines.emplace_back(seq, std::move(text));
   }
+  std::sort(lines.begin(), lines.end());
+  return lines;
+}
 
-  // Keep the newest lines that fit the byte budget (0 = unlimited).
-  std::size_t first = 0;
-  if (max_bytes > 0) {
-    std::size_t total = 0;
-    first = lines.size();
-    while (first > 0 && total + lines[first - 1].size() + 1 <= max_bytes) {
-      total += lines[first - 1].size() + 1;
+std::string FlightRecorder::Dump(std::size_t max_bytes) const {
+  std::vector<Line> events = StableLines(events_);
+  std::vector<Line> spans = StableLines(spans_);
+
+  // Byte budget (0 = unlimited): the newest events that fit first, then
+  // the newest spans that fit what is left.
+  std::size_t budget = max_bytes == 0 ? SIZE_MAX : max_bytes;
+  const auto keep_newest = [&budget](std::vector<Line>& lines) {
+    std::size_t first = lines.size();
+    while (first > 0 && lines[first - 1].second.size() + 1 <= budget) {
+      budget -= lines[first - 1].second.size() + 1;
       --first;
     }
-  }
+    lines.erase(lines.begin(), lines.begin() + first);
+  };
+  keep_newest(events);
+  keep_newest(spans);
+
+  std::vector<Line> merged;
+  std::merge(events.begin(), events.end(), spans.begin(), spans.end(),
+             std::back_inserter(merged));
   std::string out;
-  for (std::size_t i = first; i < lines.size(); ++i) {
-    out += lines[i];
+  for (const auto& [seq, text] : merged) {
+    out += text;
     out += '\n';
   }
   return out;

@@ -1,12 +1,13 @@
-// Always-on flight recorder: a fixed-size lock-free ring buffer that
-// retains the last N diagnostic records — request spans and typed
-// control-plane events (promotions, fencing, brownout transitions,
-// replication source switches, shed bursts, snapshot/restore, op-log
-// rotation). Writers are wait-free (one fetch_add plus relaxed word
-// stores); a concurrent Dump() copies each slot through a per-slot
-// sequence stamp and drops slots that were being overwritten mid-copy,
-// so a post-incident DUMP_DIAG scrape reconstructs what the node did
-// without any pre-enabled tracing. See docs/observability.md.
+// Always-on flight recorder: two fixed-size lock-free rings that retain
+// the last N request spans and, in a ring of their own, the last
+// kEventCapacity typed control-plane events (promotions, fencing,
+// brownout transitions, replication source switches, shed bursts,
+// snapshot/restore, op-log rotation), so a span storm cannot evict the
+// events that explain it. Writers are wait-free (two fetch_adds plus
+// relaxed word stores); a concurrent Dump() copies each slot through a
+// per-slot sequence stamp and drops slots that were being overwritten
+// mid-copy, so a post-incident DUMP_DIAG scrape reconstructs what the
+// node did without any pre-enabled tracing. See docs/observability.md.
 #ifndef KSPIN_SERVER_FLIGHT_RECORDER_H_
 #define KSPIN_SERVER_FLIGHT_RECORDER_H_
 
@@ -17,6 +18,8 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 namespace kspin::server {
 
@@ -70,8 +73,12 @@ struct SpanRecord {
 
 class FlightRecorder {
  public:
-  /// `capacity` is rounded up to at least 64 slots. Each slot is a fixed
-  /// 144-byte record, so the default 2048-slot ring costs ~288 KiB.
+  /// Slots of the event ring (each slot is a fixed 144-byte record).
+  static constexpr std::size_t kEventCapacity = 256;
+
+  /// `capacity` sizes the span ring and is rounded up to at least 64
+  /// slots, so the default 2048-slot ring costs ~288 KiB (plus ~36 KiB
+  /// for the event ring).
   explicit FlightRecorder(std::size_t capacity = 2048);
 
   FlightRecorder(const FlightRecorder&) = delete;
@@ -85,24 +92,26 @@ class FlightRecorder {
   /// Mints a server-local span id (never 0).
   std::uint64_t NextSpanId();
 
-  /// Renders the retained records oldest-to-newest as JSON lines, one
-  /// record per line, keeping the NEWEST lines when the text would
-  /// exceed `max_bytes`. Records overwritten while being copied are
-  /// skipped (their sequence numbers simply do not appear).
+  /// Renders the retained records of both rings oldest-to-newest (by
+  /// sequence) as JSON lines, one record per line. When the text would
+  /// exceed `max_bytes`, every retained event is kept first and the rest
+  /// of the budget goes to the NEWEST spans. Records overwritten while
+  /// being copied are skipped (their sequence numbers do not appear).
   std::string Dump(std::size_t max_bytes = 0) const;
 
-  std::size_t capacity() const { return capacity_; }
-  /// Total records ever written (dropped = written - capacity when over).
+  /// Slots of the span ring.
+  std::size_t capacity() const { return spans_.capacity; }
+  /// Total records (spans and events) ever written.
   std::uint64_t written() const {
-    return cursor_.load(std::memory_order_relaxed);
+    return sequence_.load(std::memory_order_relaxed);
   }
 
  private:
   // A slot is a seqlock-stamped array of relaxed atomic words: writers
-  // fill the words then publish the stamp with release; readers copy the
-  // words between two acquire loads of the stamp and keep the copy only
-  // if both match. Torn reads are detected, never returned, and no
-  // bytewise data race exists for TSan to flag.
+  // fill the words then publish the stamp (the record's sequence) with
+  // release; readers copy the words between two acquire loads of the
+  // stamp and keep the copy only if both match. Torn reads are detected,
+  // never returned, and no bytewise data race exists for TSan to flag.
   static constexpr std::size_t kWordsPerSlot = 17;
 
   struct Slot {
@@ -110,14 +119,24 @@ class FlightRecorder {
     std::atomic<std::uint64_t> words[kWordsPerSlot];
   };
 
-  struct DecodedRecord;  // Dump-side view of one slot.
+  struct Ring {
+    explicit Ring(std::size_t size) : capacity(size), slots(new Slot[size]) {}
+    std::size_t capacity;
+    std::unique_ptr<Slot[]> slots;
+    std::atomic<std::uint64_t> cursor{0};  ///< Slots ever claimed.
+  };
 
-  void WriteSlot(const std::uint64_t (&words)[kWordsPerSlot]);
+  using Line = std::pair<std::uint64_t, std::string>;  // (seq, JSON).
+
+  void WriteSlot(Ring& ring, const std::uint64_t (&words)[kWordsPerSlot]);
+  /// The ring's stably copied records, rendered, in sequence order.
+  std::vector<Line> StableLines(const Ring& ring) const;
   std::uint64_t NowMicros() const;
 
-  std::size_t capacity_;
-  std::unique_ptr<Slot[]> slots_;
-  std::atomic<std::uint64_t> cursor_{0};   ///< Next sequence to claim + 1.
+  Ring spans_;
+  Ring events_;
+  /// Last sequence handed out; sequences are shared by both rings.
+  std::atomic<std::uint64_t> sequence_{0};
   std::atomic<std::uint64_t> span_ids_{0};
   std::chrono::steady_clock::time_point start_;
 };

@@ -215,9 +215,8 @@ class ServerMetrics {
   // itself only bumps plain integers.
   std::atomic<std::uint64_t> engine_heap_pops{0};
   std::atomic<std::uint64_t> engine_lower_bounds{0};
-  /// Batched lower-bounding (docs/performance.md): LowerBoundBatch calls
-  /// and candidates priced across them. items / calls = mean block size
-  /// the SIMD kernels amortize over.
+  /// Inverted-heap flushes and candidates priced across them
+  /// (docs/performance.md). items / calls = mean frontier per flush.
   std::atomic<std::uint64_t> engine_lb_batch_calls{0};
   std::atomic<std::uint64_t> engine_lb_batch_items{0};
   std::atomic<std::uint64_t> engine_distance_computations{0};

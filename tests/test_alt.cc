@@ -1,26 +1,28 @@
 // Tests for the ALT landmark index: the Lower Bounding Module must never
-// overestimate a distance (Property 1 of the inverted heaps depends on it),
-// and every SIMD batch kernel must be bit-identical to the scalar loop.
+// overestimate a distance (Property 1 of the inverted heaps depends on it).
 #include <gtest/gtest.h>
 
-#include <string_view>
-#include <vector>
+#include <tuple>
 
 #include "common/random.h"
 #include "routing/alt.h"
-#include "routing/alt_kernels.h"
 #include "routing/dijkstra.h"
 #include "test_util.h"
 
 namespace kspin {
 namespace {
 
+// (strategy, landmark count): the odd counts 3 and 13 catch a row-stride
+// bug that m = 8 would hide.
 class AltLowerBoundProperty
-    : public ::testing::TestWithParam<LandmarkStrategy> {};
+    : public ::testing::TestWithParam<
+          std::tuple<LandmarkStrategy, std::uint32_t>> {};
 
 TEST_P(AltLowerBoundProperty, NeverExceedsTrueDistance) {
   Graph graph = testing::SmallRoadNetwork();
-  AltIndex alt(graph, 8, GetParam());
+  const auto [strategy, num_landmarks] = GetParam();
+  AltIndex alt(graph, num_landmarks, strategy);
+  ASSERT_EQ(alt.Landmarks().size(), num_landmarks);
   DijkstraWorkspace workspace(graph.NumVertices());
   Rng rng(5);
   for (int i = 0; i < 30; ++i) {
@@ -34,9 +36,11 @@ TEST_P(AltLowerBoundProperty, NeverExceedsTrueDistance) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Strategies, AltLowerBoundProperty,
-                         ::testing::Values(LandmarkStrategy::kFarthest,
-                                           LandmarkStrategy::kRandom));
+INSTANTIATE_TEST_SUITE_P(
+    Strategies, AltLowerBoundProperty,
+    ::testing::Combine(::testing::Values(LandmarkStrategy::kFarthest,
+                                         LandmarkStrategy::kRandom),
+                       ::testing::Values(3u, 8u, 13u)));
 
 TEST(AltIndex, ExactAtLandmarks) {
   Graph graph = testing::SmallRoadNetwork();
@@ -105,90 +109,6 @@ TEST(AltIndex, MoreLandmarksTightenBounds) {
   }
   EXPECT_GT(large_sum, small_sum);
   EXPECT_GT(improved, total / 10);
-}
-
-// Every kernel this binary can run (scalar, AVX2, AVX-512 where the
-// CPU supports them) must produce bit-identical bounds to the per-pair
-// scalar loop, across landmark counts that exercise row padding (m not a
-// multiple of any vector width), s == t pairs, and landmark vertices.
-TEST(AltKernels, EveryKernelMatchesPerPairScalar) {
-  Graph graph = testing::SmallRoadNetwork(90);
-  Rng rng(91);
-  const auto kernels = detail::AvailableAltKernels();
-  ASSERT_FALSE(kernels.empty());
-  EXPECT_STREQ(kernels.front().name, "scalar");
-  for (const std::uint32_t m : {3u, 5u, 8u, 13u, 16u}) {
-    AltIndex alt(graph, m);
-    ASSERT_EQ(alt.RowStride() % 8, 0u);
-    ASSERT_GE(alt.RowStride(), alt.Landmarks().size());
-    for (const VertexId src :
-         {alt.Landmarks().front(),
-          static_cast<VertexId>(rng.UniformInt(0, graph.NumVertices() - 1))}) {
-      // Padding lanes must be zero so they contribute |0-0| = 0.
-      const auto row = alt.LandmarkRow(src);
-      for (std::size_t l = alt.Landmarks().size(); l < row.size(); ++l) {
-        ASSERT_EQ(row[l], 0u);
-      }
-      // 57 random targets (odd: not a multiple of any lane count), the
-      // source itself, and every landmark.
-      std::vector<VertexId> targets;
-      for (int i = 0; i < 57; ++i) {
-        targets.push_back(
-            static_cast<VertexId>(rng.UniformInt(0, graph.NumVertices() - 1)));
-      }
-      targets.push_back(src);
-      for (const VertexId l : alt.Landmarks()) targets.push_back(l);
-
-      std::vector<Distance> expected(targets.size());
-      for (std::size_t i = 0; i < targets.size(); ++i) {
-        expected[i] = alt.LowerBound(src, targets[i]);
-      }
-      const Distance* rows = alt.LandmarkRow(0).data();
-      for (const auto& kernel : kernels) {
-        std::vector<Distance> out(targets.size(), 0xdead);
-        kernel.fn(alt.LandmarkRow(src).data(), rows, alt.RowStride(),
-                  targets.data(), targets.size(), out.data());
-        for (std::size_t i = 0; i < targets.size(); ++i) {
-          ASSERT_EQ(out[i], expected[i])
-              << kernel.name << " m=" << m << " src=" << src
-              << " target=" << targets[i];
-        }
-      }
-    }
-  }
-}
-
-TEST(AltKernels, SelectedKernelIsListedAndHandlesEmptyBlocks) {
-  const auto kernels = detail::AvailableAltKernels();
-  bool listed = false;
-  for (const auto& kernel : kernels) {
-    if (std::string_view(kernel.name) == detail::AltBatchKernelName()) {
-      listed = true;
-      EXPECT_EQ(kernel.fn, detail::AltBatchKernel());
-    }
-  }
-  EXPECT_TRUE(listed) << detail::AltBatchKernelName();
-
-  Graph graph = testing::TinyGrid();
-  AltIndex alt(graph, 2);
-  alt.LowerBoundBatch(0, {}, {});  // Empty block: must be a no-op.
-}
-
-TEST(AltIndex, BatchMatchesPerPairThroughPublicApi) {
-  Graph graph = testing::SmallRoadNetwork(92);
-  AltIndex alt(graph, 7);
-  Rng rng(93);
-  std::vector<VertexId> targets(33);
-  for (VertexId& t : targets) {
-    t = static_cast<VertexId>(rng.UniformInt(0, graph.NumVertices() - 1));
-  }
-  std::vector<Distance> out(targets.size());
-  const VertexId src =
-      static_cast<VertexId>(rng.UniformInt(0, graph.NumVertices() - 1));
-  alt.LowerBoundBatch(src, targets, out);
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    EXPECT_EQ(out[i], alt.LowerBound(src, targets[i]));
-  }
 }
 
 TEST(AltIndex, ValidatesArguments) {

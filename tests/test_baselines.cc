@@ -4,6 +4,7 @@
 // the network-expansion brute force.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
@@ -129,19 +130,45 @@ TEST_F(BaselineFixture, FsFbsBknnExact) {
   FsFbsOptions options;
   options.frequent_threshold = 8;  // Exercise both paths on the test data.
   FsFbs fsfbs(graph_, labels, store_, *inverted_, options);
+  std::uint64_t scan_false_positives = 0;
   for (const auto& query : workload_) {
-    for (BooleanOp op : {BooleanOp::kDisjunctive, BooleanOp::kConjunctive}) {
-      QueryStats stats;
-      auto got = fsfbs.BooleanKnn(query.vertex, 4, query.keywords, op, &stats);
-      auto expected =
-          expansion_->BooleanKnn(query.vertex, 4, query.keywords, op);
-      ASSERT_EQ(got.size(), expected.size()) << "q=" << query.vertex;
-      EXPECT_EQ(stats.results_returned, got.size()) << "q=" << query.vertex;
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].distance, expected[i].distance) << "rank " << i;
+    // k = 1 leaves conjunctive list scans with more distances than results.
+    for (std::uint32_t k : {1u, 4u}) {
+      for (BooleanOp op :
+           {BooleanOp::kDisjunctive, BooleanOp::kConjunctive}) {
+        QueryStats stats;
+        auto got =
+            fsfbs.BooleanKnn(query.vertex, k, query.keywords, op, &stats);
+        auto expected =
+            expansion_->BooleanKnn(query.vertex, k, query.keywords, op);
+        ASSERT_EQ(got.size(), expected.size()) << "q=" << query.vertex;
+        EXPECT_EQ(stats.results_returned, got.size())
+            << "q=" << query.vertex;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].distance, expected[i].distance) << "rank " << i;
+        }
+        EXPECT_LE(stats.false_positive_distances,
+                  stats.network_distance_computations)
+            << "q=" << query.vertex;
+        // Conjunctive with an infrequent keyword: one list scan pays every
+        // distance, and each result is one of them.
+        const bool scans_one_list =
+            op == BooleanOp::kConjunctive &&
+            std::any_of(query.keywords.begin(), query.keywords.end(),
+                        [&](KeywordId t) {
+                          return inverted_->ListSize(t) <
+                                 options.frequent_threshold;
+                        });
+        if (scans_one_list) {
+          EXPECT_EQ(stats.false_positive_distances,
+                    stats.network_distance_computations - got.size())
+              << "q=" << query.vertex << " k=" << k;
+          scan_false_positives += stats.false_positive_distances;
+        }
       }
     }
   }
+  EXPECT_GT(scan_false_positives, 0u) << "no list scan paid a false positive";
 }
 
 TEST_F(BaselineFixture, FsFbsMemoryBudgetGuardFires) {

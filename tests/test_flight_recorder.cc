@@ -1,7 +1,8 @@
 // Unit tests for the flight recorder: JSON rendering of spans and
-// events, ring wraparound, the Dump byte budget, and — most importantly
-// under TSan — concurrent writers racing a concurrent Dump through the
-// per-slot seqlock without a data race or a torn record escaping.
+// events, ring wraparound, the Dump byte budget, events surviving a span
+// storm, and — most importantly under TSan — concurrent writers racing a
+// concurrent Dump through the per-slot seqlock without a data race or a
+// torn record escaping.
 #include "server/flight_recorder.h"
 
 #include <atomic>
@@ -87,35 +88,66 @@ TEST(FlightRecorderTest, NextSpanIdNeverZeroAndDistinct) {
   }
 }
 
+SpanRecord NumberedSpan(std::uint64_t i) {
+  SpanRecord span;
+  span.trace_id = i;
+  span.span_id = i;
+  span.opcode = 0x10;  // kSearchBoolean.
+  span.results = static_cast<std::uint32_t>(i);
+  return span;
+}
+
 TEST(FlightRecorderTest, WraparoundKeepsOnlyNewestRecords) {
   FlightRecorder recorder(64);
   ASSERT_EQ(recorder.capacity(), 64u);
   for (std::uint64_t i = 1; i <= 200; ++i) {
-    recorder.RecordEvent(DiagEvent::kSnapshotWritten, i);
+    recorder.RecordSpan(NumberedSpan(i));
   }
   EXPECT_EQ(recorder.written(), 200u);
   const auto lines = Lines(recorder.Dump());
   ASSERT_LE(lines.size(), 64u);
   ASSERT_FALSE(lines.empty());
   // Oldest-first, and the survivors are the newest writes: the last line
-  // must be the final event, the first no older than written - capacity.
-  EXPECT_NE(lines.back().find("\"a\":200"), std::string::npos);
+  // must be the final span, the first no older than written - capacity.
+  EXPECT_NE(lines.back().find("\"results\":200"), std::string::npos);
   EXPECT_NE(lines.front().find("\"seq\":137"), std::string::npos);
 }
 
 TEST(FlightRecorderTest, ByteBudgetKeepsNewestLines) {
   FlightRecorder recorder(64);
   for (std::uint64_t i = 1; i <= 50; ++i) {
-    recorder.RecordEvent(DiagEvent::kSnapshotWritten, i);
+    recorder.RecordSpan(NumberedSpan(i));
   }
   const auto full = Lines(recorder.Dump());
   ASSERT_EQ(full.size(), 50u);
-  const std::string trimmed = recorder.Dump(256);
-  EXPECT_LE(trimmed.size(), 256u);
+  const std::string trimmed = recorder.Dump(1024);
+  EXPECT_LE(trimmed.size(), 1024u);
   const auto kept = Lines(trimmed);
   ASSERT_FALSE(kept.empty());
   EXPECT_LT(kept.size(), full.size());
   // The newest line survives the trim; the oldest ones are dropped.
+  EXPECT_EQ(kept.back(), full.back());
+}
+
+// Events live in their own ring, so a span storm many times the span
+// capacity cannot evict them, and a byte-limited dump keeps them before
+// it spends the rest of the budget on the newest spans.
+TEST(FlightRecorderTest, SpanStormKeepsEarlierEvent) {
+  FlightRecorder recorder(64);
+  recorder.RecordEvent(DiagEvent::kBrownoutEnter, 3);
+  for (std::uint64_t i = 1; i <= 10 * recorder.capacity(); ++i) {
+    recorder.RecordSpan(NumberedSpan(i));
+  }
+  const std::string event = "\"type\":\"BROWNOUT_ENTER\"";
+  const auto full = Lines(recorder.Dump());
+  ASSERT_EQ(full.size(), recorder.capacity() + 1);
+  EXPECT_NE(full.front().find(event), std::string::npos);
+
+  const std::string trimmed = recorder.Dump(512);
+  EXPECT_LE(trimmed.size(), 512u);
+  const auto kept = Lines(trimmed);
+  ASSERT_EQ(kept.size(), 2u);  // The event plus the newest span.
+  EXPECT_NE(kept.front().find(event), std::string::npos);
   EXPECT_EQ(kept.back(), full.back());
 }
 
@@ -166,9 +198,10 @@ TEST(FlightRecorderTest, ConcurrentWritersAndDumperProduceSaneRecords) {
 
   EXPECT_EQ(recorder.written(),
             static_cast<std::uint64_t>(kWriters) * kPerWriter);
-  // Quiescent now: every slot has a stable record, so the dump holds
-  // exactly `capacity` complete lines.
-  EXPECT_EQ(Lines(recorder.Dump()).size(), recorder.capacity());
+  // Quiescent now: every slot of both rings has a stable record, so the
+  // dump holds exactly one complete line per slot.
+  EXPECT_EQ(Lines(recorder.Dump()).size(),
+            recorder.capacity() + FlightRecorder::kEventCapacity);
 }
 
 }  // namespace

@@ -86,8 +86,7 @@ TEST(MaxLowerBound, RejectsEmptyChildList) {
 }
 
 // LowerBoundBatch must be value-identical to the per-pair loop for every
-// module: the inverted heaps mix both granularities on the same heap, so
-// any divergence would corrupt extraction order.
+// module: perfbench's timing decorator forwards batches to it.
 TEST(LowerBoundBatch, MatchesPerPairForEveryModule) {
   Graph graph = testing::SmallRoadNetwork(78);
   AltIndex alt(graph, 5);

@@ -72,45 +72,54 @@ TEST(Serialization, AltRoundTripPreservesBounds) {
   }
 }
 
-// PR6 changed the ALT matrix from landmark-major (v1) to vertex-major
-// (v2). Old snapshots must keep loading: write a v1-format stream by hand
-// (magic, version 1, then the landmark-major d[l*n + v] array) and check
-// the loaded index answers identically to the source index.
-TEST(Serialization, AltLoadsLegacyLandmarkMajorV1Format) {
+// Pins the ALT v2 bytes: magic, version 2, |V|, the landmark list, then
+// the vertex-major matrix d[v*m + l] as one length-prefixed array. The
+// stream is written by hand from Dijkstra distances, so a layout change
+// in the index cannot silently change the snapshot format. The same
+// matrix written landmark-major under version 1 must be rejected.
+TEST(Serialization, AltLoadsHandWrittenV2StreamAndRejectsV1) {
   Graph graph = testing::SmallRoadNetwork(66);
   AltIndex original(graph, 5);
   const std::size_t n = graph.NumVertices();
-  const std::size_t m = original.Landmarks().size();
-
-  std::stringstream buffer;
-  buffer.write("KSPALTI1", 8);
-  io::WritePod<std::uint32_t>(buffer, 1);  // Version 1.
-  io::WritePod<std::uint64_t>(buffer, n);
-  io::WritePodVector(buffer, original.Landmarks());
-  std::vector<Distance> landmark_major(m * n);
+  const std::vector<VertexId>& landmarks = original.Landmarks();
+  const std::size_t m = landmarks.size();
+  std::vector<Distance> vertex_major(n * m), landmark_major(m * n);
+  DijkstraWorkspace workspace(n);
   for (std::size_t l = 0; l < m; ++l) {
-    for (VertexId v = 0; v < n; ++v) {
-      landmark_major[l * n + v] = original.LandmarkDistance(l, v);
+    const auto& dist = workspace.SingleSource(graph, landmarks[l]);
+    for (std::size_t v = 0; v < n; ++v) {
+      vertex_major[v * m + l] = dist[v];
+      landmark_major[l * n + v] = dist[v];
     }
   }
-  io::WritePodVector(buffer, landmark_major);
+  const auto stream = [&](std::uint32_t version,
+                          const std::vector<Distance>& matrix) {
+    std::stringstream out;
+    out.write("KSPALTI1", 8);
+    io::WritePod<std::uint32_t>(out, version);
+    io::WritePod<std::uint64_t>(out, n);
+    io::WritePodVector(out, landmarks);
+    io::WritePodVector(out, matrix);
+    return out.str();
+  };
 
-  AltIndex loaded = LoadAltIndex(buffer);
-  ASSERT_EQ(loaded.Landmarks(), original.Landmarks());
+  const std::string v2 = stream(2, vertex_major);
+  std::stringstream saved;
+  SaveAltIndex(original, saved);
+  EXPECT_EQ(saved.str(), v2);
+
+  std::stringstream v2_in(v2);
+  AltIndex loaded = LoadAltIndex(v2_in);
+  ASSERT_EQ(loaded.Landmarks(), landmarks);
   for (VertexId s = 0; s < n; s += 7) {
     for (VertexId t = 0; t < n; t += 11) {
       ASSERT_EQ(loaded.LowerBound(s, t), original.LowerBound(s, t))
           << "s=" << s << " t=" << t;
     }
   }
-  // And the transposed matrix must feed the batch kernels identically.
-  std::vector<VertexId> targets;
-  for (VertexId t = 0; t < n; t += 5) targets.push_back(t);
-  std::vector<Distance> out(targets.size());
-  loaded.LowerBoundBatch(3, targets, out);
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    EXPECT_EQ(out[i], original.LowerBound(3, targets[i]));
-  }
+
+  std::stringstream v1_in(stream(1, landmark_major));
+  EXPECT_THROW(LoadAltIndex(v1_in), io::SerializationError);
 }
 
 TEST(Serialization, AltRejectsUnknownFutureVersion) {
