@@ -22,6 +22,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace kspin::io {
@@ -63,10 +64,12 @@ T ReadPod(std::istream& in) {
 
 /// Length-prefixed pod array from any contiguous range (vector with any
 /// allocator, FlatLists row span, ...). Byte-identical to the historical
-/// WritePodVector encoding.
+/// WritePodVector encoding. T must have no padding bytes, so an artifact
+/// never carries uninitialized memory and equal indexes write equal bytes.
 template <typename T>
 void WritePodSpan(std::ostream& out, std::span<const T> values) {
   static_assert(std::is_trivially_copyable_v<T>);
+  static_assert(std::has_unique_object_representations_v<T>);
   WritePod<std::uint64_t>(out, values.size());
   out.write(reinterpret_cast<const char*>(values.data()),
             static_cast<std::streamsize>(values.size() * sizeof(T)));

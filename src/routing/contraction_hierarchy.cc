@@ -229,15 +229,22 @@ ContractionHierarchy::ContractionHierarchy(
 
 }
 
-void ContractionHierarchy::SearchSpace::EnsureSize(std::size_t num_vertices) {
-  if (fwd_dist_.size() >= num_vertices) return;
-  fwd_dist_.assign(num_vertices, kInfDistance);
-  bwd_dist_.assign(num_vertices, kInfDistance);
-  fwd_parent_.assign(num_vertices, kInvalidVertex);
-  bwd_parent_.assign(num_vertices, kInvalidVertex);
-  fwd_stamp_.assign(num_vertices, 0);
-  bwd_stamp_.assign(num_vertices, 0);
-  version_ = 0;
+void ContractionHierarchy::SearchSpace::Side::Start(std::size_t num_vertices,
+                                                    VertexId root) {
+  if (stamp.size() < num_vertices) {
+    dist.assign(num_vertices, kInfDistance);
+    parent.assign(num_vertices, kInvalidVertex);
+    stamp.assign(num_vertices, 0);
+    version = 0;
+  }
+  if (++version == 0) {
+    std::fill(stamp.begin(), stamp.end(), 0);
+    version = 1;
+  }
+  settled.clear();
+  dist[root] = 0;
+  parent[root] = kInvalidVertex;
+  stamp[root] = version;
 }
 
 std::vector<VertexId> ContractionHierarchy::VerticesByDescendingRank() const {
@@ -248,81 +255,74 @@ std::vector<VertexId> ContractionHierarchy::VerticesByDescendingRank() const {
   return order;
 }
 
-Distance ContractionHierarchy::RunBidirectional(SearchSpace& space,
-                                                VertexId s, VertexId t,
-                                                VertexId* meeting) const {
-  *meeting = kInvalidVertex;
-  if (s == t) {
-    *meeting = s;
-    return 0;
-  }
-  space.EnsureSize(NumVertices());
-  ++space.version_;
-  if (space.version_ == 0) {
-    std::fill(space.fwd_stamp_.begin(), space.fwd_stamp_.end(), 0);
-    std::fill(space.bwd_stamp_.begin(), space.bwd_stamp_.end(), 0);
-    space.version_ = 1;
-  }
-  const std::uint32_t version = space.version_;
-
-  using Entry = std::pair<Distance, VertexId>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> fwd,
-      bwd;
-  space.fwd_dist_[s] = 0;
-  space.fwd_parent_[s] = kInvalidVertex;
-  space.fwd_stamp_[s] = version;
-  fwd.push({0, s});
-  space.bwd_dist_[t] = 0;
-  space.bwd_parent_[t] = kInvalidVertex;
-  space.bwd_stamp_[t] = version;
-  bwd.push({0, t});
-
-  Distance best = kInfDistance;
-  auto relax = [this, version, meeting](
-                   auto& queue, std::vector<Distance>& dist,
-                   std::vector<VertexId>& parent,
-                   std::vector<std::uint32_t>& stamp,
-                   const std::vector<Distance>& other_dist,
-                   const std::vector<std::uint32_t>& other_stamp,
-                   Distance& best_out) {
-    auto [d, v] = queue.top();
-    queue.pop();
-    if (stamp[v] == version && d > dist[v]) return;
-    if (other_stamp[v] == version && other_dist[v] != kInfDistance &&
-        d + other_dist[v] < best_out) {
-      best_out = d + other_dist[v];
-      *meeting = v;
-    }
+void ContractionHierarchy::SearchAll(SearchSpace& space,
+                                     SearchSpace::Side& side,
+                                     VertexId root) const {
+  const auto greater = std::greater<Settled>{};
+  std::vector<Settled>& heap = space.heap_;
+  side.Start(NumVertices(), root);
+  heap.assign(1, {0, root});
+  while (!heap.empty()) {
+    const auto [d, v] = heap.front();
+    std::pop_heap(heap.begin(), heap.end(), greater);
+    heap.pop_back();
+    if (d > side.dist[v]) continue;  // Stale entry.
+    side.settled.push_back({d, v});
     for (const Arc& arc : UpwardArcs(v)) {
       const Distance nd = d + arc.weight;
-      if (stamp[arc.head] != version || nd < dist[arc.head]) {
-        dist[arc.head] = nd;
-        parent[arc.head] = v;
-        stamp[arc.head] = version;
-        queue.push({nd, arc.head});
+      if (!side.Reached(arc.head) || nd < side.dist[arc.head]) {
+        side.dist[arc.head] = nd;
+        side.parent[arc.head] = v;
+        side.stamp[arc.head] = side.version;
+        heap.push_back({nd, arc.head});
+        std::push_heap(heap.begin(), heap.end(), greater);
       }
     }
-  };
-
-  while (!fwd.empty() || !bwd.empty()) {
-    const Distance fwd_top = fwd.empty() ? kInfDistance : fwd.top().first;
-    const Distance bwd_top = bwd.empty() ? kInfDistance : bwd.top().first;
-    if (std::min(fwd_top, bwd_top) >= best) break;
-    if (fwd_top <= bwd_top) {
-      relax(fwd, space.fwd_dist_, space.fwd_parent_, space.fwd_stamp_,
-            space.bwd_dist_, space.bwd_stamp_, best);
-    } else {
-      relax(bwd, space.bwd_dist_, space.bwd_parent_, space.bwd_stamp_,
-            space.fwd_dist_, space.fwd_stamp_, best);
-    }
   }
-  return best;
+}
+
+std::span<const ContractionHierarchy::Settled>
+ContractionHierarchy::UpwardSearch(SearchSpace& space, VertexId source) const {
+  if (space.cached_source_ != source) {
+    SearchAll(space, space.source_, source);
+    space.cached_source_ = source;
+  }
+  return space.source_.settled;
 }
 
 Distance ContractionHierarchy::Query(SearchSpace& space, VertexId s,
                                      VertexId t) const {
-  VertexId meeting;
-  return RunBidirectional(space, s, t, &meeting);
+  if (s == t) return 0;
+  UpwardSearch(space, s);
+  const SearchSpace::Side& up = space.source_;
+  SearchSpace::Side& down = space.target_;
+
+  // t's upward search, met against s's cached one. Relaxations at or past
+  // `best` cannot improve it, and the search stops once its key reaches
+  // `best` because the cached side only adds non-negative distances.
+  const auto greater = std::greater<Settled>{};
+  std::vector<Settled>& heap = space.heap_;
+  down.Start(NumVertices(), t);
+  heap.assign(1, {0, t});
+  Distance best = kInfDistance;
+  while (!heap.empty() && heap.front().first < best) {
+    const auto [d, v] = heap.front();
+    std::pop_heap(heap.begin(), heap.end(), greater);
+    heap.pop_back();
+    if (d > down.dist[v]) continue;  // Stale entry.
+    if (up.Reached(v)) best = std::min(best, d + up.dist[v]);
+    for (const Arc& arc : UpwardArcs(v)) {
+      const Distance nd = d + arc.weight;
+      if (nd >= best) continue;
+      if (!down.Reached(arc.head) || nd < down.dist[arc.head]) {
+        down.dist[arc.head] = nd;
+        down.stamp[arc.head] = down.version;
+        heap.push_back({nd, arc.head});
+        std::push_heap(heap.begin(), heap.end(), greater);
+      }
+    }
+  }
+  return best;
 }
 
 Distance ContractionHierarchy::Query(VertexId s, VertexId t) const {
@@ -331,21 +331,31 @@ Distance ContractionHierarchy::Query(VertexId s, VertexId t) const {
 
 std::vector<VertexId> ContractionHierarchy::PathQuery(VertexId s,
                                                       VertexId t) const {
-  VertexId meeting;
-  const Distance d = RunBidirectional(scratch_, s, t, &meeting);
-  if (d == kInfDistance) return {};
   if (s == t) return {s};
+  // Both full upward searches, met at the common vertex of least total
+  // distance: the top of a shortest path, reached exactly from both ends.
+  UpwardSearch(scratch_, s);
+  const SearchSpace::Side& up = scratch_.source_;
+  const SearchSpace::Side& down = scratch_.target_;
+  SearchAll(scratch_, scratch_.target_, t);
+  VertexId meeting = kInvalidVertex;
+  Distance best = kInfDistance;
+  for (const auto& [d, v] : down.settled) {
+    if (up.Reached(v) && d + up.dist[v] < best) {
+      best = d + up.dist[v];
+      meeting = v;
+    }
+  }
+  if (meeting == kInvalidVertex) return {};
 
   // Upward parent chains: s -> ... -> meeting and t -> ... -> meeting.
   std::vector<VertexId> up_chain;  // s side, from s to meeting.
-  for (VertexId v = meeting; v != kInvalidVertex;
-       v = scratch_.fwd_parent_[v]) {
+  for (VertexId v = meeting; v != kInvalidVertex; v = up.parent[v]) {
     up_chain.push_back(v);
   }
   std::reverse(up_chain.begin(), up_chain.end());
   std::vector<VertexId> down_chain;  // t side, from meeting to t.
-  for (VertexId v = meeting; v != kInvalidVertex;
-       v = scratch_.bwd_parent_[v]) {
+  for (VertexId v = meeting; v != kInvalidVertex; v = down.parent[v]) {
     down_chain.push_back(v);
   }
 

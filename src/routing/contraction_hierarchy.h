@@ -4,8 +4,11 @@
 // Vertices are contracted in ascending importance order; each contraction
 // preserves shortest paths among remaining vertices by inserting shortcut
 // edges when a local witness search fails to find a path at most as short.
-// Point-to-point queries run a bidirectional Dijkstra restricted to upward
-// (rank-increasing) edges.
+//
+// Distance queries are one-to-many: a SearchSpace caches the full upward
+// (rank-increasing) search of the last source, rebuilt when the source
+// changes, and each target runs only its own upward search, pruned at the
+// best meeting distance so far.
 //
 // The witness search is budget-limited: when inconclusive it conservatively
 // inserts the shortcut, which can only enlarge the hierarchy, never make a
@@ -16,6 +19,8 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -38,31 +43,54 @@ struct ContractionHierarchyOptions {
 /// An immutable contraction hierarchy over a graph.
 class ContractionHierarchy {
  public:
-  /// Reusable bidirectional-search scratch (version-stamped distance /
-  /// parent arrays). All mutable query state lives here, so one hierarchy
-  /// can serve any number of threads through distinct search spaces.
-  /// Sized lazily on first use.
+  /// A settled vertex of an upward search and its exact upward distance.
+  using Settled = std::pair<Distance, VertexId>;
+
+  /// Reusable query scratch: the cached upward search of one source plus
+  /// one target-side search, both version-stamped, and a pooled heap. All
+  /// mutable query state lives here, so one hierarchy can serve any number
+  /// of threads through distinct search spaces. Sized lazily on first use.
   class SearchSpace {
    public:
     SearchSpace() = default;
 
    private:
     friend class ContractionHierarchy;
-    void EnsureSize(std::size_t num_vertices);
 
-    std::vector<Distance> fwd_dist_, bwd_dist_;
-    std::vector<VertexId> fwd_parent_, bwd_parent_;
-    std::vector<std::uint32_t> fwd_stamp_, bwd_stamp_;
-    std::uint32_t version_ = 0;
+    // Stamped distances and parents of one search; Start bumps the
+    // version, which clears it in O(1). Only full searches fill `settled`.
+    struct Side {
+      void Start(std::size_t num_vertices, VertexId root);
+      bool Reached(VertexId v) const { return stamp[v] == version; }
+
+      std::vector<Distance> dist;
+      std::vector<VertexId> parent;
+      std::vector<std::uint32_t> stamp;
+      std::uint32_t version = 0;
+      std::vector<Settled> settled;
+    };
+
+    Side source_;  // Full upward search of cached_source_.
+    Side target_;  // Upward search of the latest target.
+    VertexId cached_source_ = kInvalidVertex;
+    std::vector<Settled> heap_;  // Pooled min-heap via std::*_heap.
   };
 
   /// Builds the hierarchy. O(|V| log |V|) witness searches in practice.
   explicit ContractionHierarchy(const Graph& graph,
                                 ContractionHierarchyOptions options = {});
 
-  /// Exact network distance via bidirectional upward search, using only
-  /// `space` for mutable state. Thread-safe across distinct spaces.
+  /// Exact network distance, using only `space` for mutable state:
+  /// s's upward search comes from the space's cache (rebuilt when s
+  /// differs from the cached source), then t's upward search meets it.
+  /// Thread-safe across distinct spaces.
   Distance Query(SearchSpace& space, VertexId s, VertexId t) const;
+
+  /// Full upward Dijkstra from `source`: every vertex it settles, in
+  /// settle order. Becomes (or reuses) `space`'s cached source; the span
+  /// stays valid until the next search from another source in `space`.
+  std::span<const Settled> UpwardSearch(SearchSpace& space,
+                                        VertexId source) const;
 
   /// Exact network distance through the hierarchy's own scratch space.
   /// Not thread-safe; use the SearchSpace overload when sharing the
@@ -115,10 +143,11 @@ class ContractionHierarchy {
   friend ContractionHierarchy LoadContractionHierarchy(std::istream&);
   ContractionHierarchy() = default;  // For deserialization only.
 
-  // Bidirectional upward search shared by Query and PathQuery; returns
-  // the best meeting vertex via *meeting (kInvalidVertex if disconnected).
-  Distance RunBidirectional(SearchSpace& space, VertexId s, VertexId t,
-                            VertexId* meeting) const;
+  // Settles every vertex upward-reachable from `root` into `side`,
+  // recording parents and the settle order.
+  void SearchAll(SearchSpace& space, SearchSpace::Side& side,
+                 VertexId root) const;
+
   std::vector<std::uint32_t> rank_;
   std::vector<std::size_t> up_offsets_;
   std::vector<Arc> up_arcs_;
@@ -135,7 +164,8 @@ void SaveContractionHierarchy(const ContractionHierarchy& ch,
 ContractionHierarchy LoadContractionHierarchy(std::istream& in);
 
 /// DistanceOracle adapter over a ContractionHierarchy. The hierarchy is
-/// the immutable shared index; each workspace wraps one SearchSpace.
+/// the immutable shared index; each workspace wraps one SearchSpace, whose
+/// per-source cache needs no BeginSourceBatch hint.
 class ChOracle : public DistanceOracle {
  public:
   explicit ChOracle(const ContractionHierarchy& ch) : ch_(ch) {}

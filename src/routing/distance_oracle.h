@@ -57,7 +57,8 @@ class DistanceOracle {
   /// Hints that a batch of queries with the same source vertex follows.
   /// Implementations may warm per-source caches in the workspace (e.g.
   /// G-tree materializes the source-to-border vectors once). Default:
-  /// no-op.
+  /// no-op. CH needs no hint: it caches by source inside NetworkDistance,
+  /// so the cost lands on the first exact distance of a batch.
   virtual void BeginSourceBatch(OracleWorkspace& /*workspace*/,
                                 VertexId /*source*/) const {}
 

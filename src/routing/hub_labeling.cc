@@ -1,61 +1,10 @@
 #include "routing/hub_labeling.h"
 
 #include <algorithm>
-#include <atomic>
-#include <queue>
 #include <thread>
 
 namespace kspin {
 namespace {
-
-// Reusable upward-search state: version-stamped distance array avoids both
-// per-search clearing and per-relaxation hashing.
-class UpwardSearcher {
- public:
-  explicit UpwardSearcher(std::size_t n)
-      : dist_(n, kInfDistance), stamp_(n, 0) {}
-
-  // Settled CH search space of `source`, sorted by hub id.
-  std::vector<LabelEntry> Run(const ContractionHierarchy& ch,
-                              VertexId source) {
-    if (++version_ == 0) {
-      std::fill(stamp_.begin(), stamp_.end(), 0);
-      version_ = 1;
-    }
-    std::vector<LabelEntry> settled;
-    queue_ = {};
-    dist_[source] = 0;
-    stamp_[source] = version_;
-    queue_.push({0, source});
-    while (!queue_.empty()) {
-      auto [d, v] = queue_.top();
-      queue_.pop();
-      if (stamp_[v] == version_ && d > dist_[v]) continue;
-      settled.push_back({v, d});
-      for (const Arc& arc : ch.UpwardArcs(v)) {
-        const Distance nd = d + arc.weight;
-        if (stamp_[arc.head] != version_ || nd < dist_[arc.head]) {
-          dist_[arc.head] = nd;
-          stamp_[arc.head] = version_;
-          queue_.push({nd, arc.head});
-        }
-      }
-    }
-    std::sort(settled.begin(), settled.end(),
-              [](const LabelEntry& a, const LabelEntry& b) {
-                return a.hub < b.hub;
-              });
-    return settled;
-  }
-
- private:
-  using Entry = std::pair<Distance, VertexId>;
-  std::vector<Distance> dist_;
-  std::vector<std::uint32_t> stamp_;
-  std::uint32_t version_ = 0;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>>
-      queue_;
-};
 
 Distance MergeJoin(std::span<const LabelEntry> a,
                    std::span<const LabelEntry> b) {
@@ -87,13 +36,18 @@ HubLabeling::HubLabeling(const Graph& graph, const ContractionHierarchy& ch,
   if (num_threads == 0) num_threads = 1;
   num_threads = std::min<unsigned>(num_threads, 64);
 
-  // Phase 1: raw labels = upward CH search spaces (embarrassingly
-  // parallel, one stamped workspace per thread).
+  // Phase 1: raw labels = upward CH search spaces, sorted by hub
+  // (embarrassingly parallel, one search space per thread).
   auto phase1 = [&raw, &ch, n](std::size_t begin_stride,
                                std::size_t stride) {
-    UpwardSearcher searcher(n);
+    ContractionHierarchy::SearchSpace space;
     for (std::size_t v = begin_stride; v < n; v += stride) {
-      raw[v] = searcher.Run(ch, static_cast<VertexId>(v));
+      std::vector<LabelEntry>& label = raw[v];
+      for (const auto& [d, hub] :
+           ch.UpwardSearch(space, static_cast<VertexId>(v))) {
+        label.push_back({.hub = hub, .distance = d});
+      }
+      std::ranges::sort(label, {}, &LabelEntry::hub);
     }
   };
   if (num_threads == 1) {

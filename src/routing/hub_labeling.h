@@ -22,9 +22,11 @@
 
 namespace kspin {
 
-/// One (hub, distance) label entry.
+/// One (hub, distance) label entry. The padding is an explicit zero
+/// member, so serialized labels carry no uninitialized bytes.
 struct LabelEntry {
   VertexId hub;
+  std::uint32_t padding = 0;
   Distance distance;
 };
 

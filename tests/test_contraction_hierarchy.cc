@@ -16,12 +16,31 @@ void ExpectMatchesDijkstra(const Graph& graph,
                            int num_sources, std::uint64_t seed) {
   DijkstraWorkspace workspace(graph.NumVertices());
   Rng rng(seed);
+  std::vector<VertexId> sources;
+  std::vector<std::vector<Distance>> dists;
   for (int i = 0; i < num_sources; ++i) {
     const VertexId s =
         static_cast<VertexId>(rng.UniformInt(0, graph.NumVertices() - 1));
     const auto& dist = workspace.SingleSource(graph, s);
     for (VertexId t = 0; t < graph.NumVertices(); t += 13) {
       ASSERT_EQ(ch.Query(s, t), dist[t]) << "s=" << s << " t=" << t;
+    }
+    sources.push_back(s);
+    dists.push_back(dist);
+  }
+  // The same pairs through one oracle workspace, alternating two sources
+  // per target (s1 t1, s2 t1, s1 t2, ...), so the per-source cache is
+  // replaced on every call.
+  ChOracle oracle(ch);
+  auto oracle_workspace = oracle.MakeWorkspace();
+  for (int i = 0; i < num_sources; ++i) {
+    const int pair[] = {i, (i + 1) % num_sources};
+    for (VertexId t = 0; t < graph.NumVertices(); t += 13) {
+      for (const int j : pair) {
+        ASSERT_EQ(oracle.NetworkDistance(*oracle_workspace, sources[j], t),
+                  dists[j][t])
+            << "s=" << sources[j] << " t=" << t;
+      }
     }
   }
 }
@@ -161,6 +180,20 @@ TEST(Dijkstra, PathToReconstructsShortestPaths) {
   builder.AddEdge(0, 1, 1);
   Graph disconnected = builder.Build();
   EXPECT_TRUE(DijkstraShortestPath(disconnected, 0, 2).empty());
+}
+
+TEST(ContractionHierarchy, DisconnectedPairsAreInfiniteAndPathless) {
+  GraphBuilder builder(3);  // Vertex 2 is isolated.
+  builder.AddEdge(0, 1, 1);
+  Graph graph = builder.Build();
+  ContractionHierarchy ch(graph);
+  EXPECT_EQ(ch.Query(0, 2), kInfDistance);
+  EXPECT_EQ(ch.Query(2, 0), kInfDistance);
+  EXPECT_TRUE(ch.PathQuery(0, 2).empty());
+  ASSERT_EQ(ch.Query(0, 1), 1u);  // Caches source 0.
+  EXPECT_EQ(ch.Query(0, 2), kInfDistance);
+  EXPECT_TRUE(ch.PathQuery(0, 2).empty());
+  EXPECT_EQ(ch.Query(2, 0), kInfDistance);
 }
 
 TEST(ChOracle, ReportsNameAndMemory) {

@@ -347,10 +347,25 @@ TEST(QueryProcessor, TopKStreamMatchesBatchAndPaginates) {
     if (fixture.inverted().ListSize(t) >= 8) keywords.push_back(t);
   }
   ASSERT_EQ(keywords.size(), 2u);
-  for (VertexId q = 1; q < fixture.graph().NumVertices(); q += 97) {
+  const VertexId n = static_cast<VertexId>(fixture.graph().NumVertices());
+  for (VertexId q = 1; q < n; q += 97) {
     const auto batch = processor.TopK(q, 12, keywords);
     auto stream = processor.OpenTopKStream(q, keywords);
     for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (i % 2 == 1) {
+        // One-shot queries elsewhere on the same processor replace the CH
+        // oracle's cached source between two Next() calls; the stream and
+        // they must each rebuild it for their own vertex.
+        const VertexId other = static_cast<VertexId>((q + 31 * i) % n);
+        ExpectSameTopK(processor.TopK(other, 3, keywords),
+                       fixture.expansion().TopK(other, 3, keywords),
+                       "interleaved top-k");
+        ExpectSameBknn(
+            processor.BooleanKnn(other, 3, keywords, BooleanOp::kDisjunctive),
+            fixture.expansion().BooleanKnn(other, 3, keywords,
+                                           BooleanOp::kDisjunctive),
+            "interleaved bknn");
+      }
       const auto next = stream.Next();
       ASSERT_TRUE(next.has_value()) << "q=" << q << " i=" << i;
       EXPECT_NEAR(next->score, batch[i].score, 1e-9)
