@@ -22,6 +22,9 @@ constexpr std::uint32_t kVersion = 1;
 /// ALT format v2: the vertex-major matrix d[v*m + l]. v1 (landmark-major)
 /// is rejected like any unknown version.
 constexpr std::uint32_t kAltVersion = 2;
+/// Hub labels v2: 8-byte {u32 hub, u32 distance} entries. v1 (16-byte
+/// entries with a u64 distance) is rejected like any unknown version.
+constexpr std::uint32_t kHlVersion = 2;
 
 }  // namespace
 
@@ -138,19 +141,32 @@ ContractionHierarchy LoadContractionHierarchy(std::istream& in) {
 }
 
 void SaveHubLabeling(const HubLabeling& labels, std::ostream& out) {
-  io::WriteHeader(out, kHlMagic, kVersion);
+  io::WriteHeader(out, kHlMagic, kHlVersion);
   io::WritePodVector(out, labels.offsets_);
   io::WritePodVector(out, labels.entries_);
 }
 
 HubLabeling LoadHubLabeling(std::istream& in) {
-  io::CheckHeader(in, kHlMagic, kVersion);
+  io::CheckHeader(in, kHlMagic, kHlVersion);
   HubLabeling labels;
   labels.offsets_ = io::ReadPodVector<std::size_t>(in);
   labels.entries_ = io::ReadPodVector<LabelEntry>(in);
-  if (labels.offsets_.empty() ||
-      labels.offsets_.back() != labels.entries_.size()) {
+  const std::vector<std::size_t>& offsets = labels.offsets_;
+  if (offsets.empty() || offsets.front() != 0 ||
+      !std::ranges::is_sorted(offsets) ||
+      offsets.back() != labels.entries_.size()) {
     throw io::SerializationError("inconsistent hub label arrays");
+  }
+  // Every hub is a vertex, and each label is strictly increasing in hub
+  // (the merge join relies on that order).
+  const std::vector<LabelEntry>& entries = labels.entries_;
+  for (std::size_t v = 0; v < labels.NumVertices(); ++v) {
+    for (std::size_t i = offsets[v]; i < offsets[v + 1]; ++i) {
+      if (entries[i].hub >= labels.NumVertices() ||
+          (i > offsets[v] && entries[i].hub <= entries[i - 1].hub)) {
+        throw io::SerializationError("hub label out of order or range");
+      }
+    }
   }
   return labels;
 }

@@ -1,7 +1,9 @@
 #include "routing/hub_labeling.h"
 
 #include <algorithm>
-#include <thread>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 namespace kspin {
 namespace {
@@ -12,7 +14,7 @@ Distance MergeJoin(std::span<const LabelEntry> a,
   std::size_t i = 0, j = 0;
   while (i < a.size() && j < b.size()) {
     if (a[i].hub == b[j].hub) {
-      const Distance d = a[i].distance + b[j].distance;
+      const Distance d = Distance{a[i].distance} + b[j].distance;
       if (d < best) best = d;
       ++i;
       ++j;
@@ -27,77 +29,72 @@ Distance MergeJoin(std::span<const LabelEntry> a,
 
 }  // namespace
 
-HubLabeling::HubLabeling(const Graph& graph, const ContractionHierarchy& ch,
-                         unsigned num_threads) {
-  const std::size_t n = graph.NumVertices();
-  std::vector<std::vector<LabelEntry>> raw(n);
-
-  if (num_threads == 0) num_threads = std::thread::hardware_concurrency();
-  if (num_threads == 0) num_threads = 1;
-  num_threads = std::min<unsigned>(num_threads, 64);
-
-  // Phase 1: raw labels = upward CH search spaces, sorted by hub
-  // (embarrassingly parallel, one search space per thread).
-  auto phase1 = [&raw, &ch, n](std::size_t begin_stride,
-                               std::size_t stride) {
-    ContractionHierarchy::SearchSpace space;
-    for (std::size_t v = begin_stride; v < n; v += stride) {
-      std::vector<LabelEntry>& label = raw[v];
-      for (const auto& [d, hub] :
-           ch.UpwardSearch(space, static_cast<VertexId>(v))) {
-        label.push_back({.hub = hub, .distance = d});
-      }
-      std::ranges::sort(label, {}, &LabelEntry::hub);
-    }
-  };
-  if (num_threads == 1) {
-    phase1(0, 1);
-  } else {
-    std::vector<std::thread> workers;
-    for (unsigned t = 0; t < num_threads; ++t) {
-      workers.emplace_back(phase1, t, num_threads);
-    }
-    for (auto& w : workers) w.join();
+HubLabeling::HubLabeling(const Graph& graph, const ContractionHierarchy& ch) {
+  const std::size_t n = ch.NumVertices();
+  if (graph.NumVertices() != n) {
+    throw std::invalid_argument(
+        "HubLabeling: graph has " + std::to_string(graph.NumVertices()) +
+        " vertices, the contraction hierarchy " + std::to_string(n));
   }
 
-  // Phase 2: bootstrapped pruning. An entry (h, d) of L(v) is redundant if
-  // the raw labels realize a distance to h strictly below d — then h is
-  // never the minimizing hub of any query through v. Raw-label queries are
-  // already exact (the CH guarantees the maximum-rank vertex of a shortest
-  // path appears in both search spaces with exact distances), so pruning
-  // against raw labels is sound.
-  std::vector<std::vector<LabelEntry>> pruned(n);
-  auto phase2 = [&raw, &pruned, n](std::size_t begin_stride,
-                                   std::size_t stride) {
-    for (std::size_t v = begin_stride; v < n; v += stride) {
-      pruned[v].reserve(raw[v].size());
-      for (const LabelEntry& e : raw[v]) {
-        if (MergeJoin(raw[v], raw[e.hub]) >= e.distance) {
-          pruned[v].push_back(e);
-        }
-      }
-    }
-  };
-  if (num_threads == 1) {
-    phase2(0, 1);
-  } else {
-    std::vector<std::thread> workers;
-    for (unsigned t = 0; t < num_threads; ++t) {
-      workers.emplace_back(phase2, t, num_threads);
-    }
-    for (auto& w : workers) w.join();
-  }
-  raw.clear();
-  raw.shrink_to_fit();
-
+  // Labels in build order, one after another in `built`; L(v) starts at
+  // start[v] and offsets_[v + 1] holds its size until the final layout.
+  std::vector<LabelEntry> built;
+  std::vector<std::size_t> start(n);
   offsets_.assign(n + 1, 0);
-  for (std::size_t v = 0; v < n; ++v) {
-    offsets_[v + 1] = offsets_[v] + pruned[v].size();
+  const auto label = [&](VertexId v) {
+    return std::span<const LabelEntry>(built).subspan(start[v],
+                                                      offsets_[v + 1]);
+  };
+
+  // Descending rank: every hub of v's upward search space outranks v, so
+  // its label is final before v's is built.
+  std::vector<Distance> best(n, kInfDistance);  // Candidates of v, by hub.
+  std::vector<VertexId> touched;                // Their hubs.
+  for (const VertexId v : ch.VerticesByDescendingRank()) {
+    // Candidates: (v, 0) and, over every upward arc (v -> u, w), w plus
+    // each entry of L(u), at the minimum per hub.
+    touched.assign(1, v);
+    best[v] = 0;
+    for (const Arc& arc : ch.UpwardArcs(v)) {
+      for (const LabelEntry& e : label(arc.head)) {
+        if (best[e.hub] == kInfDistance) touched.push_back(e.hub);
+        best[e.hub] =
+            std::min(best[e.hub], Distance{arc.weight} + e.distance);
+      }
+    }
+    std::ranges::sort(touched);
+
+    // Keep (h, d) iff the merge join of the candidates with L(h), read
+    // through `best`, finds no shorter v-h distance. An exact d passes;
+    // an inexact one fails at the top-ranked vertex of a shortest v-h
+    // path, a hub of both reached exactly from each end.
+    start[v] = built.size();
+    for (const VertexId h : touched) {
+      const Distance d = best[h];
+      if (h != v &&
+          std::ranges::any_of(label(h), [&](const LabelEntry& e) {
+            return e.distance < d && best[e.hub] < d - e.distance;
+          })) {
+        continue;
+      }
+      if (d > std::numeric_limits<std::uint32_t>::max()) {
+        throw std::overflow_error(
+            "HubLabeling: label distance " + std::to_string(d) +
+            " does not fit in 32 bits");
+      }
+      built.push_back({.hub = h, .distance = static_cast<std::uint32_t>(d)});
+    }
+    offsets_[v + 1] = built.size() - start[v];
+    for (const VertexId h : touched) best[h] = kInfDistance;
   }
+
+  // Lay the labels out by vertex id.
+  for (std::size_t v = 0; v < n; ++v) offsets_[v + 1] += offsets_[v];
   entries_.resize(offsets_[n]);
   for (std::size_t v = 0; v < n; ++v) {
-    std::copy(pruned[v].begin(), pruned[v].end(),
-              entries_.begin() + offsets_[v]);
+    std::copy_n(built.begin() + start[v], offsets_[v + 1] - offsets_[v],
+                entries_.begin() + offsets_[v]);
   }
 }
 

@@ -2,10 +2,11 @@
 // (variant KS-PHL in the paper — see DESIGN.md §3: we substitute Pruned
 // Highway Labeling with a 2-hop hub labeling of the same index family).
 //
-// Labels are the upward Contraction Hierarchy search spaces, shrunk by a
-// bootstrapped pruning pass that removes every entry whose distance is not
-// the true shortest distance realized through that hub. A point-to-point
-// query is a merge join of two sorted label arrays — no graph traversal.
+// L(v) holds the entries of v's upward Contraction Hierarchy search space
+// whose distance is exact. Labels are built top-down in CH rank, each from
+// labels already final, straight into one array of 8-byte entries. A
+// point-to-point query is a merge join of two sorted label arrays — no
+// graph traversal.
 #ifndef KSPIN_ROUTING_HUB_LABELING_H_
 #define KSPIN_ROUTING_HUB_LABELING_H_
 
@@ -22,21 +23,20 @@
 
 namespace kspin {
 
-/// One (hub, distance) label entry. The padding is an explicit zero
-/// member, so serialized labels carry no uninitialized bytes.
+/// One (hub, distance) label entry: 8 bytes, no padding. The build throws
+/// rather than truncate a distance that does not fit in 32 bits.
 struct LabelEntry {
   VertexId hub;
-  std::uint32_t padding = 0;
-  Distance distance;
+  std::uint32_t distance;
 };
 
 /// 2-hop labeling built from a Contraction Hierarchy.
 class HubLabeling {
  public:
-  /// Builds labels from the CH (parallel over vertices when
-  /// `num_threads` > 1; 0 means hardware concurrency).
-  HubLabeling(const Graph& graph, const ContractionHierarchy& ch,
-              unsigned num_threads = 0);
+  /// Builds labels from the CH of `graph`. Throws std::invalid_argument
+  /// when the two disagree on the vertex count, and std::overflow_error
+  /// when a label distance does not fit in 32 bits.
+  HubLabeling(const Graph& graph, const ContractionHierarchy& ch);
 
   /// Exact network distance via label merge join.
   Distance Query(VertexId s, VertexId t) const;

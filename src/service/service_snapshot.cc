@@ -100,8 +100,14 @@ RestoredServiceState ReadServiceSnapshot(std::istream& in,
     state.applied_mutation_sequence = io::ReadPod<std::uint64_t>(s);
   }
 
-  // Cross-section sanity: every object vertex must exist in the graph.
+  // Cross-section sanity: the oracle indexes are over this graph, and
+  // every object vertex must exist in it.
   const std::size_t num_vertices = bind_graph->NumVertices();
+  if ((state.ch != nullptr && state.ch->NumVertices() != num_vertices) ||
+      (state.hl != nullptr && state.hl->NumVertices() != num_vertices)) {
+    throw io::SerializationError(
+        "snapshot oracle index built for another graph");
+  }
   for (ObjectId o = 0; o < state.store.NumSlots(); ++o) {
     if (state.store.IsLive(o) && state.store.ObjectVertex(o) >= num_vertices) {
       throw io::SerializationError("snapshot object vertex out of range");

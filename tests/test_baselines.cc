@@ -126,7 +126,7 @@ TEST_F(BaselineFixture, RoadTopKAndBknnExact) {
 
 TEST_F(BaselineFixture, FsFbsBknnExact) {
   ContractionHierarchy ch(graph_);
-  HubLabeling labels(graph_, ch, 2);
+  HubLabeling labels(graph_, ch);
   FsFbsOptions options;
   options.frequent_threshold = 8;  // Exercise both paths on the test data.
   FsFbs fsfbs(graph_, labels, store_, *inverted_, options);
@@ -173,7 +173,7 @@ TEST_F(BaselineFixture, FsFbsBknnExact) {
 
 TEST_F(BaselineFixture, FsFbsMemoryBudgetGuardFires) {
   ContractionHierarchy ch(graph_);
-  HubLabeling labels(graph_, ch, 2);
+  HubLabeling labels(graph_, ch);
   FsFbsOptions options;
   options.max_backward_entries = 10;  // Far below any real label count.
   EXPECT_THROW(FsFbs(graph_, labels, store_, *inverted_, options),

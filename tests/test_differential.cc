@@ -55,7 +55,7 @@ TEST_P(DifferentialFuzz, AllEnginesAgree) {
   // All distance techniques + engines.
   ContractionHierarchy ch(graph);
   ChOracle ch_oracle(ch);
-  HubLabeling hl(graph, ch, 2);
+  HubLabeling hl(graph, ch);
   GTreeOptions gt;
   gt.leaf_size = static_cast<std::uint32_t>(rng.UniformInt(8, 48));
   gt.strategy = rng.Bernoulli(0.5) ? PartitionStrategy::kKdTree

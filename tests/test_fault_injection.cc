@@ -18,7 +18,9 @@
 #include "io/fault_injection.h"
 #include "io/serialization.h"
 #include "io/snapshot.h"
+#include "routing/contraction_hierarchy.h"
 #include "routing/dijkstra.h"
+#include "routing/hub_labeling.h"
 #include "service/poi_service.h"
 #include "service/service_snapshot.h"
 #include "test_util.h"
@@ -163,6 +165,54 @@ TEST_F(FaultInjectionTest, SnapshotRoundTripAnswersIdentically) {
   EXPECT_EQ(Fingerprint(restored), Fingerprint(service_));
   EXPECT_EQ(restored.NumLivePois(), service_.NumLivePois());
   EXPECT_EQ(restored.NameOf(0), service_.NameOf(0));
+}
+
+// A snapshot carrying the CH and hub-label sections restores both, and a
+// service over either oracle answers like the original.
+TEST_F(FaultInjectionTest, SnapshotWithOracleIndexesRestoresBoth) {
+  const ContractionHierarchy ch(graph_);
+  const HubLabeling hl(graph_, ch);
+  std::ostringstream out;
+  WriteServiceSnapshot(service_, out, {.ch = &ch, .hl = &hl});
+  const std::string bytes = out.str();
+  for (const bool use_hl : {false, true}) {
+    io::ViewIStream in(bytes);
+    RestoredServiceState state = ReadServiceSnapshot(in);
+    ASSERT_NE(state.ch, nullptr);
+    ASSERT_NE(state.hl, nullptr);
+    ChOracle ch_oracle(*state.ch);
+    HubLabelOracle hl_oracle(*state.hl);
+    DistanceOracle& oracle =
+        use_hl ? static_cast<DistanceOracle&>(hl_oracle) : ch_oracle;
+    PoiService restored(*state.graph, oracle,
+                        std::move(state.catalog.vocabulary),
+                        std::move(state.catalog.names),
+                        std::move(state.store), std::move(state.alt),
+                        std::move(state.keyword_index));
+    EXPECT_EQ(Fingerprint(restored), Fingerprint(service_))
+        << "oracle=" << oracle.Name();
+  }
+}
+
+// A CH or hub labeling built on another graph must not restore next to
+// this graph, whether the snapshot brings its own graph or is reloaded
+// against the serving one.
+TEST_F(FaultInjectionTest, SnapshotRejectsOracleIndexesOfAnotherGraph) {
+  const Graph other = testing::TinyGrid();
+  const ContractionHierarchy ch(other);
+  const HubLabeling hl(other, ch);
+  for (const ServiceSnapshotArtifacts& extra :
+       {ServiceSnapshotArtifacts{.ch = &ch},
+        ServiceSnapshotArtifacts{.hl = &hl}}) {
+    std::ostringstream out;
+    WriteServiceSnapshot(service_, out, extra);
+    const std::string bytes = out.str();
+    io::ViewIStream in(bytes);
+    EXPECT_THROW(ReadServiceSnapshot(in), io::SerializationError);
+    io::ViewIStream reload(bytes);
+    EXPECT_THROW(ReadServiceSnapshot(reload, &graph_),
+                 io::SerializationError);
+  }
 }
 
 TEST_F(FaultInjectionTest, SnapshotBytesAreDeterministic) {

@@ -1,7 +1,12 @@
 // Hub labeling correctness and structure: exactness against Dijkstra, the
-// pruning pass keeping labels minimal-but-correct, and the 2-hop cover
-// property.
+// label set pinned to its definition (the exact entries of the upward CH
+// search space), 32-bit label distances, and the 2-hop cover property.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "common/random.h"
 #include "routing/dijkstra.h"
@@ -16,7 +21,7 @@ class HlExactness : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(HlExactness, MatchesDijkstra) {
   Graph graph = testing::SmallRoadNetwork(GetParam());
   ContractionHierarchy ch(graph);
-  HubLabeling labels(graph, ch, /*num_threads=*/2);
+  HubLabeling labels(graph, ch);
   DijkstraWorkspace workspace(graph.NumVertices());
   Rng rng(GetParam() + 100);
   for (int i = 0; i < 8; ++i) {
@@ -29,12 +34,36 @@ TEST_P(HlExactness, MatchesDijkstra) {
   }
 }
 
+// L(v) is exactly the set of entries of v's upward CH search space whose
+// upward distance equals the network distance, in hub order: a build that
+// keeps an inexact entry or drops an exact one fails here.
+TEST_P(HlExactness, LabelIsTheExactPartOfTheUpwardSearchSpace) {
+  Graph graph = testing::SmallRoadNetwork(GetParam());
+  ContractionHierarchy ch(graph);
+  HubLabeling labels(graph, ch);
+  ContractionHierarchy::SearchSpace space;
+  DijkstraWorkspace workspace(graph.NumVertices());
+  for (VertexId v = 0; v < graph.NumVertices(); ++v) {
+    const auto& dist = workspace.SingleSource(graph, v);
+    std::vector<std::pair<VertexId, Distance>> expected;
+    for (const auto& [d, h] : ch.UpwardSearch(space, v)) {
+      if (d == dist[h]) expected.emplace_back(h, d);
+    }
+    std::ranges::sort(expected);
+    std::vector<std::pair<VertexId, Distance>> actual;
+    for (const LabelEntry& e : labels.Label(v)) {
+      actual.emplace_back(e.hub, e.distance);
+    }
+    ASSERT_EQ(actual, expected) << "v=" << v;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, HlExactness, ::testing::Values(1, 2, 3));
 
 TEST(HubLabeling, LabelsSortedByHub) {
   Graph graph = testing::SmallRoadNetwork(2);
   ContractionHierarchy ch(graph);
-  HubLabeling labels(graph, ch, 2);
+  HubLabeling labels(graph, ch);
   for (VertexId v = 0; v < graph.NumVertices(); ++v) {
     const auto label = labels.Label(v);
     for (std::size_t i = 1; i < label.size(); ++i) {
@@ -46,7 +75,7 @@ TEST(HubLabeling, LabelsSortedByHub) {
 TEST(HubLabeling, EveryVertexIsItsOwnHubAtDistanceZero) {
   Graph graph = testing::SmallRoadNetwork(2);
   ContractionHierarchy ch(graph);
-  HubLabeling labels(graph, ch, 2);
+  HubLabeling labels(graph, ch);
   for (VertexId v = 0; v < graph.NumVertices(); ++v) {
     bool found = false;
     for (const LabelEntry& e : labels.Label(v)) {
@@ -62,7 +91,7 @@ TEST(HubLabeling, EveryVertexIsItsOwnHubAtDistanceZero) {
 TEST(HubLabeling, PrunedEntriesCarryExactDistances) {
   Graph graph = testing::SmallRoadNetwork(3);
   ContractionHierarchy ch(graph);
-  HubLabeling labels(graph, ch, 2);
+  HubLabeling labels(graph, ch);
   DijkstraWorkspace workspace(graph.NumVertices());
   Rng rng(4);
   for (int i = 0; i < 5; ++i) {
@@ -78,7 +107,7 @@ TEST(HubLabeling, PrunedEntriesCarryExactDistances) {
 TEST(HubLabeling, AverageLabelSizeIsModest) {
   Graph graph = testing::MediumRoadNetwork();
   ContractionHierarchy ch(graph);
-  HubLabeling labels(graph, ch, 4);
+  HubLabeling labels(graph, ch);
   EXPECT_GT(labels.AverageLabelSize(), 1.0);
   // Pruned CH labels on a ~2.5k-vertex road network should stay far below
   // the vertex count.
@@ -86,22 +115,53 @@ TEST(HubLabeling, AverageLabelSizeIsModest) {
   EXPECT_GT(labels.MemoryBytes(), 0u);
 }
 
-TEST(HubLabeling, SingleAndMultiThreadBuildsAgree) {
-  Graph graph = testing::SmallRoadNetwork(6);
+TEST(HubLabeling, DisconnectedVerticesAreInfinitelyFar) {
+  GraphBuilder builder(3);
+  builder.AddEdge(0, 1, 5);
+  Graph graph = builder.Build();
   ContractionHierarchy ch(graph);
-  HubLabeling serial(graph, ch, 1);
-  HubLabeling parallel(graph, ch, 4);
-  for (VertexId v = 0; v < graph.NumVertices(); v += 7) {
-    for (VertexId t = 0; t < graph.NumVertices(); t += 29) {
-      EXPECT_EQ(serial.Query(v, t), parallel.Query(v, t));
-    }
+  HubLabeling labels(graph, ch);
+  EXPECT_EQ(labels.Query(0, 1), 5u);
+  EXPECT_EQ(labels.Query(0, 2), kInfDistance);
+  EXPECT_EQ(labels.Query(2, 0), kInfDistance);
+}
+
+TEST(HubLabeling, ThrowsWhenALabelDistanceExceeds32Bits) {
+  // The top-ranked vertex is in every label, and some vertex of the path
+  // is two edges (6e9) from it.
+  GraphBuilder builder(5);
+  for (VertexId v = 0; v + 1 < 5; ++v) {
+    builder.AddEdge(v, v + 1, 3'000'000'000);
   }
+  Graph graph = builder.Build();
+  ContractionHierarchy ch(graph);
+  EXPECT_THROW(HubLabeling labels(graph, ch), std::overflow_error);
+}
+
+TEST(HubLabeling, QueryWidensBeforeAdding) {
+  // A star: every leaf label holds the centre at 3e9, which fits in 32
+  // bits; the leaf-to-leaf sum does not.
+  GraphBuilder builder(4);
+  for (VertexId leaf = 1; leaf < 4; ++leaf) {
+    builder.AddEdge(0, leaf, 3'000'000'000);
+  }
+  Graph graph = builder.Build();
+  ContractionHierarchy ch(graph);
+  HubLabeling labels(graph, ch);
+  EXPECT_EQ(labels.Query(1, 2), 6'000'000'000u);
+  EXPECT_EQ(labels.Query(3, 1), 6'000'000'000u);
+}
+
+TEST(HubLabeling, RejectsAHierarchyOfAnotherGraph) {
+  Graph graph = testing::TinyGrid();
+  ContractionHierarchy ch(testing::SmallRoadNetwork(2));
+  EXPECT_THROW(HubLabeling labels(graph, ch), std::invalid_argument);
 }
 
 TEST(HubLabelOracle, ImplementsOracleInterface) {
   Graph graph = testing::TinyGrid();
   ContractionHierarchy ch(graph);
-  HubLabeling labels(graph, ch, 1);
+  HubLabeling labels(graph, ch);
   HubLabelOracle oracle(labels);
   EXPECT_EQ(oracle.Name(), "hl");
   EXPECT_EQ(oracle.NetworkDistance(0, 8), 4u);

@@ -29,7 +29,7 @@ class Fixture {
     graph_ = testing::SmallRoadNetwork(seed);
     store_ = testing::TestDocuments(graph_, 50, 0.2, seed + 100);
     ch_ = std::make_unique<ContractionHierarchy>(graph_);
-    labels_ = std::make_unique<HubLabeling>(graph_, *ch_, 2);
+    labels_ = std::make_unique<HubLabeling>(graph_, *ch_);
     GTreeOptions gt_options;
     gt_options.leaf_size = 32;
     gt_options.num_threads = 2;

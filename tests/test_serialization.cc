@@ -151,7 +151,7 @@ TEST(Serialization, ChRoundTripAnswersIdentically) {
 TEST(Serialization, HubLabelsRoundTripAnswersIdentically) {
   Graph graph = testing::SmallRoadNetwork(65);
   ContractionHierarchy ch(graph);
-  HubLabeling original(graph, ch, 2);
+  HubLabeling original(graph, ch);
   std::stringstream buffer;
   SaveHubLabeling(original, buffer);
   HubLabeling loaded = LoadHubLabeling(buffer);
@@ -169,9 +169,82 @@ TEST(Serialization, IndependentHubLabelBuildsWriteIdenticalBytes) {
   Graph graph = testing::SmallRoadNetwork(66);
   ContractionHierarchy ch(graph);
   std::stringstream first, second;
-  SaveHubLabeling(HubLabeling(graph, ch, 1), first);
-  SaveHubLabeling(HubLabeling(graph, ch, 2), second);
+  SaveHubLabeling(HubLabeling(graph, ch), first);
+  SaveHubLabeling(HubLabeling(graph, ch), second);
   EXPECT_EQ(first.str(), second.str());
+}
+
+// Pins the hub-label v2 bytes: magic, version 2, the u64 offsets, then the
+// {u32 hub, u32 distance} entries, each array length-prefixed. The stream
+// is written by hand from the labels' own spans, so a layout change cannot
+// silently change the format.
+TEST(Serialization, HubLabelsLoadHandWrittenV2Stream) {
+  Graph graph = testing::SmallRoadNetwork(68);
+  ContractionHierarchy ch(graph);
+  HubLabeling original(graph, ch);
+  const std::size_t n = original.NumVertices();
+  std::vector<std::uint64_t> offsets = {0};
+  std::vector<std::uint32_t> entries;
+  for (VertexId v = 0; v < n; ++v) {
+    for (const LabelEntry& e : original.Label(v)) {
+      entries.push_back(e.hub);
+      entries.push_back(e.distance);
+    }
+    offsets.push_back(entries.size() / 2);
+  }
+  std::stringstream hand;
+  hand.write("KSPHLBL1", 8);
+  io::WritePod<std::uint32_t>(hand, 2);
+  io::WritePodVector(hand, offsets);
+  io::WritePod<std::uint64_t>(hand, entries.size() / 2);
+  hand.write(reinterpret_cast<const char*>(entries.data()),
+             static_cast<std::streamsize>(entries.size() * 4));
+  std::stringstream saved;
+  SaveHubLabeling(original, saved);
+  ASSERT_EQ(saved.str(), hand.str());
+
+  HubLabeling loaded = LoadHubLabeling(hand);
+  ASSERT_EQ(loaded.NumVertices(), n);
+  for (VertexId s = 0; s < n; s += 7) {
+    for (VertexId t = 0; t < n; t += 11) {
+      ASSERT_EQ(loaded.Query(s, t), original.Query(s, t))
+          << "s=" << s << " t=" << t;
+    }
+  }
+}
+
+// Malformed hub-label streams: a v1 header, offsets that do not start at 0
+// or decrease, a hub outside the vertex range, and a label out of hub
+// order each throw instead of loading a labeling that reads out of bounds.
+TEST(Serialization, HubLabelsRejectMalformedStreams) {
+  // Three vertices: L(0) = {(0,0), (1,4)}, L(1) = {(1,0)}, L(2) = {(2,0)}.
+  const auto stream = [](std::uint32_t version,
+                         const std::vector<std::uint64_t>& offsets,
+                         const std::vector<LabelEntry>& entries) {
+    std::stringstream out;
+    out.write("KSPHLBL1", 8);
+    io::WritePod<std::uint32_t>(out, version);
+    io::WritePodVector(out, offsets);
+    io::WritePodVector(out, entries);
+    return out.str();
+  };
+  const std::vector<std::uint64_t> offsets = {0, 2, 3, 4};
+  const std::vector<LabelEntry> entries = {{0, 0}, {1, 4}, {1, 0}, {2, 0}};
+  const auto load = [](const std::string& bytes) {
+    std::stringstream in(bytes);
+    return LoadHubLabeling(in);
+  };
+  EXPECT_EQ(load(stream(2, offsets, entries)).Query(0, 1), 4u);
+
+  EXPECT_THROW(load(stream(1, offsets, entries)), io::SerializationError);
+  EXPECT_THROW(load(stream(2, {1, 2, 3, 4}, entries)),
+               io::SerializationError);
+  EXPECT_THROW(load(stream(2, {0, 3, 2, 4}, entries)),
+               io::SerializationError);
+  EXPECT_THROW(load(stream(2, offsets, {{0, 0}, {3, 4}, {1, 0}, {2, 0}})),
+               io::SerializationError);
+  EXPECT_THROW(load(stream(2, offsets, {{1, 4}, {0, 0}, {1, 0}, {2, 0}})),
+               io::SerializationError);
 }
 
 TEST(Serialization, RejectsWrongMagic) {

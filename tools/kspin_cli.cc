@@ -276,6 +276,10 @@ int Query(const Args& args) {
   const ContractionHierarchy ch = LoadFile<ContractionHierarchy>(
       args.dir + "/ch.bin",
       [](std::istream& in) { return LoadContractionHierarchy(in); });
+  if (ch.NumVertices() != graph.NumVertices()) {
+    std::fprintf(stderr, "query: ch.bin was built for another graph\n");
+    return 1;
+  }
   std::optional<HubLabeling> hl;
   ChOracle ch_oracle(ch);
   std::optional<HubLabelOracle> hl_oracle;
@@ -284,6 +288,10 @@ int Query(const Args& args) {
     hl = LoadFile<HubLabeling>(args.dir + "/hl.bin", [](std::istream& in) {
       return LoadHubLabeling(in);
     });
+    if (hl->NumVertices() != graph.NumVertices()) {
+      std::fprintf(stderr, "query: hl.bin was built for another graph\n");
+      return 1;
+    }
     hl_oracle.emplace(*hl);
     oracle = &*hl_oracle;
   }
