@@ -132,10 +132,34 @@ ContractionHierarchy LoadContractionHierarchy(std::istream& in) {
   ch.up_arcs_ = io::ReadPodVector<Arc>(in);
   ch.up_mids_ = io::ReadPodVector<VertexId>(in);
   ch.num_shortcuts_ = io::ReadPod<std::uint64_t>(in);
-  if (ch.up_offsets_.size() != ch.rank_.size() + 1 ||
-      ch.up_offsets_.back() != ch.up_arcs_.size() ||
+  const std::size_t n = ch.rank_.size();
+  const std::vector<std::size_t>& offsets = ch.up_offsets_;
+  if (offsets.size() != n + 1 || offsets.front() != 0 ||
+      !std::ranges::is_sorted(offsets) ||
+      offsets.back() != ch.up_arcs_.size() ||
       ch.up_mids_.size() != ch.up_arcs_.size()) {
     throw io::SerializationError("inconsistent CH arrays");
+  }
+  // Ranks are a permutation of 0..n-1 (VerticesByDescendingRank indexes
+  // by rank); every arc leads to a vertex ranked above its tail, and every
+  // shortcut's mid is ranked below both ends, so unpacking terminates.
+  std::vector<bool> rank_taken(n, false);
+  for (const std::uint32_t r : ch.rank_) {
+    if (r >= n || rank_taken[r]) {
+      throw io::SerializationError("CH ranks are not a permutation");
+    }
+    rank_taken[r] = true;
+  }
+  for (std::size_t v = 0; v < n; ++v) {
+    for (std::size_t i = offsets[v]; i < offsets[v + 1]; ++i) {
+      const VertexId head = ch.up_arcs_[i].head;
+      const VertexId mid = ch.up_mids_[i];
+      if (head >= n || ch.rank_[head] <= ch.rank_[v] ||
+          (mid != kInvalidVertex &&
+           (mid >= n || ch.rank_[mid] >= ch.rank_[v]))) {
+        throw io::SerializationError("CH arc out of range or rank order");
+      }
+    }
   }
   return ch;
 }

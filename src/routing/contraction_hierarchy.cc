@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <queue>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 namespace kspin {
@@ -149,6 +152,11 @@ ContractionHierarchy::ContractionHierarchy(
         if (witness.DistanceTo(w) <= via_v) continue;  // Witness found.
         ++shortcuts;
         if (!simulate) {
+          if (via_v > std::numeric_limits<Weight>::max()) {
+            throw std::overflow_error(
+                "ContractionHierarchy: shortcut weight " +
+                std::to_string(via_v) + " does not fit in 32 bits");
+          }
           overlay.AddOrImproveEdge(u, w, static_cast<Weight>(via_v), v);
         }
       }
@@ -267,8 +275,19 @@ void ContractionHierarchy::SearchAll(SearchSpace& space,
     std::pop_heap(heap.begin(), heap.end(), greater);
     heap.pop_back();
     if (d > side.dist[v]) continue;  // Stale entry.
+    // Stall-on-demand: a reached higher-ranked neighbour u with
+    // dist[u] + w < d proves d is not v's network distance, so v is not
+    // the top of a shortest path and need not be expanded. A vertex whose
+    // upward distance is exact is never stalled.
+    const auto arcs = UpwardArcs(v);
+    if (std::ranges::any_of(arcs, [&](const Arc& arc) {
+          return side.Reached(arc.head) &&
+                 side.dist[arc.head] + arc.weight < d;
+        })) {
+      continue;
+    }
     side.settled.push_back({d, v});
-    for (const Arc& arc : UpwardArcs(v)) {
+    for (const Arc& arc : arcs) {
       const Distance nd = d + arc.weight;
       if (!side.Reached(arc.head) || nd < side.dist[arc.head]) {
         side.dist[arc.head] = nd;
@@ -290,37 +309,33 @@ ContractionHierarchy::UpwardSearch(SearchSpace& space, VertexId source) const {
   return space.source_.settled;
 }
 
+std::span<const ContractionHierarchy::Settled>
+ContractionHierarchy::TargetSpace(SearchSpace& space, VertexId t) const {
+  if (space.memo_size_.size() < NumVertices()) {
+    space.memo_at_.resize(NumVertices());
+    space.memo_size_.resize(NumVertices());
+  }
+  if (space.memo_size_[t] == 0) {  // A space holds at least its root.
+    SearchAll(space, space.target_, t);
+    const std::vector<Settled>& settled = space.target_.settled;
+    space.memo_at_[t] = space.memo_.size();
+    space.memo_size_[t] = static_cast<std::uint32_t>(settled.size());
+    space.memo_.insert(space.memo_.end(), settled.begin(), settled.end());
+  }
+  return {space.memo_.data() + space.memo_at_[t], space.memo_size_[t]};
+}
+
 Distance ContractionHierarchy::Query(SearchSpace& space, VertexId s,
                                      VertexId t) const {
   if (s == t) return 0;
+  const std::span<const Settled> down = TargetSpace(space, t);
   UpwardSearch(space, s);
   const SearchSpace::Side& up = space.source_;
-  SearchSpace::Side& down = space.target_;
-
-  // t's upward search, met against s's cached one. Relaxations at or past
-  // `best` cannot improve it, and the search stops once its key reaches
-  // `best` because the cached side only adds non-negative distances.
-  const auto greater = std::greater<Settled>{};
-  std::vector<Settled>& heap = space.heap_;
-  down.Start(NumVertices(), t);
-  heap.assign(1, {0, t});
+  // The top vertex of a shortest path is in both spaces at its exact
+  // distance; every other common vertex gives the length of some walk.
   Distance best = kInfDistance;
-  while (!heap.empty() && heap.front().first < best) {
-    const auto [d, v] = heap.front();
-    std::pop_heap(heap.begin(), heap.end(), greater);
-    heap.pop_back();
-    if (d > down.dist[v]) continue;  // Stale entry.
+  for (const auto& [d, v] : down) {
     if (up.Reached(v)) best = std::min(best, d + up.dist[v]);
-    for (const Arc& arc : UpwardArcs(v)) {
-      const Distance nd = d + arc.weight;
-      if (nd >= best) continue;
-      if (!down.Reached(arc.head) || nd < down.dist[arc.head]) {
-        down.dist[arc.head] = nd;
-        down.stamp[arc.head] = down.version;
-        heap.push_back({nd, arc.head});
-        std::push_heap(heap.begin(), heap.end(), greater);
-      }
-    }
   }
   return best;
 }
@@ -332,7 +347,7 @@ Distance ContractionHierarchy::Query(VertexId s, VertexId t) const {
 std::vector<VertexId> ContractionHierarchy::PathQuery(VertexId s,
                                                       VertexId t) const {
   if (s == t) return {s};
-  // Both full upward searches, met at the common vertex of least total
+  // Both upward searches, met at the common vertex of least total
   // distance: the top of a shortest path, reached exactly from both ends.
   UpwardSearch(scratch_, s);
   const SearchSpace::Side& up = scratch_.source_;

@@ -5,10 +5,14 @@
 // preserves shortest paths among remaining vertices by inserting shortcut
 // edges when a local witness search fails to find a path at most as short.
 //
-// Distance queries are one-to-many: a SearchSpace caches the full upward
-// (rank-increasing) search of the last source, rebuilt when the source
-// changes, and each target runs only its own upward search, pruned at the
-// best meeting distance so far.
+// Distance queries are one-to-many and memoized per target: a SearchSpace
+// caches the upward (rank-increasing) search of the last source, rebuilt
+// when the source changes, and keeps each target's upward search space
+// from its first query on, so every later distance to that target is one
+// scan of its entries against the cached source. Upward searches stall on
+// demand: a vertex that a reached higher-ranked neighbour proves to be
+// reachable more cheaply is not expanded, since it cannot be the top of a
+// shortest path.
 //
 // The witness search is budget-limited: when inconclusive it conservatively
 // inserts the shortcut, which can only enlarge the hierarchy, never make a
@@ -46,10 +50,13 @@ class ContractionHierarchy {
   /// A settled vertex of an upward search and its exact upward distance.
   using Settled = std::pair<Distance, VertexId>;
 
-  /// Reusable query scratch: the cached upward search of one source plus
-  /// one target-side search, both version-stamped, and a pooled heap. All
-  /// mutable query state lives here, so one hierarchy can serve any number
-  /// of threads through distinct search spaces. Sized lazily on first use.
+  /// Reusable query scratch: the cached upward search of one source, a
+  /// target-side search (both version-stamped), the memo of every target
+  /// queried so far, and a pooled heap. All mutable query state lives
+  /// here, so one hierarchy can serve any number of threads through
+  /// distinct search spaces. A space serves one hierarchy. It is sized
+  /// lazily on first use, and its memo holds at most one upward search
+  /// space per distinct target (never stale: the hierarchy is immutable).
   class SearchSpace {
    public:
     SearchSpace() = default;
@@ -58,7 +65,8 @@ class ContractionHierarchy {
     friend class ContractionHierarchy;
 
     // Stamped distances and parents of one search; Start bumps the
-    // version, which clears it in O(1). Only full searches fill `settled`.
+    // version, which clears it in O(1). `settled` lists the vertices the
+    // search expanded (not the stalled ones), in settle order.
     struct Side {
       void Start(std::size_t num_vertices, VertexId root);
       bool Reached(VertexId v) const { return stamp[v] == version; }
@@ -70,9 +78,14 @@ class ContractionHierarchy {
       std::vector<Settled> settled;
     };
 
-    Side source_;  // Full upward search of cached_source_.
-    Side target_;  // Upward search of the latest target.
+    Side source_;  // Upward search of cached_source_.
+    Side target_;  // Upward search of the latest memo fill or PathQuery.
     VertexId cached_source_ = kInvalidVertex;
+    // Target memo: t's upward search space is the memo_size_[t] entries
+    // of memo_ from memo_at_[t]; memo_size_[t] is 0 until t's first query.
+    std::vector<std::size_t> memo_at_;
+    std::vector<std::uint32_t> memo_size_;
+    std::vector<Settled> memo_;
     std::vector<Settled> heap_;  // Pooled min-heap via std::*_heap.
   };
 
@@ -82,13 +95,18 @@ class ContractionHierarchy {
 
   /// Exact network distance, using only `space` for mutable state:
   /// s's upward search comes from the space's cache (rebuilt when s
-  /// differs from the cached source), then t's upward search meets it.
+  /// differs from the cached source), t's from its memo (filled on t's
+  /// first query), and one pass over t's entries meets them.
   /// Thread-safe across distinct spaces.
   Distance Query(SearchSpace& space, VertexId s, VertexId t) const;
 
-  /// Full upward Dijkstra from `source`: every vertex it settles, in
-  /// settle order. Becomes (or reuses) `space`'s cached source; the span
-  /// stays valid until the next search from another source in `space`.
+  /// Upward Dijkstra from `source` with stall-on-demand: every vertex it
+  /// settles and does not stall, in settle order. A stalled vertex is
+  /// reached more cheaply through a higher-ranked neighbour, so its
+  /// upward distance exceeds its network distance; every vertex whose
+  /// upward distance equals its network distance is in the span. Becomes
+  /// (or reuses) `space`'s cached source; the span stays valid until the
+  /// next search from another source in `space`.
   std::span<const Settled> UpwardSearch(SearchSpace& space,
                                         VertexId source) const;
 
@@ -143,10 +161,13 @@ class ContractionHierarchy {
   friend ContractionHierarchy LoadContractionHierarchy(std::istream&);
   ContractionHierarchy() = default;  // For deserialization only.
 
-  // Settles every vertex upward-reachable from `root` into `side`,
-  // recording parents and the settle order.
+  // Upward search from `root` into `side` with stall-on-demand, recording
+  // parents and the settle order of the expanded vertices.
   void SearchAll(SearchSpace& space, SearchSpace::Side& side,
                  VertexId root) const;
+
+  // t's memoized upward search space, searched and stored on first use.
+  std::span<const Settled> TargetSpace(SearchSpace& space, VertexId t) const;
 
   std::vector<std::uint32_t> rank_;
   std::vector<std::size_t> up_offsets_;

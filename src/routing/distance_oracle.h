@@ -57,8 +57,9 @@ class DistanceOracle {
   /// Hints that a batch of queries with the same source vertex follows.
   /// Implementations may warm per-source caches in the workspace (e.g.
   /// G-tree materializes the source-to-border vectors once). Default:
-  /// no-op. CH needs no hint: it caches by source inside NetworkDistance,
-  /// so the cost lands on the first exact distance of a batch.
+  /// no-op. CH needs no hint: it caches the source's upward search inside
+  /// NetworkDistance, so the cost lands on the first exact distance of a
+  /// batch, and it memoizes each target's upward search across batches.
   virtual void BeginSourceBatch(OracleWorkspace& /*workspace*/,
                                 VertexId /*source*/) const {}
 

@@ -3,6 +3,9 @@
 // conservative, so exactness must survive any witness budget.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "common/random.h"
 #include "routing/contraction_hierarchy.h"
 #include "routing/dijkstra.h"
@@ -41,6 +44,15 @@ void ExpectMatchesDijkstra(const Graph& graph,
                   dists[j][t])
             << "s=" << sources[j] << " t=" << t;
       }
+    }
+  }
+  // Again through the same workspace, sources in reverse order: every
+  // target is memoized by now, so each call is a memo hit.
+  for (int j = num_sources - 1; j >= 0; --j) {
+    for (VertexId t = 0; t < graph.NumVertices(); t += 13) {
+      ASSERT_EQ(oracle.NetworkDistance(*oracle_workspace, sources[j], t),
+                dists[j][t])
+          << "memo hit, s=" << sources[j] << " t=" << t;
     }
   }
 }
@@ -161,6 +173,33 @@ TEST(ContractionHierarchy, PathQueryUnpacksToValidShortestPaths) {
   }
 }
 
+// PathQuery reuses the scratch target side that fills the memo, so
+// interleaving it with two-argument queries over a few fixed targets
+// catches a memo that refers to that side instead of owning its entries.
+TEST(ContractionHierarchy, MemoHitsStayExactBetweenPathQueries) {
+  Graph graph = testing::SmallRoadNetwork(33);
+  ContractionHierarchy ch(graph);
+  DijkstraWorkspace workspace(graph.NumVertices());
+  Rng rng(34);
+  const auto random_vertex = [&] {
+    return static_cast<VertexId>(rng.UniformInt(0, graph.NumVertices() - 1));
+  };
+  std::vector<VertexId> targets(20);
+  for (VertexId& t : targets) t = random_vertex();
+  for (std::size_t i = 0; i < 30; ++i) {
+    const VertexId s = random_vertex();
+    const auto& dist = workspace.SingleSource(graph, s);
+    for (std::size_t j = 0; j < targets.size(); ++j) {
+      const VertexId t = targets[j];
+      ASSERT_EQ(ch.Query(s, t), dist[t]) << "s=" << s << " t=" << t;
+      if (j % 4 == i % 4 && s != t) {
+        const VertexId other = targets[(j + 1) % targets.size()];
+        ExpectValidPath(graph, ch.PathQuery(s, other), s, other, dist[other]);
+      }
+    }
+  }
+}
+
 TEST(ContractionHierarchy, PathQueryOnTinyGridHandChecked) {
   Graph graph = testing::TinyGrid();
   ContractionHierarchy ch(graph);
@@ -194,6 +233,16 @@ TEST(ContractionHierarchy, DisconnectedPairsAreInfiniteAndPathless) {
   EXPECT_EQ(ch.Query(0, 2), kInfDistance);
   EXPECT_TRUE(ch.PathQuery(0, 2).empty());
   EXPECT_EQ(ch.Query(2, 0), kInfDistance);
+}
+
+TEST(ContractionHierarchy, ThrowsWhenAShortcutExceeds32Bits) {
+  // Path 1-0-2: vertex 0 ties the leaves' priority and is contracted
+  // first (lowest id), which needs the 6e9 shortcut 1-2.
+  GraphBuilder builder(3);
+  builder.AddEdge(1, 0, 3'000'000'000);
+  builder.AddEdge(0, 2, 3'000'000'000);
+  Graph graph = builder.Build();
+  EXPECT_THROW(ContractionHierarchy ch(graph), std::overflow_error);
 }
 
 TEST(ChOracle, ReportsNameAndMemory) {

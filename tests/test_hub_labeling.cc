@@ -60,6 +60,28 @@ TEST_P(HlExactness, LabelIsTheExactPartOfTheUpwardSearchSpace) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HlExactness, ::testing::Values(1, 2, 3));
 
+// Unit weights make many equal-length paths: the stalled upward search
+// may skip a vertex only when a strictly shorter path reaches it, or an
+// exact entry (a label entry) goes missing.
+TEST(HubLabeling, UpwardSearchKeepsExactEntriesUnderTies) {
+  Graph graph = testing::TinyGrid();
+  ContractionHierarchy ch(graph);
+  HubLabeling labels(graph, ch);
+  ContractionHierarchy::SearchSpace space;
+  for (VertexId v = 0; v < graph.NumVertices(); ++v) {
+    std::vector<std::pair<VertexId, Distance>> searched;
+    for (const auto& [d, h] : ch.UpwardSearch(space, v)) {
+      searched.emplace_back(h, d);
+    }
+    std::ranges::sort(searched);
+    for (const LabelEntry& e : labels.Label(v)) {
+      EXPECT_TRUE(std::ranges::binary_search(
+          searched, std::pair<VertexId, Distance>(e.hub, e.distance)))
+          << "v=" << v << " hub=" << e.hub;
+    }
+  }
+}
+
 TEST(HubLabeling, LabelsSortedByHub) {
   Graph graph = testing::SmallRoadNetwork(2);
   ContractionHierarchy ch(graph);
@@ -127,14 +149,30 @@ TEST(HubLabeling, DisconnectedVerticesAreInfinitelyFar) {
 }
 
 TEST(HubLabeling, ThrowsWhenALabelDistanceExceeds32Bits) {
-  // The top-ranked vertex is in every label, and some vertex of the path
-  // is two edges (6e9) from it.
+  // Every arc of this path's hierarchy fits in 32 bits (the CH throws on
+  // a shortcut that does not), and its answers are exact; but the
+  // top-ranked vertex is in every label, and an end of the path is more
+  // than 2^32 - 1 from it.
+  constexpr Weight kEdge = 1'500'000'000;
   GraphBuilder builder(5);
   for (VertexId v = 0; v + 1 < 5; ++v) {
-    builder.AddEdge(v, v + 1, 3'000'000'000);
+    builder.AddEdge(v, v + 1, kEdge);
   }
   Graph graph = builder.Build();
   ContractionHierarchy ch(graph);
+  Weight longest_arc = 0;
+  for (VertexId v = 0; v < 5; ++v) {
+    for (const Arc& arc : ch.UpwardArcs(v)) {
+      longest_arc = std::max(longest_arc, arc.weight);
+    }
+  }
+  EXPECT_EQ(longest_arc, 2 * kEdge);
+  for (VertexId s = 0; s < 5; ++s) {
+    for (VertexId t = 0; t < 5; ++t) {
+      EXPECT_EQ(ch.Query(s, t), (s < t ? t - s : s - t) * Distance{kEdge})
+          << "s=" << s << " t=" << t;
+    }
+  }
   EXPECT_THROW(HubLabeling labels(graph, ch), std::overflow_error);
 }
 

@@ -247,6 +247,61 @@ TEST(Serialization, HubLabelsRejectMalformedStreams) {
                io::SerializationError);
 }
 
+// Malformed CH streams: offsets that do not start at 0 or decrease, ranks
+// that are not a permutation, an arc head out of range or not ranked above
+// its tail, and a shortcut mid out of range or not ranked below its arc
+// each throw instead of loading a hierarchy that reads out of bounds or
+// unpacks forever.
+TEST(Serialization, ChRejectsMalformedStreams) {
+  // Path 1-0-2 (weights 3, 4) plus the isolated vertex 3, ranks 0 < 1 <
+  // 3 < 2: up(0) = {0->1 w3, 0->2 w4}, up(1) = {1->2 w7 via 0}.
+  struct Stream {
+    std::vector<std::uint32_t> rank = {0, 1, 3, 2};
+    std::vector<std::uint64_t> offsets = {0, 2, 3, 3, 3};
+    std::vector<Arc> arcs = {{1, 3}, {2, 4}, {2, 7}};
+    std::vector<VertexId> mids = {kInvalidVertex, kInvalidVertex, 0};
+  };
+  const auto load = [](const Stream& stream) {
+    std::stringstream in;
+    in.write("KSPCHIX1", 8);
+    io::WritePod<std::uint32_t>(in, 1);
+    io::WritePodVector(in, stream.rank);
+    io::WritePodVector(in, stream.offsets);
+    io::WritePodVector(in, stream.arcs);
+    io::WritePodVector(in, stream.mids);
+    io::WritePod<std::uint64_t>(in, 1);
+    return LoadContractionHierarchy(in);
+  };
+  const ContractionHierarchy valid = load(Stream{});
+  EXPECT_EQ(valid.Query(1, 2), 7u);
+  EXPECT_EQ(valid.PathQuery(1, 2), (std::vector<VertexId>{1, 0, 2}));
+
+  Stream broken;
+  broken.offsets = {1, 2, 3, 3, 3};  // Does not start at 0.
+  EXPECT_THROW(load(broken), io::SerializationError);
+  broken = Stream{};
+  broken.offsets = {0, 2, 1, 3, 3};  // Decreases.
+  EXPECT_THROW(load(broken), io::SerializationError);
+  broken = Stream{};
+  broken.rank = {0, 1, 4, 2};  // A rank >= n.
+  EXPECT_THROW(load(broken), io::SerializationError);
+  broken = Stream{};
+  broken.rank = {0, 1, 3, 1};  // A repeated rank.
+  EXPECT_THROW(load(broken), io::SerializationError);
+  broken = Stream{};
+  broken.arcs[1].head = 4;  // Head >= n.
+  EXPECT_THROW(load(broken), io::SerializationError);
+  broken = Stream{};
+  broken.arcs[0].head = 0;  // Head not ranked above its tail.
+  EXPECT_THROW(load(broken), io::SerializationError);
+  broken = Stream{};
+  broken.mids[2] = 9;  // Mid >= n.
+  EXPECT_THROW(load(broken), io::SerializationError);
+  broken = Stream{};
+  broken.mids[2] = 1;  // Mid not ranked below its arc's tail.
+  EXPECT_THROW(load(broken), io::SerializationError);
+}
+
 TEST(Serialization, RejectsWrongMagic) {
   Graph graph = testing::TinyGrid();
   std::stringstream buffer;
