@@ -142,7 +142,9 @@ struct Measurement {
 
 /// Runs `query` over `queries` until `max_queries` or `budget_seconds` is
 /// exhausted (whichever first; at least `min_queries`). The callable gets
-/// one SpatialKeywordQuery at a time.
+/// one SpatialKeywordQuery at a time. An untimed pass over the first
+/// min(max_queries, queries.size()) queries runs first, so the callable
+/// must only read: a callable that writes would apply its writes twice.
 Measurement MeasureQueries(
     const std::vector<SpatialKeywordQuery>& queries,
     std::size_t max_queries, double budget_seconds,

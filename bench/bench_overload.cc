@@ -24,7 +24,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,6 +31,7 @@
 #include "graph/road_network_generator.h"
 #include "routing/contraction_hierarchy.h"
 #include "server/client.h"
+#include "server/metrics.h"
 #include "server/server.h"
 #include "service/poi_service.h"
 #include "service/synthetic_catalog.h"
@@ -59,13 +59,11 @@ struct PhaseResult {
   std::vector<std::uint64_t> ok_latencies_us;
 };
 
+/// The nearest-rank p-quantile of `values` (0 when empty).
 std::uint64_t Percentile(std::vector<std::uint64_t>& values, double p) {
   if (values.empty()) return 0;
   std::sort(values.begin(), values.end());
-  const std::size_t index = std::min(
-      values.size() - 1,
-      static_cast<std::size_t>(p * static_cast<double>(values.size())));
-  return values[index];
+  return values[server::NearestRank(p, values.size()) - 1];
 }
 
 /// Runs `threads` clients for `seconds`. `qps` 0 = closed loop;
@@ -141,14 +139,6 @@ PhaseResult RunPhase(server::Server& server, int threads, double seconds,
   return total;
 }
 
-/// First value of `name` in Prometheus exposition text, or 0.
-std::uint64_t MetricsValue(const std::string& text,
-                           const std::string& name) {
-  const std::size_t pos = text.find("\n" + name + " ");
-  if (pos == std::string::npos) return 0;
-  return std::strtoull(text.c_str() + pos + name.size() + 2, nullptr, 10);
-}
-
 int Main(int argc, char** argv) {
   bool quick = false;
   for (int i = 1; i < argc; ++i) {
@@ -187,6 +177,9 @@ int Main(int argc, char** argv) {
   server.Start();
   server::Client probe;
   probe.Connect("127.0.0.1", server.Port());
+  const auto scrape = [&probe] {
+    return server::ParseMetricsText(probe.Metrics().text);
+  };
 
   const std::size_t num_vertices = graph.NumVertices();
   const int threads = 8;
@@ -202,7 +195,6 @@ int Main(int argc, char** argv) {
   const auto report = [&](const char* name, double qps,
                           PhaseResult& result) -> std::uint64_t {
     const std::uint64_t p99_us = Percentile(result.ok_latencies_us, 0.99);
-    const auto stats = probe.Stats();
     std::printf("%s\t%.0f\t%llu\t%llu\t%llu\t%llu\t%llu\t%.1f\t%llu\n",
                 name, qps, static_cast<unsigned long long>(result.ok),
                 static_cast<unsigned long long>(result.shed),
@@ -211,7 +203,7 @@ int Main(int argc, char** argv) {
                 static_cast<unsigned long long>(result.late),
                 static_cast<double>(p99_us) / 1000.0,
                 static_cast<unsigned long long>(
-                    stats.Value("overload_state")));
+                    scrape().Value("kspin_overload_state")));
     return p99_us;
   };
 
@@ -241,9 +233,8 @@ int Main(int argc, char** argv) {
   overload.shed += ramp.shed;
   overload.deadline += ramp.deadline;
   overload.late += ramp.late;
-  const auto mid_metrics = probe.Metrics();
   const std::uint64_t entries_mid =
-      MetricsValue(mid_metrics.text, "kspin_brownout_entries");
+      scrape().Value("kspin_brownout_entries");
 
   // Phase 3: recovery at a fraction of capacity.
   PhaseResult recover =
@@ -252,12 +243,12 @@ int Main(int argc, char** argv) {
                num_vertices);
   // Give the controller a few idle ticks to finish exiting brownout.
   for (int i = 0; i < 50; ++i) {
-    if (probe.Stats().Value("overload_state") == 0) break;
+    if (scrape().Value("kspin_overload_state") == 0) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
     probe.Ping();  // Wake the I/O loop so ticks keep firing.
   }
   report("recover", capacity_qps / 4.0, recover);
-  const auto end_metrics = probe.Metrics();
+  const server::ParsedMetrics end_metrics = scrape();
 
   // ----- Checks --------------------------------------------------------
   int failures = 0;
@@ -275,10 +266,9 @@ int Main(int argc, char** argv) {
         "zero requests served after their deadline");
   check(overload.shed + overload.deadline > 0,
         "overload phase shed the excess");
-  check(MetricsValue(end_metrics.text, "kspin_brownout_entries") >= 1 &&
-            entries_mid >= 1,
+  check(end_metrics.Value("kspin_brownout_entries") >= 1 && entries_mid >= 1,
         "brownout entry visible in METRICS");
-  check(MetricsValue(end_metrics.text, "kspin_overload_state") == 0,
+  check(end_metrics.Value("kspin_overload_state") == 0,
         "brownout exit (overload_state back to 0) visible in METRICS");
 
   server.Stop();

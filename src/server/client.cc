@@ -179,25 +179,6 @@ Client::Reply Client::Ping() {
   return reply;
 }
 
-std::uint64_t Client::StatsReply::Value(std::string_view key) const {
-  for (const auto& [name, value] : stats) {
-    if (name == key) return value;
-  }
-  return 0;
-}
-
-Client::StatsReply Client::Stats() {
-  const auto body = RoundTrip(Opcode::kStats, {});
-  PayloadReader reader(body);
-  StatsReply reply;
-  ParseReplyEnvelope(reader, &reply);
-  if (reply.ok() &&
-      !DecodeStatsResponse(reader, &reply.stats, &reply.histograms)) {
-    throw ClientError("malformed stats response");
-  }
-  return reply;
-}
-
 Client::MetricsReply Client::Metrics() {
   const auto body = RoundTrip(Opcode::kMetrics, {});
   PayloadReader reader(body);

@@ -61,14 +61,6 @@ class Client {
     bool degraded = false;
   };
 
-  struct StatsReply : Reply {
-    std::vector<std::pair<std::string, std::uint64_t>> stats;
-    /// Raw latency histograms.
-    std::vector<WireHistogram> histograms;
-    /// Value of `key`, or 0 if absent.
-    std::uint64_t Value(std::string_view key) const;
-  };
-
   struct MetricsReply : Reply {
     std::string text;  ///< Prometheus 0.0.4 exposition.
   };
@@ -106,9 +98,6 @@ class Client {
 
   /// Liveness probe.
   Reply Ping();
-
-  /// Server metrics snapshot.
-  StatsReply Stats();
 
   /// Prometheus text exposition (METRICS opcode) — answered inline by the
   /// I/O thread, so scrapes work on a saturated server.

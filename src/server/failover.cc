@@ -118,10 +118,6 @@ Client::Reply FailoverClient::Ping() {
   return ExecuteRead([](RetryingClient& c) { return c.Ping(); });
 }
 
-Client::StatsReply FailoverClient::Stats() {
-  return ExecuteRead([](RetryingClient& c) { return c.Stats(); });
-}
-
 Client::MetricsReply FailoverClient::Metrics() {
   return ExecuteRead([](RetryingClient& c) { return c.Metrics(); });
 }

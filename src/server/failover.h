@@ -71,7 +71,6 @@ class FailoverClient {
   // Reads — replica-preferred, endpoint failover on transport errors.
   // Throws ClientError only when every endpoint failed.
   Client::Reply Ping();
-  Client::StatsReply Stats();
   Client::MetricsReply Metrics();
   Client::HealthReply Health();
   Client::SearchReply Search(std::string_view query, VertexId from,

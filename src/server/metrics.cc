@@ -2,16 +2,30 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
+#include <charconv>
 #include <chrono>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <system_error>
 
 namespace kspin::server {
+
+std::uint64_t NearestRank(double p, std::uint64_t n) {
+  constexpr std::uint64_t kMillion = 1'000'000;
+  const auto ppm = static_cast<std::uint64_t>(
+      std::llround(std::clamp(p, 0.0, 1.0) * static_cast<double>(kMillion)));
+  // ⌈ppm·n / 10^6⌉ with n split at 10^6, so no product overflows.
+  const std::uint64_t rank = ppm * (n / kMillion) +
+                             (ppm * (n % kMillion) + kMillion - 1) / kMillion;
+  return std::min(std::max<std::uint64_t>(rank, 1), n);
+}
 
 void LatencyHistogram::Record(std::uint64_t micros,
                               std::uint64_t trace_id) {
@@ -42,17 +56,9 @@ HistogramSnapshot LatencyHistogram::Snapshot() const {
   return snap;
 }
 
-std::uint64_t HistogramSnapshot::MeanMicros() const {
-  return count == 0 ? 0 : sum_micros / count;
-}
-
 std::uint64_t HistogramSnapshot::PercentileMicros(double p) const {
   if (count == 0) return 0;
-  // Rank of the quantile sample, 1-based, clamped into [1, count].
-  const std::uint64_t rank = std::min<std::uint64_t>(
-      count, std::max<std::uint64_t>(
-                 1, static_cast<std::uint64_t>(p * static_cast<double>(
-                                                       count))));
+  const std::uint64_t rank = NearestRank(p, count);
   std::uint64_t seen = 0;
   for (std::size_t i = 0; i < kBuckets; ++i) {
     seen += buckets[i];
@@ -186,28 +192,6 @@ MetricsSnapshot ServerMetrics::FullSnapshot(
   snap.update_latency = update_latency.Snapshot();
   snap.admission_sojourn = admission_sojourn.Snapshot();
   return snap;
-}
-
-std::vector<std::pair<std::string, std::uint64_t>> ServerMetrics::Snapshot(
-    std::size_t current_queue_depth) const {
-  return StatsPairs(FullSnapshot(current_queue_depth));
-}
-
-std::vector<std::pair<std::string, std::uint64_t>> StatsPairs(
-    const MetricsSnapshot& snapshot) {
-  auto out = snapshot.counters;
-  const auto append = [&out](const char* prefix,
-                             const HistogramSnapshot& h) {
-    const std::string p(prefix);
-    out.emplace_back(p + "_count", h.count);
-    out.emplace_back(p + "_mean_us", h.MeanMicros());
-    out.emplace_back(p + "_p50_us", h.PercentileMicros(0.50));
-    out.emplace_back(p + "_p99_us", h.PercentileMicros(0.99));
-  };
-  append("query_latency", snapshot.query_latency);
-  append("update_latency", snapshot.update_latency);
-  append("admission_sojourn", snapshot.admission_sojourn);
-  return out;
 }
 
 namespace {
@@ -366,6 +350,120 @@ std::string RenderPrometheusText(const MetricsSnapshot& snapshot) {
   AppendHistogram(out, "kspin_admission_queue_sojourn_us",
                   snapshot.admission_sojourn);
   return out;
+}
+
+std::uint64_t ParsedHistogram::CumulativeAt(std::uint64_t le) const {
+  if (buckets.empty() || le > buckets.back().first) return count;
+  std::uint64_t cumulative = 0;
+  for (const auto& [bound, at_bound] : buckets) {
+    if (bound > le) break;
+    cumulative = at_bound;
+  }
+  return cumulative;
+}
+
+ParsedHistogram ParsedHistogram::Since(const ParsedHistogram& earlier) const {
+  ParsedHistogram delta;
+  for (const auto& [bound, cumulative] : buckets) {
+    delta.buckets.emplace_back(bound, cumulative - earlier.CumulativeAt(bound));
+  }
+  delta.sum = sum - earlier.sum;
+  delta.count = count - earlier.count;
+  return delta;
+}
+
+std::uint64_t ParsedHistogram::Percentile(double p) const {
+  if (count == 0 || buckets.empty()) return 0;
+  const std::uint64_t rank = NearestRank(p, count);
+  for (const auto& [bound, cumulative] : buckets) {
+    if (cumulative >= rank) return bound;
+  }
+  return buckets.back().first;
+}
+
+std::uint64_t ParsedMetrics::Value(std::string_view series) const {
+  for (const Sample& sample : samples) {
+    if (sample.series == series) return sample.value;
+  }
+  throw std::out_of_range("no metrics series " + std::string(series));
+}
+
+namespace {
+
+bool ParseU64(std::string_view text, std::uint64_t* value) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *value);
+  return ec == std::errc() && ptr == end;
+}
+
+}  // namespace
+
+ParsedMetrics ParseMetricsText(std::string_view text) {
+  ParsedMetrics parsed;
+  std::string family;  // Named by the last # TYPE line.
+  std::string type;
+  std::size_t line_number = 0;
+  while (!text.empty()) {
+    const std::size_t eol = std::min(text.find('\n'), text.size());
+    const std::string_view line = text.substr(0, eol);
+    text.remove_prefix(std::min(eol + 1, text.size()));
+    ++line_number;
+    const auto fail = [&](const char* why) {
+      throw std::invalid_argument("metrics line " +
+                                  std::to_string(line_number) + ": " + why +
+                                  ": " + std::string(line));
+    };
+    if (line.empty()) continue;
+    if (line.starts_with("# TYPE ")) {
+      const std::string_view declared = line.substr(7);
+      const std::size_t space = declared.find(' ');
+      if (space == std::string_view::npos) fail("TYPE without a type");
+      family = declared.substr(0, space);
+      type = declared.substr(space + 1);
+      if (type == "histogram") parsed.histograms[family] = {};
+      continue;
+    }
+    if (line.front() == '#') continue;  // A comment carries no sample.
+
+    // "<series> <value>", then an optional exemplar " # {...} <value>".
+    const std::string_view sample = line.substr(0, line.find(" # "));
+    const std::size_t space = sample.rfind(' ');
+    if (space == std::string_view::npos) fail("no value");
+    const std::string_view series = sample.substr(0, space);
+    std::uint64_t value = 0;
+    if (!ParseU64(sample.substr(space + 1), &value)) {
+      fail("value is not a u64");
+    }
+    const std::string_view name = series.substr(0, series.find('{'));
+    if (family.empty() || !name.starts_with(family)) {
+      fail("sample outside the family of the last TYPE line");
+    }
+    const std::string_view suffix = name.substr(family.size());
+    if (type == "histogram") {
+      ParsedHistogram& histogram = parsed.histograms[family];
+      const std::string_view labels = series.substr(name.size());
+      if (suffix == "_bucket" && labels.starts_with("{le=\"") &&
+          labels.ends_with("\"}")) {
+        const std::string_view le = labels.substr(5, labels.size() - 7);
+        std::uint64_t bound = 0;
+        if (ParseU64(le, &bound)) {
+          histogram.buckets.emplace_back(bound, value);
+        } else if (le != "+Inf") {
+          fail("le is neither a u64 nor +Inf");
+        }
+      } else if (suffix == "_sum" && labels.empty()) {
+        histogram.sum = value;
+      } else if (suffix == "_count" && labels.empty()) {
+        histogram.count = value;
+      } else {
+        fail("not a _bucket{le=...}, _sum or _count series");
+      }
+    } else if (!suffix.empty()) {
+      fail("sample outside the family of the last TYPE line");
+    }
+    parsed.samples.push_back({std::string(series), type, value});
+  }
+  return parsed;
 }
 
 }  // namespace kspin::server

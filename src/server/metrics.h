@@ -1,6 +1,6 @@
 // Server-side observability: lock-free counters and a latency histogram,
-// snapshotted by the STATS opcode and rendered as Prometheus 0.0.4 text by
-// the METRICS opcode (docs/observability.md). Everything here is safe to
+// rendered as Prometheus 0.0.4 text by the METRICS opcode and read back by
+// ParseMetricsText (docs/observability.md). Everything here is safe to
 // update from the I/O thread and every worker concurrently.
 #ifndef KSPIN_SERVER_METRICS_H_
 #define KSPIN_SERVER_METRICS_H_
@@ -8,7 +8,9 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -17,8 +19,14 @@
 
 namespace kspin::server {
 
+/// The nearest rank ⌈p·n⌉ of the p-quantile among n > 0 samples, clamped
+/// into [1, n]. p is read to six decimal places and the rank computed in
+/// integers, so 0.99 × 100 is rank 99, not 100. Every percentile here
+/// (server histograms and parsed scrapes) goes through this one function.
+std::uint64_t NearestRank(double p, std::uint64_t n);
+
 /// A point-in-time copy of one histogram: every bucket, the count, and the
-/// sum loaded exactly once (relaxed), so derived values (mean, percentiles,
+/// sum loaded exactly once (relaxed), so derived values (percentiles,
 /// cumulative buckets) are all computed from the same self-consistent data
 /// instead of re-reading live atomics per statistic.
 struct HistogramSnapshot {
@@ -34,9 +42,8 @@ struct HistogramSnapshot {
   std::array<std::uint64_t, kBuckets> exemplar_trace{};
   std::array<std::uint64_t, kBuckets> exemplar_value{};
 
-  /// Mean in microseconds (0 when empty).
-  std::uint64_t MeanMicros() const;
-  /// p in (0, 1]; upper bound of the bucket holding the p-quantile.
+  /// p in (0, 1]; upper bound of the bucket holding the sample of
+  /// NearestRank(p, count) (0 when empty).
   std::uint64_t PercentileMicros(double p) const;
   /// Upper bound of bucket i in microseconds (2^(i+1)).
   static std::uint64_t BucketUpperMicros(std::size_t i) {
@@ -64,15 +71,6 @@ class LatencyHistogram {
   /// One consistent relaxed-load pass over all fields.
   HistogramSnapshot Snapshot() const;
 
-  /// Mean in microseconds (0 when empty). Prefer Snapshot() when reading
-  /// more than one statistic: these convenience readers each take their
-  /// own snapshot, so values from separate calls may disagree.
-  std::uint64_t MeanMicros() const { return Snapshot().MeanMicros(); }
-  /// p in (0, 1]; upper bound of the bucket holding the p-quantile.
-  std::uint64_t PercentileMicros(double p) const {
-    return Snapshot().PercentileMicros(p);
-  }
-
  private:
   std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
   std::atomic<std::uint64_t> count_{0};
@@ -81,9 +79,9 @@ class LatencyHistogram {
   std::array<std::atomic<std::uint64_t>, kBuckets> exemplar_value_{};
 };
 
-/// One consistent view of all server metrics: the flat counter list (the
-/// STATS key/value payload) plus raw histogram buckets, taken in a single
-/// pass so every derived statistic in one response agrees with itself.
+/// One consistent view of all server metrics: the flat counter list (each
+/// key rendered as the series `kspin_<key>`) plus raw histogram buckets,
+/// taken in a single pass so one METRICS reply agrees with itself.
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   HistogramSnapshot query_latency;
@@ -91,7 +89,8 @@ struct MetricsSnapshot {
   HistogramSnapshot admission_sojourn;
 };
 
-/// All server counters. Field names match the keys reported by STATS.
+/// All server counters. Field names are the METRICS series names without
+/// their `kspin_` prefix.
 class ServerMetrics {
  public:
   // Connection lifecycle.
@@ -193,7 +192,7 @@ class ServerMetrics {
   std::atomic<std::uint64_t> replication_sequence_delta{0};
   /// steady_clock ms timestamp of the last poll that confirmed the replica
   /// in sync (or installed a snapshot / applied tailed records); 0 =
-  /// never. STATS derives replication_lag_ms from it.
+  /// never. FullSnapshot derives replication_lag_ms from it.
   std::atomic<std::uint64_t> replication_last_success_ms{0};
   /// Gauge: how the replica last converged — 0 = snapshot transfer,
   /// 1 = op-log tailing. Stays 0 until the first convergence.
@@ -233,11 +232,11 @@ class ServerMetrics {
   std::atomic<std::uint64_t> traces_emitted{0};
   std::atomic<std::uint64_t> trace_rotations{0};
 
-  /// Requests by opcode, one slot per kOpcodeTable row (STATS key
-  /// `opcode_<name>`).
+  /// Requests by opcode, one slot per kOpcodeTable row (series
+  /// `kspin_opcode_<name>`).
   std::array<std::atomic<std::uint64_t>, kNumOpcodes> requests_by_opcode{};
 
-  /// Queue depth high-watermark (the live depth is sampled at STATS time).
+  /// Queue depth high-watermark (the live depth is sampled per scrape).
   std::atomic<std::uint64_t> queue_depth_peak{0};
 
   /// End-to-end latency (admission to response encoded) of executed
@@ -259,23 +258,12 @@ class ServerMetrics {
   /// relaxed fetch_adds, once per query).
   void AddQueryStats(const QueryStats& stats);
 
-  /// One consistent snapshot of every counter and both histograms, taken
-  /// in a single relaxed-load pass. STATS and METRICS responses are built
-  /// entirely from this, so all derived values in one response agree.
+  /// One consistent snapshot of every counter and the histograms, taken
+  /// in a single relaxed-load pass, `current_queue_depth` sampled by the
+  /// caller. A METRICS reply is rendered entirely from this. Keys are
+  /// stable; tests and dashboards may rely on them (docs/protocol.md).
   MetricsSnapshot FullSnapshot(std::size_t current_queue_depth) const;
-
-  /// Flat snapshot for the STATS response, `current_queue_depth` sampled
-  /// by the caller. Keys are stable; tests and dashboards may rely on
-  /// them (see docs/protocol.md).
-  std::vector<std::pair<std::string, std::uint64_t>> Snapshot(
-      std::size_t current_queue_depth) const;
 };
-
-/// The STATS key/value list of `snapshot`: its counters followed by
-/// count / mean / p50 / p99 summaries of each histogram, all derived from
-/// the same snapshot so they agree with each other.
-std::vector<std::pair<std::string, std::uint64_t>> StatsPairs(
-    const MetricsSnapshot& snapshot);
 
 /// Renders a snapshot as Prometheus text exposition format 0.0.4: one
 /// `kspin_`-prefixed family per counter, plus native histograms with
@@ -285,6 +273,46 @@ std::vector<std::pair<std::string, std::uint64_t>> StatsPairs(
 /// seconds) read from /proc, and OpenMetrics-style `# {trace_id="..."}`
 /// exemplars on query-latency buckets that have one.
 std::string RenderPrometheusText(const MetricsSnapshot& snapshot);
+
+/// One histogram family read back from METRICS text.
+struct ParsedHistogram {
+  /// Finite `le` bounds in rendered order, each with its cumulative count.
+  /// The renderer stops at the first bucket that holds every sample.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> buckets;
+  std::uint64_t sum = 0;
+  std::uint64_t count = 0;
+
+  /// Samples at or below bound `le`. A bound past the rendered tail holds
+  /// every sample, so it reads `count`.
+  std::uint64_t CumulativeAt(std::uint64_t le) const;
+  /// The samples recorded between `earlier` (a previous scrape of the same
+  /// family) and this scrape.
+  ParsedHistogram Since(const ParsedHistogram& earlier) const;
+  /// p in (0, 1]; the `le` bound of the bucket holding the sample of
+  /// NearestRank(p, count) (0 when empty).
+  std::uint64_t Percentile(double p) const;
+};
+
+/// METRICS text parsed back: the exact inverse of RenderPrometheusText.
+struct ParsedMetrics {
+  struct Sample {
+    std::string series;  ///< "name" or "name{labels}", as rendered.
+    std::string type;    ///< Its family's # TYPE: counter, gauge, histogram.
+    std::uint64_t value = 0;
+  };
+  std::vector<Sample> samples;  ///< Every sample line, in text order.
+  /// Each histogram family's buckets, `_sum` and `_count`, by family name.
+  std::map<std::string, ParsedHistogram> histograms;
+
+  /// Value of the sample `series`; throws std::out_of_range when absent.
+  std::uint64_t Value(std::string_view series) const;
+};
+
+/// Parses Prometheus text as RenderPrometheusText writes it: every sample
+/// follows the `# TYPE` line of its family, values are u64, and exemplar
+/// suffixes (` # {...} v`) are skipped. Throws std::invalid_argument naming
+/// the first malformed line; nothing is skipped silently.
+ParsedMetrics ParseMetricsText(std::string_view text);
 
 }  // namespace kspin::server
 

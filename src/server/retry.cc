@@ -42,10 +42,6 @@ Client::Reply RetryingClient::Ping() {
   return Execute(true, [this] { return client_.Ping(); });
 }
 
-Client::StatsReply RetryingClient::Stats() {
-  return Execute(true, [this] { return client_.Stats(); });
-}
-
 Client::MetricsReply RetryingClient::Metrics() {
   return Execute(true, [this] { return client_.Metrics(); });
 }

@@ -82,7 +82,6 @@ class RetryingClient {
 
   // Idempotent operations — retried on every retryable failure.
   Client::Reply Ping();
-  Client::StatsReply Stats();
   Client::MetricsReply Metrics();
   Client::HealthReply Health();
   Client::FetchSnapshotReply FetchSnapshotChunk(std::uint64_t sequence,

@@ -682,12 +682,9 @@ void Server::HandleFrame(const std::shared_ptr<Connection>& conn,
     // Answered here, bypassing admission: probes, scrapes and diag dumps
     // must work on a saturated server (that is when failover and
     // forensics need them most). requests_ok is counted after the body
-    // is built, so a STATS response never includes itself.
+    // is built, so a METRICS reply never counts itself.
     std::vector<std::uint8_t> reply;
     switch (header.opcode) {
-      case Opcode::kStats:
-        reply = BuildStatsResponse();
-        break;
       case Opcode::kMetrics:
         MirrorOplogMetrics();
         reply = EncodeMetricsResponse(
@@ -1751,27 +1748,6 @@ bool Server::ApplyReplicatedMutations(
 }
 
 // ----- Replication ---------------------------------------------------------
-
-std::vector<std::uint8_t> Server::BuildStatsResponse() {
-  // One FullSnapshot backs the whole response, so counters, histogram
-  // buckets, and the derived summary values all describe the same instant.
-  MirrorOplogMetrics();
-  const MetricsSnapshot snapshot = metrics_.FullSnapshot(queue_->Size());
-  const auto to_wire = [](const char* name, const HistogramSnapshot& h) {
-    WireHistogram wh;
-    wh.name = name;
-    wh.count = h.count;
-    wh.sum_micros = h.sum_micros;
-    wh.buckets.assign(h.buckets.begin(), h.buckets.end());
-    return wh;
-  };
-  const WireHistogram histograms[] = {
-      to_wire("query_latency_us", snapshot.query_latency),
-      to_wire("update_latency_us", snapshot.update_latency),
-      to_wire("admission_sojourn_us", snapshot.admission_sojourn),
-  };
-  return EncodeStatsResponse(StatsPairs(snapshot), histograms);
-}
 
 std::vector<std::uint8_t> Server::BuildHealthResponse() {
   HealthInfo info;

@@ -4,8 +4,8 @@
 // Threading model:
 //
 //   - One I/O thread owns every socket: it accepts connections, decodes
-//     frames, answers the Lane::kInline opcodes (PING, STATS, HEALTH,
-//     METRICS, DUMP_DIAG) itself, and flushes response bytes.
+//     frames, answers the Lane::kInline opcodes (PING, HEALTH, METRICS,
+//     DUMP_DIAG) itself, and flushes response bytes.
 //   - Every other frame is copied into a bounded AdmissionQueue;
 //     when it is full the I/O thread replies OVERLOADED immediately —
 //     explicit load shedding, never silent drops or unbounded buffering.
@@ -344,9 +344,7 @@ class Server {
                const FrameHeader& request_header,
                std::vector<std::uint8_t> response_payload);
   void Wake();
-  /// STATS and HEALTH response bodies (answered inline by the I/O
-  /// thread).
-  std::vector<std::uint8_t> BuildStatsResponse();
+  /// HEALTH response body (answered inline by the I/O thread).
   std::vector<std::uint8_t> BuildHealthResponse();
   /// FETCH_SNAPSHOT handler (runs on a worker as an epoch-gate reader —
   /// snapshot files are immutable once renamed into place).

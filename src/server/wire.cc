@@ -356,55 +356,6 @@ bool DecodeSnapshotResponse(PayloadReader& reader, std::uint64_t* sequence,
   return reader.Finished();
 }
 
-std::vector<std::uint8_t> EncodeStatsResponse(
-    std::span<const std::pair<std::string, std::uint64_t>> stats,
-    std::span<const WireHistogram> histograms) {
-  PayloadWriter w;
-  w.U8(static_cast<std::uint8_t>(StatusCode::kOk));
-  w.U32(static_cast<std::uint32_t>(stats.size()));
-  for (const auto& [name, value] : stats) {
-    w.String(name);
-    w.U64(value);
-  }
-  w.U32(static_cast<std::uint32_t>(histograms.size()));
-  for (const WireHistogram& h : histograms) {
-    w.String(h.name);
-    w.U64(h.count);
-    w.U64(h.sum_micros);
-    w.U32(static_cast<std::uint32_t>(h.buckets.size()));
-    for (const std::uint64_t bucket : h.buckets) w.U64(bucket);
-  }
-  return w.Take();
-}
-
-bool DecodeStatsResponse(
-    PayloadReader& reader,
-    std::vector<std::pair<std::string, std::uint64_t>>* stats,
-    std::vector<WireHistogram>* histograms) {
-  const std::uint32_t count = reader.U32();
-  stats->clear();
-  histograms->clear();
-  for (std::uint32_t i = 0; i < count && reader.ok(); ++i) {
-    std::string name = reader.String();
-    const std::uint64_t value = reader.U64();
-    stats->emplace_back(std::move(name), value);
-  }
-  const std::uint32_t histogram_count = reader.U32();
-  for (std::uint32_t i = 0; i < histogram_count && reader.ok(); ++i) {
-    WireHistogram h;
-    h.name = reader.String();
-    h.count = reader.U64();
-    h.sum_micros = reader.U64();
-    const std::uint32_t buckets = reader.U32();
-    h.buckets.reserve(std::min<std::uint32_t>(buckets, 1024));
-    for (std::uint32_t b = 0; b < buckets && reader.ok(); ++b) {
-      h.buckets.push_back(reader.U64());
-    }
-    histograms->push_back(std::move(h));
-  }
-  return reader.Finished();
-}
-
 std::vector<std::uint8_t> EncodeMetricsResponse(std::string_view text) {
   PayloadWriter w;
   w.U8(static_cast<std::uint8_t>(StatusCode::kOk));

@@ -73,14 +73,15 @@ bool SplitTraceTrailer(std::span<const std::uint8_t> payload,
                        std::span<const std::uint8_t>* body,
                        TraceContext* context);
 
-/// Request opcodes. Responses reuse the request's opcode.
+/// Request opcodes. Responses reuse the request's opcode. 0x02 (the old
+/// STATS) and 0x20-0x23 (the old POI_* writes) are retired: like any byte
+/// without a kOpcodeTable row they get UNSUPPORTED.
 enum class Opcode : std::uint8_t {
   /// Server-to-client only: final frame before the server closes a
   /// connection over a fatal stream error (bad magic/version, oversized
   /// frame). Carries an error status payload.
   kError = 0x00,
   kPing = 0x01,           ///< Liveness probe; empty payload both ways.
-  kStats = 0x02,          ///< Server metrics snapshot.
   kHealth = 0x03,         ///< Role, snapshot sequence, uptime, queue depth.
   kMetrics = 0x04,        ///< Prometheus 0.0.4 text exposition.
   kDumpDiag = 0x05,       ///< Flight-recorder dump: spans + control-plane
@@ -112,8 +113,8 @@ enum class Lane : std::uint8_t {
 };
 
 /// One row per opcode a server speaks. `name` is the opcode's stable
-/// identifier: STATS reports `opcode_<name>`, trace lines carry it as is
-/// and flight-recorder dumps upper-case it.
+/// identifier: METRICS reports `kspin_opcode_<name>`, trace lines carry it
+/// as is and flight-recorder dumps upper-case it.
 struct OpcodeInfo {
   Opcode opcode;
   std::string_view name;
@@ -122,7 +123,6 @@ struct OpcodeInfo {
 
 inline constexpr OpcodeInfo kOpcodeTable[] = {
     {Opcode::kPing, "ping", Lane::kInline},
-    {Opcode::kStats, "stats", Lane::kInline},
     {Opcode::kHealth, "health", Lane::kInline},
     {Opcode::kMetrics, "metrics", Lane::kInline},
     {Opcode::kDumpDiag, "dump_diag", Lane::kInline},
@@ -477,26 +477,6 @@ std::vector<std::uint8_t> EncodeSnapshotResponse(std::uint64_t sequence,
                                                  std::string_view path);
 bool DecodeSnapshotResponse(PayloadReader& reader, std::uint64_t* sequence,
                             std::string* path);
-/// One raw histogram on the wire (STATS histogram section): name, total
-/// count, sum of recorded microseconds, and the per-bucket counts (bucket
-/// i covers [2^i, 2^(i+1)) us; see LatencyHistogram).
-struct WireHistogram {
-  std::string name;
-  std::uint64_t count = 0;
-  std::uint64_t sum_micros = 0;
-  std::vector<std::uint64_t> buckets;
-};
-
-/// STATS body: u32 pair count + (string, u64) pairs, then u32 histogram
-/// count + histograms (name, u64 count, u64 sum_micros, u32 buckets, u64
-/// each).
-std::vector<std::uint8_t> EncodeStatsResponse(
-    std::span<const std::pair<std::string, std::uint64_t>> stats,
-    std::span<const WireHistogram> histograms);
-bool DecodeStatsResponse(
-    PayloadReader& reader,
-    std::vector<std::pair<std::string, std::uint64_t>>* stats,
-    std::vector<WireHistogram>* histograms);
 /// kMetrics kOk body: one string holding the Prometheus text exposition.
 std::vector<std::uint8_t> EncodeMetricsResponse(std::string_view text);
 bool DecodeMetricsResponse(PayloadReader& reader, std::string* text);

@@ -1,10 +1,12 @@
 // Unit tests for the observability layer: LatencyHistogram bucketing and
-// edge cases, HistogramSnapshot-derived statistics, engine counter
-// aggregation (AddQueryStats), the STATS/METRICS snapshot keys, and the
-// Prometheus text rendering (docs/observability.md).
+// edge cases, nearest-rank percentiles, engine counter aggregation
+// (AddQueryStats), the METRICS snapshot keys, and the Prometheus text
+// rendering and its parser (docs/observability.md).
 #include "server/metrics.h"
 
 #include <cstdint>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,10 +27,9 @@ std::uint64_t BucketTotal(const HistogramSnapshot& snap) {
 TEST(LatencyHistogramTest, EmptyHistogramReportsZeros) {
   LatencyHistogram h;
   EXPECT_EQ(h.Count(), 0u);
-  EXPECT_EQ(h.MeanMicros(), 0u);  // No division by a zero count.
-  EXPECT_EQ(h.PercentileMicros(0.5), 0u);
-  EXPECT_EQ(h.PercentileMicros(1.0), 0u);
   const HistogramSnapshot snap = h.Snapshot();
+  EXPECT_EQ(snap.PercentileMicros(0.5), 0u);
+  EXPECT_EQ(snap.PercentileMicros(1.0), 0u);
   EXPECT_EQ(snap.count, 0u);
   EXPECT_EQ(snap.sum_micros, 0u);
   EXPECT_EQ(BucketTotal(snap), 0u);
@@ -42,7 +43,6 @@ TEST(LatencyHistogramTest, ZeroMicrosLandsInFirstBucket) {
   EXPECT_EQ(snap.buckets[0], 2u);
   EXPECT_EQ(snap.count, 2u);
   EXPECT_EQ(snap.sum_micros, 1u);
-  EXPECT_EQ(h.MeanMicros(), 0u);  // 1 / 2 truncates.
 }
 
 TEST(LatencyHistogramTest, BucketBoundariesAreLog2) {
@@ -68,7 +68,7 @@ TEST(LatencyHistogramTest, HugeValuesSaturateIntoLastBucket) {
   EXPECT_EQ(snap.buckets[HistogramSnapshot::kBuckets - 1], 2u);
   EXPECT_EQ(snap.count, 2u);
   // The percentile can only report the last bucket's (finite) upper bound.
-  EXPECT_EQ(h.PercentileMicros(1.0),
+  EXPECT_EQ(snap.PercentileMicros(1.0),
             HistogramSnapshot::BucketUpperMicros(
                 HistogramSnapshot::kBuckets - 1));
 }
@@ -77,11 +77,39 @@ TEST(LatencyHistogramTest, PercentileIsBucketUpperBound) {
   LatencyHistogram h;
   for (int i = 0; i < 90; ++i) h.Record(100);   // [64, 128) -> bucket 6.
   for (int i = 0; i < 10; ++i) h.Record(5000);  // [4096, 8192) -> bucket 12.
-  EXPECT_EQ(h.PercentileMicros(0.5), 128u);
-  EXPECT_EQ(h.PercentileMicros(0.9), 128u);
-  EXPECT_EQ(h.PercentileMicros(0.99), 8192u);
-  EXPECT_EQ(h.PercentileMicros(1.0), 8192u);
-  EXPECT_EQ(h.MeanMicros(), (90u * 100 + 10u * 5000) / 100);
+  const HistogramSnapshot snap = h.Snapshot();
+  EXPECT_EQ(snap.PercentileMicros(0.5), 128u);
+  EXPECT_EQ(snap.PercentileMicros(0.9), 128u);
+  EXPECT_EQ(snap.PercentileMicros(0.99), 8192u);
+  EXPECT_EQ(snap.PercentileMicros(1.0), 8192u);
+  EXPECT_EQ(snap.sum_micros, 90u * 100 + 10u * 5000);
+}
+
+TEST(LatencyHistogramTest, PercentileUsesTheNearestRank) {
+  // p50 of {1, 1000, 1000}: rank ⌈1.5⌉ = 2 is a 1000 us sample.
+  LatencyHistogram small;
+  small.Record(1);
+  small.Record(1000);
+  small.Record(1000);
+  EXPECT_EQ(small.Snapshot().PercentileMicros(0.5), 1024u);
+  // p99 of ten samples is rank ⌈9.9⌉ = 10: the slowest one.
+  LatencyHistogram tail;
+  for (int i = 0; i < 9; ++i) tail.Record(100);
+  tail.Record(5000);
+  EXPECT_EQ(tail.Snapshot().PercentileMicros(0.99), 8192u);
+}
+
+TEST(NearestRankTest, IsTheCeilingWithoutFloatError) {
+  EXPECT_EQ(NearestRank(0.99, 100), 99u);  // Not 100 from 99.00000000000001.
+  EXPECT_EQ(NearestRank(0.999, 1000), 999u);
+  EXPECT_EQ(NearestRank(0.07, 100), 7u);
+  EXPECT_EQ(NearestRank(0.5, 3), 2u);
+  EXPECT_EQ(NearestRank(0.99, 10), 10u);
+  EXPECT_EQ(NearestRank(1.0, 7), 7u);
+  EXPECT_EQ(NearestRank(0.0, 7), 1u);  // Clamped into [1, n].
+  const std::uint64_t huge = std::uint64_t{1} << 63;
+  EXPECT_EQ(NearestRank(0.5, huge), huge / 2);
+  EXPECT_EQ(NearestRank(1.0, ~std::uint64_t{0}), ~std::uint64_t{0});
 }
 
 TEST(LatencyHistogramTest, SnapshotIsInternallyConsistentUnderWriters) {
@@ -181,27 +209,25 @@ TEST(ServerMetricsTest, SnapshotCarriesEngineAndLatencyKeys) {
   metrics.AddQueryStats(stats);
   metrics.query_latency.Record(300);
 
-  const auto pairs = metrics.Snapshot(3);
-  const auto value = [&pairs](const std::string& key) -> std::uint64_t {
-    for (const auto& [k, v] : pairs) {
-      if (k == key) return v;
-    }
-    ADD_FAILURE() << "missing key " << key;
-    return 0;
-  };
-  EXPECT_EQ(value("requests_ok"), 5u);
-  EXPECT_EQ(value("queue_depth"), 3u);
-  EXPECT_EQ(value("engine_distance_computations"), 7u);
-  EXPECT_EQ(value("engine_false_positive_distances"), 2u);
-  EXPECT_EQ(value("engine_lb_batch_calls"), 3u);
-  EXPECT_EQ(value("engine_lb_batch_items"), 9u);
-  EXPECT_EQ(value("query_latency_count"), 1u);
-  EXPECT_EQ(value("query_latency_mean_us"), 300u);
-  EXPECT_EQ(value("query_latency_p99_us"), 512u);  // [256, 512) upper bound.
-  EXPECT_EQ(value("update_latency_count"), 0u);
-  EXPECT_EQ(value("replication_lag_ms"), 0u);  // Never succeeded: no lag.
-  EXPECT_EQ(value("slow_queries"), 0u);
-  EXPECT_EQ(value("opcode_metrics"), 0u);
+  const ParsedMetrics scrape =
+      ParseMetricsText(RenderPrometheusText(metrics.FullSnapshot(3)));
+  EXPECT_EQ(scrape.Value("kspin_requests_ok"), 5u);
+  EXPECT_EQ(scrape.Value("kspin_queue_depth"), 3u);
+  EXPECT_EQ(scrape.Value("kspin_engine_distance_computations"), 7u);
+  EXPECT_EQ(scrape.Value("kspin_engine_false_positive_distances"), 2u);
+  EXPECT_EQ(scrape.Value("kspin_engine_lb_batch_calls"), 3u);
+  EXPECT_EQ(scrape.Value("kspin_engine_lb_batch_items"), 9u);
+  EXPECT_EQ(scrape.Value("kspin_query_latency_us_count"), 1u);
+  EXPECT_EQ(scrape.Value("kspin_query_latency_us_sum"), 300u);
+  // [256, 512) upper bound.
+  EXPECT_EQ(scrape.histograms.at("kspin_query_latency_us").Percentile(0.99),
+            512u);
+  EXPECT_EQ(scrape.Value("kspin_update_latency_us_count"), 0u);
+  EXPECT_EQ(scrape.Value("kspin_update_latency_us_sum"), 0u);
+  // Never succeeded: no lag.
+  EXPECT_EQ(scrape.Value("kspin_replication_lag_ms"), 0u);
+  EXPECT_EQ(scrape.Value("kspin_slow_queries"), 0u);
+  EXPECT_EQ(scrape.Value("kspin_opcode_metrics"), 0u);
 }
 
 TEST(ServerMetricsTest, FullSnapshotHistogramsMatchCounterView) {
@@ -256,6 +282,125 @@ TEST(PrometheusTextTest, RendersCountersGaugesAndHistograms) {
             std::string::npos);
   EXPECT_NE(text.find("kspin_update_latency_us_count 0\n"),
             std::string::npos);
+}
+
+TEST(PrometheusTextTest, ParseInvertsRender) {
+  const ServerMetrics metrics;
+  MetricsSnapshot snapshot = metrics.FullSnapshot(0);
+  // Distinct values everywhere, one past double's exact integers.
+  for (std::size_t i = 0; i < snapshot.counters.size(); ++i) {
+    snapshot.counters[i].second = 1000 + 7 * i;
+  }
+  snapshot.counters[0].second = (std::uint64_t{1} << 53) + 1;
+  // Every histogram has samples in bucket 0 and in the last bucket; the
+  // query histogram renders them with exemplars.
+  const auto fill = [](std::uint64_t middle) {
+    LatencyHistogram h;
+    h.Record(0, 0x11);
+    h.Record(1, 0x12);
+    h.Record(middle, 0x13);
+    h.Record(~std::uint64_t{0} / 4, 0x14);
+    return h.Snapshot();
+  };
+  snapshot.query_latency = fill(100);
+  snapshot.update_latency = fill(5000);
+  snapshot.admission_sojourn = fill(70);
+  const std::string text = RenderPrometheusText(snapshot);
+  ASSERT_NE(text.find(" # {trace_id=\"0000000000000014\"}"),
+            std::string::npos);
+
+  const ParsedMetrics parsed = ParseMetricsText(text);
+  const std::set<std::string> gauges = {
+      "queue_depth",          "queue_depth_peak",
+      "replication_last_sequence", "replication_sequence_delta",
+      "replication_source",   "replication_lag_ms",
+      "primary_epoch",        "overload_state",
+      "admission_limit",
+  };
+  for (const auto& [key, value] : snapshot.counters) {
+    const std::string series = "kspin_" + key;
+    EXPECT_EQ(parsed.Value(series), value) << series;
+    for (const ParsedMetrics::Sample& sample : parsed.samples) {
+      if (sample.series != series) continue;
+      EXPECT_EQ(sample.type, gauges.contains(key) ? "gauge" : "counter")
+          << series;
+    }
+  }
+  // Build identity comes first: one labelled gauge sample.
+  ASSERT_FALSE(parsed.samples.empty());
+  EXPECT_TRUE(parsed.samples.front().series.starts_with("kspin_build_info{"));
+  EXPECT_EQ(parsed.samples.front().type, "gauge");
+  EXPECT_EQ(parsed.samples.front().value, 1u);
+
+  const std::pair<const char*, const HistogramSnapshot*> histograms[] = {
+      {"kspin_query_latency_us", &snapshot.query_latency},
+      {"kspin_update_latency_us", &snapshot.update_latency},
+      {"kspin_admission_queue_sojourn_us", &snapshot.admission_sojourn},
+  };
+  ASSERT_EQ(parsed.histograms.size(), std::size(histograms));
+  for (const auto& [name, rendered] : histograms) {
+    const ParsedHistogram& h = parsed.histograms.at(name);
+    EXPECT_EQ(h.count, rendered->count) << name;
+    EXPECT_EQ(h.sum, rendered->sum_micros) << name;
+    EXPECT_EQ(parsed.Value(std::string(name) + "_bucket{le=\"+Inf\"}"),
+              rendered->count)
+        << name;
+    // Every cumulative bucket, the last (saturating) one included; a
+    // bound past the rendered tail reads the count.
+    std::uint64_t cumulative = 0;
+    for (std::size_t i = 0; i < HistogramSnapshot::kBuckets; ++i) {
+      cumulative += rendered->buckets[i];
+      EXPECT_EQ(h.CumulativeAt(HistogramSnapshot::BucketUpperMicros(i)),
+                cumulative)
+          << name << " bucket " << i;
+    }
+    EXPECT_EQ(h.CumulativeAt(~std::uint64_t{0}), rendered->count) << name;
+    EXPECT_EQ(h.Percentile(0.5), rendered->PercentileMicros(0.5)) << name;
+    EXPECT_EQ(h.Percentile(0.99), rendered->PercentileMicros(0.99)) << name;
+  }
+}
+
+TEST(PrometheusTextTest, ParserReportsMalformedLines) {
+  const std::string type = "# TYPE kspin_x counter\n";
+  EXPECT_EQ(ParseMetricsText(type + "kspin_x 18446744073709551615\n")
+                .Value("kspin_x"),
+            ~std::uint64_t{0});
+  for (const std::string& bad : {
+           type + "kspin_x 1.5\n",                   // Not an integer.
+           type + "kspin_x -3\n",                    // Negative.
+           type + "kspin_x 18446744073709551616\n",  // Past u64.
+           type + "kspin_x\n",                       // No value.
+           type + "kspin_x 1 2\n",                   // Two values.
+           type + "kspin_y 1\n",                     // Not the TYPE family.
+           std::string("kspin_x 1\n"),               // No TYPE line.
+           std::string("# TYPE kspin_h histogram\n"
+                       "kspin_h_bucket{le=\"x\"} 1\n"),  // Bad bound.
+           std::string("# TYPE kspin_h histogram\n"
+                       "kspin_h_total 1\n"),  // Not a histogram series.
+       }) {
+    EXPECT_THROW(ParseMetricsText(bad), std::invalid_argument) << bad;
+  }
+  EXPECT_THROW(ParseMetricsText(type + "kspin_x 1\n").Value("kspin_z"),
+               std::out_of_range);
+}
+
+TEST(PrometheusTextTest, ParsedHistogramSinceIsThePhaseDelta) {
+  ServerMetrics metrics;
+  for (int i = 0; i < 100; ++i) metrics.query_latency.Record(100);
+  const ParsedMetrics before =
+      ParseMetricsText(RenderPrometheusText(metrics.FullSnapshot(0)));
+  for (int i = 0; i < 9; ++i) metrics.query_latency.Record(100);
+  metrics.query_latency.Record(5000);  // Longer rendered tail than before.
+  const ParsedMetrics after =
+      ParseMetricsText(RenderPrometheusText(metrics.FullSnapshot(0)));
+  const ParsedHistogram phase =
+      after.histograms.at("kspin_query_latency_us")
+          .Since(before.histograms.at("kspin_query_latency_us"));
+  EXPECT_EQ(phase.count, 10u);
+  EXPECT_EQ(phase.sum, 9u * 100 + 5000);
+  EXPECT_EQ(phase.Percentile(0.5), 128u);
+  EXPECT_EQ(phase.Percentile(0.99), 8192u);  // The slowest of ten.
+  EXPECT_EQ(ParsedHistogram{}.Percentile(0.99), 0u);
 }
 
 TEST(TraceTest, FingerprintIsStableAndQuerySensitive) {

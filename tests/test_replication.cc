@@ -20,6 +20,7 @@
 #include "routing/contraction_hierarchy.h"
 #include "server/client.h"
 #include "server/failover.h"
+#include "server/metrics.h"
 #include "server/server.h"
 #include "service/poi_service.h"
 #include "service/synthetic_catalog.h"
@@ -247,10 +248,11 @@ TEST_F(ReplicationTest, ReplicaCatchesUpAndServesIdenticalResults) {
   // The shipped snapshot was persisted locally (crash-safe restart path)
   // and lag metrics are exported.
   EXPECT_EQ(io::FindSnapshots(replica_dir_).size(), 1u);
-  const auto stats = rclient.Stats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats.Value("replication_last_sequence"), 1u);
-  EXPECT_EQ(stats.Value("replication_sequence_delta"), 0u);
+  const auto metrics = rclient.Metrics();
+  ASSERT_TRUE(metrics.ok());
+  const ParsedMetrics scrape = ParseMetricsText(metrics.text);
+  EXPECT_EQ(scrape.Value("kspin_replication_last_sequence"), 1u);
+  EXPECT_EQ(scrape.Value("kspin_replication_sequence_delta"), 0u);
 
   // A second snapshot on the primary replicates too.
   const std::vector<std::string> kw5 = {"kw5"};

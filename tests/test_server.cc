@@ -25,6 +25,7 @@
 #include "routing/contraction_hierarchy.h"
 #include "server/client.h"
 #include "server/failover.h"
+#include "server/metrics.h"
 #include "server/retry.h"
 #include "service/poi_service.h"
 #include "service/synthetic_catalog.h"
@@ -55,6 +56,13 @@ class ServerTest : public ::testing::Test {
     return client;
   }
 
+  /// One METRICS scrape over `client`, parsed.
+  static ParsedMetrics Scrape(Client& client) {
+    const auto reply = client.Metrics();
+    EXPECT_TRUE(reply.ok()) << reply.error;
+    return ParseMetricsText(reply.text);
+  }
+
   Graph graph_;
   ContractionHierarchy ch_;
   ChOracle oracle_;
@@ -62,16 +70,15 @@ class ServerTest : public ::testing::Test {
   std::unique_ptr<Server> server_;
 };
 
-TEST_F(ServerTest, PingAndStats) {
+TEST_F(ServerTest, PingAndMetrics) {
   StartServer();
   Client client = Connect();
   EXPECT_TRUE(client.Ping().ok());
 
-  const auto stats = client.Stats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_GE(stats.Value("connections_opened"), 1u);
-  EXPECT_GE(stats.Value("opcode_ping"), 1u);
-  EXPECT_EQ(stats.Value("requests_overloaded"), 0u);
+  const auto scrape = Scrape(client);
+  EXPECT_GE(scrape.Value("kspin_connections_opened"), 1u);
+  EXPECT_GE(scrape.Value("kspin_opcode_ping"), 1u);
+  EXPECT_EQ(scrape.Value("kspin_requests_overloaded"), 0u);
 }
 
 TEST_F(ServerTest, LoopbackMatchesSerialExecution) {
@@ -136,12 +143,12 @@ TEST_F(ServerTest, LoopbackMatchesSerialExecution) {
   EXPECT_EQ(mismatches.load(), 0);
 
   Client client = Connect();
-  const auto stats = client.Stats();
+  const auto scrape = Scrape(client);
   const std::uint64_t per_mode = kThreads * kRounds * cases.size();
-  EXPECT_EQ(stats.Value("opcode_search_boolean"), per_mode);
-  EXPECT_EQ(stats.Value("opcode_search_ranked"), per_mode);
-  EXPECT_EQ(stats.Value("requests_ok"), 2 * per_mode);
-  EXPECT_EQ(stats.Value("query_latency_count"), 2 * per_mode);
+  EXPECT_EQ(scrape.Value("kspin_opcode_search_boolean"), per_mode);
+  EXPECT_EQ(scrape.Value("kspin_opcode_search_ranked"), per_mode);
+  EXPECT_EQ(scrape.Value("kspin_requests_ok"), 2 * per_mode);
+  EXPECT_EQ(scrape.Value("kspin_query_latency_us_count"), 2 * per_mode);
 }
 
 TEST_F(ServerTest, BadQuerySyntaxKeepsConnectionUsable) {
@@ -179,12 +186,11 @@ TEST_F(ServerTest, ZeroCapacityQueueShedsQueriesButAnswersPing) {
   const auto reply = client.Search("kw0", 3, 5);
   EXPECT_EQ(reply.status, StatusCode::kOverloaded);
 
-  // PING and STATS are answered on the I/O thread, bypassing admission:
+  // PING and METRICS are answered on the I/O thread, bypassing admission:
   // the liveness probe must work precisely when the server is drowning.
   EXPECT_TRUE(client.Ping().ok());
-  const auto stats = client.Stats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_GE(stats.Value("requests_overloaded"), 1u);
+  const auto scrape = Scrape(client);
+  EXPECT_GE(scrape.Value("kspin_requests_overloaded"), 1u);
 }
 
 TEST_F(ServerTest, ExpiredDeadlineDroppedAtDequeue) {
@@ -196,9 +202,9 @@ TEST_F(ServerTest, ExpiredDeadlineDroppedAtDequeue) {
   const auto reply = client.Search("kw0", 3, 5, false, /*deadline_ms=*/1);
   EXPECT_EQ(reply.status, StatusCode::kDeadlineExceeded);
 
-  const auto stats = client.Stats();
-  EXPECT_GE(stats.Value("requests_deadline_dropped"), 1u);
-  EXPECT_EQ(stats.Value("requests_deadline_cancelled"), 0u);
+  const auto scrape = Scrape(client);
+  EXPECT_GE(scrape.Value("kspin_requests_deadline_dropped"), 1u);
+  EXPECT_EQ(scrape.Value("kspin_requests_deadline_cancelled"), 0u);
 }
 
 TEST_F(ServerTest, ExpiredDeadlineCancelledCooperatively) {
@@ -211,9 +217,9 @@ TEST_F(ServerTest, ExpiredDeadlineCancelledCooperatively) {
   const auto reply = client.Search("kw0", 3, 5, false, /*deadline_ms=*/1);
   EXPECT_EQ(reply.status, StatusCode::kDeadlineExceeded);
 
-  const auto stats = client.Stats();
-  EXPECT_EQ(stats.Value("requests_deadline_dropped"), 0u);
-  EXPECT_GE(stats.Value("requests_deadline_cancelled"), 1u);
+  const auto scrape = Scrape(client);
+  EXPECT_EQ(scrape.Value("kspin_requests_deadline_dropped"), 0u);
+  EXPECT_GE(scrape.Value("kspin_requests_deadline_cancelled"), 1u);
 }
 
 TEST_F(ServerTest, NoDeadlineMeansNoExpiry) {
@@ -265,7 +271,7 @@ TEST_F(ServerTest, UpdatesThroughServerVisibleToSearches) {
 }
 
 TEST_F(ServerTest, IdempotencyCacheSizeOptionAndCountersWork) {
-  // A deliberately tiny cache so eviction is observable through STATS.
+  // A deliberately tiny cache so eviction is observable through METRICS.
   ServerOptions options;
   options.idempotency_cache_size = 2;
   StartServer(options);
@@ -281,10 +287,9 @@ TEST_F(ServerTest, IdempotencyCacheSizeOptionAndCountersWork) {
   EXPECT_EQ(retry.sequence, first.sequence);
   EXPECT_EQ(retry.id, first.id);
 
-  auto stats = client.Stats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats.Value("idempotency_cache_hits"), 1u);
-  EXPECT_EQ(stats.Value("idempotency_cache_misses"), 1u);
+  auto scrape = Scrape(client);
+  EXPECT_EQ(scrape.Value("kspin_idempotency_cache_hits"), 1u);
+  EXPECT_EQ(scrape.Value("kspin_idempotency_cache_misses"), 1u);
 
   // Two more keys push 101 out of the size-2 cache: the next retry of it
   // re-applies as a fresh operation (a miss, a new object).
@@ -294,15 +299,15 @@ TEST_F(ServerTest, IdempotencyCacheSizeOptionAndCountersWork) {
   ASSERT_TRUE(evicted.ok());
   EXPECT_NE(evicted.id, first.id);
 
-  stats = client.Stats();
-  EXPECT_EQ(stats.Value("idempotency_cache_hits"), 1u);
-  EXPECT_EQ(stats.Value("idempotency_cache_misses"), 4u);
+  scrape = Scrape(client);
+  EXPECT_EQ(scrape.Value("kspin_idempotency_cache_hits"), 1u);
+  EXPECT_EQ(scrape.Value("kspin_idempotency_cache_misses"), 4u);
 
   // Key 0 means "no token": it never touches the cache or its counters.
   ASSERT_TRUE(client.InsertDoc(0, 6, "poi d", tags).ok());
-  stats = client.Stats();
-  EXPECT_EQ(stats.Value("idempotency_cache_hits"), 1u);
-  EXPECT_EQ(stats.Value("idempotency_cache_misses"), 4u);
+  scrape = Scrape(client);
+  EXPECT_EQ(scrape.Value("kspin_idempotency_cache_hits"), 1u);
+  EXPECT_EQ(scrape.Value("kspin_idempotency_cache_misses"), 4u);
 }
 
 TEST_F(ServerTest, ConcurrentSearchesDuringUpdatesStayConsistent) {
@@ -445,15 +450,15 @@ TEST_F(ServerTest, WrongVersionGetsUnsupportedErrorWithRequestId) {
   }
 }
 
-TEST_F(ServerTest, RetiredWriteOpcodesGetUnsupportedAndConnectionStaysOpen) {
+TEST_F(ServerTest, RetiredOpcodesGetUnsupportedAndConnectionStaysOpen) {
   StartServer();
   const int fd = RawConnect(server_->Port());
   ASSERT_GE(fd, 0);
 
-  // 0x20-0x23 are retired write opcodes. Each frame is well-formed, so
-  // it gets an UNSUPPORTED reply, applies nothing, and the stream stays
-  // usable.
-  for (std::uint8_t retired = 0x20; retired <= 0x23; ++retired) {
+  // 0x02 (the old STATS) and 0x20-0x23 (the old write opcodes) are
+  // retired. Each frame is well-formed, so it gets an UNSUPPORTED reply,
+  // applies nothing, and the stream stays usable.
+  for (const std::uint8_t retired : {0x02, 0x20, 0x21, 0x22, 0x23}) {
     FrameHeader request;
     request.opcode = static_cast<Opcode>(retired);
     request.request_id = 1000 + retired;
@@ -486,10 +491,9 @@ TEST_F(ServerTest, RetiredWriteOpcodesGetUnsupportedAndConnectionStaysOpen) {
   ::close(fd);
 
   Client client = Connect();
-  const auto stats = client.Stats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats.Value("requests_unsupported"), 4u);
-  EXPECT_EQ(stats.Value("mutations_applied"), 0u);
+  const auto scrape = Scrape(client);
+  EXPECT_EQ(scrape.Value("kspin_requests_unsupported"), 5u);
+  EXPECT_EQ(scrape.Value("kspin_mutations_applied"), 0u);
 }
 
 TEST_F(ServerTest, StopDrainsAdmittedRequests) {
@@ -580,8 +584,8 @@ TEST_F(ServerTest, SnapshotAndReloadRestoreStateOverWire) {
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(Ids(after), Ids(before));
 
-  EXPECT_GE(client.Stats().Value("snapshots_written"), 1u);
-  EXPECT_GE(client.Stats().Value("reloads_ok"), 1u);
+  EXPECT_GE(Scrape(client).Value("kspin_snapshots_written"), 1u);
+  EXPECT_GE(Scrape(client).Value("kspin_reloads_ok"), 1u);
 }
 
 TEST_F(ServerTest, SnapshotAndReloadRejectedWithoutSnapshotDir) {
@@ -810,48 +814,43 @@ TEST_F(ServerTest, RetryBudgetZeroKeepsUnlimitedDeadline) {
 TEST_F(ServerTest, AcceptErrorMetricStartsAtZero) {
   StartServer();
   Client client = Connect();
-  const auto stats = client.Stats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats.Value("accept_errors"), 0u);
+  const auto scrape = Scrape(client);
+  EXPECT_EQ(scrape.Value("kspin_accept_errors"), 0u);
 }
 
 // ---------------------------------------------------------------------
-// Observability: engine counters, STATS histograms, METRICS text, and
+// Observability: engine counters, METRICS histograms and text, and
 // tracing (docs/observability.md).
 
-TEST_F(ServerTest, StatsCarryEngineCountersAndHistograms) {
+TEST_F(ServerTest, MetricsCarryEngineCountersAndHistograms) {
   StartServer();
   Client client = Connect();
   ASSERT_TRUE(client.Search("kw0 or kw1", 10, 5).ok());
   ASSERT_TRUE(client.Search("kw2", 20, 3, /*ranked=*/true).ok());
 
-  const auto stats = client.Stats();
-  ASSERT_TRUE(stats.ok());
+  const auto scrape = Scrape(client);
   // Engine counters moved: the searches above popped candidates and paid
   // exact distances.
-  EXPECT_GT(stats.Value("engine_heap_pops"), 0u);
-  EXPECT_GT(stats.Value("engine_distance_computations"), 0u);
-  EXPECT_GT(stats.Value("engine_results_returned"), 0u);
+  EXPECT_GT(scrape.Value("kspin_engine_heap_pops"), 0u);
+  EXPECT_GT(scrape.Value("kspin_engine_distance_computations"), 0u);
+  EXPECT_GT(scrape.Value("kspin_engine_results_returned"), 0u);
   // fp = distance computations minus results, so ndc >= both.
-  EXPECT_GE(stats.Value("engine_distance_computations"),
-            stats.Value("engine_false_positive_distances"));
-  EXPECT_GE(stats.Value("engine_distance_computations"),
-            stats.Value("engine_results_returned"));
+  EXPECT_GE(scrape.Value("kspin_engine_distance_computations"),
+            scrape.Value("kspin_engine_false_positive_distances"));
+  EXPECT_GE(scrape.Value("kspin_engine_distance_computations"),
+            scrape.Value("kspin_engine_results_returned"));
 
-  // Raw histogram buckets ride along with the pairs.
-  ASSERT_EQ(stats.histograms.size(), 3u);
-  EXPECT_EQ(stats.histograms[0].name, "query_latency_us");
-  EXPECT_EQ(stats.histograms[0].count, 2u);
-  std::uint64_t total = 0;
-  for (const std::uint64_t b : stats.histograms[0].buckets) total += b;
-  EXPECT_EQ(total, stats.histograms[0].count);
-  EXPECT_EQ(stats.histograms[1].name, "update_latency_us");
-  EXPECT_EQ(stats.histograms[1].count, 0u);
+  // Three histograms; the last rendered bucket holds every sample.
+  ASSERT_EQ(scrape.histograms.size(), 3u);
+  const ParsedHistogram& query =
+      scrape.histograms.at("kspin_query_latency_us");
+  EXPECT_EQ(query.count, 2u);
+  ASSERT_FALSE(query.buckets.empty());
+  EXPECT_EQ(query.buckets.back().second, query.count);
+  EXPECT_EQ(scrape.histograms.at("kspin_update_latency_us").count, 0u);
   // Queue sojourn histogram: one entry per admitted request.
-  EXPECT_EQ(stats.histograms[2].name, "admission_sojourn_us");
-  EXPECT_EQ(stats.histograms[2].count, 2u);
-  // The flat summary keys derive from the same snapshot.
-  EXPECT_EQ(stats.Value("query_latency_count"), 2u);
+  EXPECT_EQ(scrape.histograms.at("kspin_admission_queue_sojourn_us").count,
+            2u);
 }
 
 TEST_F(ServerTest, MetricsReturnsPrometheusTextThatMovesWithTraffic) {
@@ -877,21 +876,11 @@ TEST_F(ServerTest, MetricsReturnsPrometheusTextThatMovesWithTraffic) {
             std::string::npos);
 
   // A counter parsed out of one scrape must be monotone across scrapes.
-  const auto parse = [](const std::string& text, const std::string& name) {
-    const std::size_t pos = text.find("\n" + name + " ");
-    EXPECT_NE(pos, std::string::npos) << name;
-    return pos == std::string::npos
-               ? std::uint64_t{0}
-               : std::strtoull(text.c_str() + pos + name.size() + 2,
-                               nullptr, 10);
-  };
-  const std::uint64_t before =
-      parse(first.text, "kspin_engine_distance_computations");
+  const std::uint64_t before = ParseMetricsText(first.text)
+                                   .Value("kspin_engine_distance_computations");
   EXPECT_GT(before, 0u);
   ASSERT_TRUE(client.Search("kw0 or kw1", 10, 5).ok());
-  const auto second = client.Metrics();
-  ASSERT_TRUE(second.ok());
-  EXPECT_GT(parse(second.text, "kspin_engine_distance_computations"),
+  EXPECT_GT(Scrape(client).Value("kspin_engine_distance_computations"),
             before);
 }
 
@@ -939,11 +928,10 @@ TEST_F(ServerTest, ExpiredDeadlineRejectedAtAdmission) {
 
   // Refused at the door: counted as a deadline rejection, not an
   // overload shed, and never as a dequeue-time drop.
-  const auto stats = client.Stats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_GE(stats.Value("requests_deadline_rejected"), 1u);
-  EXPECT_EQ(stats.Value("requests_deadline_dropped"), 0u);
-  EXPECT_EQ(stats.Value("requests_overloaded"), 0u);
+  const auto scrape = Scrape(client);
+  EXPECT_GE(scrape.Value("kspin_requests_deadline_rejected"), 1u);
+  EXPECT_EQ(scrape.Value("kspin_requests_deadline_dropped"), 0u);
+  EXPECT_EQ(scrape.Value("kspin_requests_overloaded"), 0u);
 }
 
 TEST_F(ServerTest, PerClientRateLimitShedsOnlyTheNoisyConnection) {
@@ -975,10 +963,9 @@ TEST_F(ServerTest, PerClientRateLimitShedsOnlyTheNoisyConnection) {
   Client quiet = Connect();
   EXPECT_TRUE(quiet.Search("kw0", 3, 5).ok());
 
-  const auto stats = quiet.Stats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats.Value("requests_rate_limited"), 6u);
-  EXPECT_EQ(stats.Value("requests_overloaded"), 0u);
+  const auto scrape = Scrape(quiet);
+  EXPECT_EQ(scrape.Value("kspin_requests_rate_limited"), 6u);
+  EXPECT_EQ(scrape.Value("kspin_requests_overloaded"), 0u);
 }
 
 TEST_F(ServerTest, RetryingClientHonorsRetryAfterHint) {
@@ -1024,13 +1011,12 @@ TEST_F(ServerTest, BrownoutDegradesSearchesAndRecordsEpisode) {
   // Brownout clamps k to brownout_max_k.
   EXPECT_LE(degraded.results.size(), 2u);
 
-  const auto stats = client.Stats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_GE(stats.Value("brownout_entries"), 1u);
-  EXPECT_GE(stats.Value("requests_degraded"), 1u);
-  EXPECT_EQ(stats.Value("overload_state"), 2u);  // 2 = brownout.
+  const auto scrape = Scrape(client);
+  EXPECT_GE(scrape.Value("kspin_brownout_entries"), 1u);
+  EXPECT_GE(scrape.Value("kspin_requests_degraded"), 1u);
+  EXPECT_EQ(scrape.Value("kspin_overload_state"), 2u);  // 2 = brownout.
   // The AIMD limiter has been decreasing through the violating ticks.
-  EXPECT_LT(stats.Value("admission_limit"), options.queue_capacity);
+  EXPECT_LT(scrape.Value("kspin_admission_limit"), options.queue_capacity);
 }
 
 TEST_F(ServerTest, HealthySearchesAreNotDegraded) {
@@ -1041,9 +1027,9 @@ TEST_F(ServerTest, HealthySearchesAreNotDegraded) {
   const auto reply = client.Search("kw0", 10, 5);
   ASSERT_TRUE(reply.ok());
   EXPECT_FALSE(reply.degraded);
-  const auto stats = client.Stats();
-  EXPECT_EQ(stats.Value("overload_state"), 0u);
-  EXPECT_EQ(stats.Value("brownout_entries"), 0u);
+  const auto scrape = Scrape(client);
+  EXPECT_EQ(scrape.Value("kspin_overload_state"), 0u);
+  EXPECT_EQ(scrape.Value("kspin_brownout_entries"), 0u);
 }
 
 TEST_F(ServerTest, FailoverClientRoutesReadsAroundSheddingNode) {
@@ -1110,11 +1096,10 @@ TEST_F(ServerTest, SlowQueryThresholdCountsSlowSearches) {
   StartServer(options);
   Client client = Connect();
   ASSERT_TRUE(client.Search("kw0", 10, 3).ok());
-  const auto stats = client.Stats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_GE(stats.Value("slow_queries"), 1u);
+  const auto scrape = Scrape(client);
+  EXPECT_GE(scrape.Value("kspin_slow_queries"), 1u);
   // No trace file configured: slow queries log to stderr only.
-  EXPECT_EQ(stats.Value("traces_emitted"), 0u);
+  EXPECT_EQ(scrape.Value("kspin_traces_emitted"), 0u);
 }
 
 }  // namespace

@@ -328,46 +328,6 @@ TEST(BodyCodecTest, SearchResponseFlagsRoundTrip) {
   EXPECT_FALSE(DecodeSearchResponse(flagless_reader, &decoded, &flags));
 }
 
-TEST(BodyCodecTest, StatsResponseRoundTrip) {
-  const std::vector<std::pair<std::string, std::uint64_t>> stats = {
-      {"requests_ok", 12}, {"queue_depth", 0}, {"query_latency_p99_us", 512}};
-  const auto bytes = EncodeStatsResponse(stats, {});
-  PayloadReader reader(bytes);
-  EXPECT_EQ(static_cast<StatusCode>(reader.U8()), StatusCode::kOk);
-  std::vector<std::pair<std::string, std::uint64_t>> decoded;
-  std::vector<WireHistogram> histograms;
-  ASSERT_TRUE(DecodeStatsResponse(reader, &decoded, &histograms));
-  EXPECT_EQ(decoded, stats);
-  EXPECT_TRUE(histograms.empty());
-}
-
-TEST(BodyCodecTest, StatsResponseCarriesHistograms) {
-  const std::vector<std::pair<std::string, std::uint64_t>> stats = {
-      {"requests_ok", 12}, {"queue_depth", 0}};
-  std::vector<WireHistogram> histograms(2);
-  histograms[0].name = "query_latency_us";
-  histograms[0].count = 100;
-  histograms[0].sum_micros = 51200;
-  histograms[0].buckets = {0, 3, 90, 7};
-  histograms[1].name = "update_latency_us";  // Empty: no buckets recorded.
-
-  const auto bytes = EncodeStatsResponse(stats, histograms);
-  PayloadReader reader(bytes);
-  EXPECT_EQ(static_cast<StatusCode>(reader.U8()), StatusCode::kOk);
-  std::vector<std::pair<std::string, std::uint64_t>> decoded;
-  std::vector<WireHistogram> decoded_histograms;
-  ASSERT_TRUE(DecodeStatsResponse(reader, &decoded, &decoded_histograms));
-  EXPECT_EQ(decoded, stats);
-  ASSERT_EQ(decoded_histograms.size(), 2u);
-  EXPECT_EQ(decoded_histograms[0].name, "query_latency_us");
-  EXPECT_EQ(decoded_histograms[0].count, 100u);
-  EXPECT_EQ(decoded_histograms[0].sum_micros, 51200u);
-  EXPECT_EQ(decoded_histograms[0].buckets,
-            (std::vector<std::uint64_t>{0, 3, 90, 7}));
-  EXPECT_EQ(decoded_histograms[1].name, "update_latency_us");
-  EXPECT_TRUE(decoded_histograms[1].buckets.empty());
-}
-
 TEST(BodyCodecTest, MetricsResponseRoundTrip) {
   const std::string text =
       "# TYPE kspin_requests_ok counter\nkspin_requests_ok 42\n";
@@ -665,16 +625,17 @@ TEST(BodyCodecTest, SnapshotChunkCrcDetectsFlippedBit) {
   EXPECT_FALSE(DecodeSnapshotChunkResponse(reader, &decoded));
 }
 
-TEST(OpcodeTableTest, EveryOpcodeHasOneRowAndOneStatsKey) {
+TEST(OpcodeTableTest, EveryOpcodeHasOneRowAndOneMetricsSeries) {
   // Every Opcode but kError, the server-to-client fatal-error frame.
   const Opcode spoken[] = {
-      Opcode::kPing,          Opcode::kStats,         Opcode::kHealth,
-      Opcode::kMetrics,       Opcode::kDumpDiag,      Opcode::kSearchBoolean,
-      Opcode::kSearchRanked,  Opcode::kInsertDoc,     Opcode::kDeleteDoc,
-      Opcode::kUpdateDoc,     Opcode::kSnapshot,      Opcode::kReload,
-      Opcode::kFetchSnapshot, Opcode::kFetchOplog,    Opcode::kPromote,
+      Opcode::kPing,          Opcode::kHealth,        Opcode::kMetrics,
+      Opcode::kDumpDiag,      Opcode::kSearchBoolean, Opcode::kSearchRanked,
+      Opcode::kInsertDoc,     Opcode::kDeleteDoc,     Opcode::kUpdateDoc,
+      Opcode::kSnapshot,      Opcode::kReload,        Opcode::kFetchSnapshot,
+      Opcode::kFetchOplog,    Opcode::kPromote,
   };
   ASSERT_EQ(std::size(spoken), kNumOpcodes);
+  EXPECT_EQ(kNumOpcodes, 14u);
   std::set<std::string_view> names;
   for (const Opcode opcode : spoken) {
     const OpcodeInfo* row = FindOpcode(opcode);
@@ -687,7 +648,9 @@ TEST(OpcodeTableTest, EveryOpcodeHasOneRowAndOneStatsKey) {
         << row->name;
     EXPECT_TRUE(names.insert(row->name).second) << row->name;
   }
-  // No other byte has a row, kError included.
+  // No other byte has a row: kError, the retired STATS (0x02) and the
+  // retired writes (0x20-0x23) included.
+  EXPECT_EQ(FindOpcode(static_cast<Opcode>(0x02)), nullptr);
   for (int byte = 0; byte < 256; ++byte) {
     const auto opcode = static_cast<Opcode>(byte);
     if (std::find(std::begin(spoken), std::end(spoken), opcode) ==
@@ -695,15 +658,20 @@ TEST(OpcodeTableTest, EveryOpcodeHasOneRowAndOneStatsKey) {
       EXPECT_EQ(FindOpcode(opcode), nullptr) << byte;
     }
   }
-  // STATS reports exactly one opcode_<name> counter per row.
+  // METRICS reports exactly one kspin_opcode_<name> series per row.
   const ServerMetrics metrics;
-  std::map<std::string, int> opcode_keys;
-  for (const auto& [key, value] : metrics.FullSnapshot(0).counters) {
-    if (key.rfind("opcode_", 0) == 0) ++opcode_keys[key];
+  std::map<std::string, int> opcode_series;
+  for (const auto& sample :
+       ParseMetricsText(RenderPrometheusText(metrics.FullSnapshot(0)))
+           .samples) {
+    if (sample.series.starts_with("kspin_opcode_")) {
+      ++opcode_series[sample.series];
+    }
   }
-  EXPECT_EQ(opcode_keys.size(), kNumOpcodes);
+  EXPECT_EQ(opcode_series.size(), kNumOpcodes);
   for (const OpcodeInfo& row : kOpcodeTable) {
-    EXPECT_EQ(opcode_keys["opcode_" + std::string(row.name)], 1) << row.name;
+    EXPECT_EQ(opcode_series["kspin_opcode_" + std::string(row.name)], 1)
+        << row.name;
   }
 }
 
@@ -812,12 +780,6 @@ TEST(WireFuzzTest, BodyDecodersNeverCrashOnRandomPayloads) {
       std::vector<WireResult> results;
       std::uint8_t flags = 0;
       DecodeSearchResponse(reader, &results, &flags);
-    }
-    {
-      PayloadReader reader(payload);
-      std::vector<std::pair<std::string, std::uint64_t>> stats;
-      std::vector<WireHistogram> histograms;
-      DecodeStatsResponse(reader, &stats, &histograms);
     }
     {
       PayloadReader reader(payload);
@@ -972,9 +934,10 @@ TEST(WireFuzzTest, LiveServerSurvivesFuzzedStreams) {
   Client probe;
   probe.Connect("127.0.0.1", server.Port());
   EXPECT_TRUE(probe.Ping().ok());
-  const auto stats = probe.Stats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_GE(stats.Value("connections_opened"), 40u);
+  const auto metrics = probe.Metrics();
+  ASSERT_TRUE(metrics.ok());
+  EXPECT_GE(ParseMetricsText(metrics.text).Value("kspin_connections_opened"),
+            40u);
   server.Stop();
 }
 

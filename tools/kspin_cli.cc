@@ -17,6 +17,8 @@
 //   kspin_cli snapshot --dir=/tmp/fl [--snapshots=/tmp/fl/snapshots]
 //       Builds the full serving state from the dataset and writes one
 //       crash-safe, checksummed snapshot file (docs/persistence.md).
+//       With --endpoints=H:P[,...] instead, asks the primary to write one
+//       now (SNAPSHOT opcode) and prints "<sequence>\t<path>".
 //   kspin_cli restore --dir=IGNORED --snapshots=/tmp/fl/snapshots
 //                     [--vertex=V --k=K --keywords=3,17]
 //       Restores the newest valid snapshot (skipping corrupt ones) and
@@ -39,22 +41,43 @@
 //       (promotions, fencing, brownout transitions, replication source
 //       switches), one JSON line each, oldest first. Served inline by
 //       the I/O thread, so it works even on a saturated server.
+//   kspin_cli ping --endpoints=H:P[,...]
+//       Liveness probe; prints nothing.
+//   kspin_cli search --endpoints=H:P[,...] --vertex=V --k=K
+//                    --query="thai and takeaway" [--ranked]
+//       Boolean kNN (or ranked top-k) against a server; one
+//       "<id>\t<name>\ttime=<t>" line per result (ranked adds
+//       "\tscore=<s>").
+//   kspin_cli reload --endpoints=H:P[,...]
+//       Replaces the server's state from its newest valid snapshot
+//       (RELOAD opcode); prints "<sequence>\t<path>".
 //   kspin_cli insert --endpoints=H:P[,...] --vertex=V --name=NAME
 //                    --tags=thai,takeaway
 //   kspin_cli delete --endpoints=H:P[,...] --id=N
 //   kspin_cli update --endpoints=H:P[,...] --id=N [--add=a,b] [--remove=c]
 //       Durable write-path mutations (docs/protocol.md):
 //       idempotency-keyed so retries and failover redirects apply at most
-//       once; the reply's op-log sequence is printed.
+//       once; prints "<id>\tseq=<op-log sequence>".
 //   kspin_cli health --endpoints=H:P[,H:P...]
 //       One row per endpoint: role, primary epoch, applied op-log
 //       sequence, snapshot sequence, queue depth — the failover dashboard.
 //   kspin_cli promote --endpoints=H:P[,...] [--min-applied=N]
 //       Flips the FIRST endpoint to primary (PROMOTE opcode), bumping the
 //       primary epoch; refused when its applied sequence is below N.
+//
+//   ping, search, snapshot --endpoints, reload and the mutations go
+//   through a FailoverClient: reads prefer a replica and fail over on
+//   transport errors, writes follow NOT_PRIMARY redirects. --retries=N
+//   sets the attempts per request (default 4; 1 disables retrying) and
+//   --fence-epoch=N stamps epoch N into keyed mutations, so a primary
+//   older than N rejects them with STALE_EPOCH and fences itself. These
+//   commands (and promote) exit 0 on success, 2 when the server rejects
+//   the request and 1 on usage or transport errors. Every command rejects
+//   an argument it does not know with exit status 1.
+#include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -62,7 +85,9 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -77,7 +102,9 @@
 #include "routing/hub_labeling.h"
 #include "server/client.h"
 #include "server/failover.h"
+#include "server/metrics.h"
 #include "server/replication.h"
+#include "server/retry.h"
 #include "service/poi_service.h"
 #include "service/service_snapshot.h"
 #include "text/zipf_generator.h"
@@ -96,6 +123,7 @@ struct Args {
   VertexId vertex = 0;
   std::uint32_t k = 10;
   std::vector<KeywordId> keywords;
+  std::string query;  // For `search`: the and/or query text.
   bool ranked = false;
   bool watch = false;               // For `metrics`: keep scraping.
   std::uint32_t interval_ms = 2000; // Delay between --watch scrapes.
@@ -107,6 +135,9 @@ struct Args {
   std::vector<std::string> tags;     // insert: keyword strings.
   std::vector<std::string> adds;     // update: keywords to add.
   std::vector<std::string> removes;  // update: keywords to remove.
+  // Attempts per request of the FailoverClient commands.
+  std::uint32_t retries = server::RetryPolicy{}.max_attempts;
+  std::uint64_t fence_epoch = 0;  // 0 = stamp no epoch.
 };
 
 /// "a,b,c" -> {"a","b","c"} (empty string -> empty list).
@@ -120,16 +151,33 @@ std::vector<std::string> SplitCommaList(const std::string& list) {
   return out;
 }
 
-Args Parse(int argc, char** argv) {
-  Args args;
-  if (argc < 2) return args;
+using U64 = std::uint64_t;
+
+/// Whole-string unsigned parse: "12x", "-1" and "" are errors, not 12.
+template <typename T = std::uint32_t>
+T Number(const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    throw std::invalid_argument("not a number: \"" + text + "\"");
+  }
+  return value;
+}
+
+/// Parses argv[2..] into `args`. Throws std::invalid_argument on an
+/// unknown flag, a stray positional argument or a bad number: a
+/// misspelled flag must fail the command, never fall back to a default.
+void Parse(int argc, char** argv, Args& args) {
   args.command = argv[1];
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto value = [&arg](const char* name) -> std::optional<std::string> {
+    bool known = arg == "--ranked" || arg == "--watch";
+    auto value = [&](const char* name) -> std::optional<std::string> {
       const std::string prefix = std::string("--") + name + "=";
-      if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
-      return std::nullopt;
+      if (arg.rfind(prefix, 0) != 0) return std::nullopt;
+      known = true;
+      return arg.substr(prefix.size());
     };
     if (auto v = value("dir")) args.dir = *v;
     if (auto v = value("snapshots")) args.snapshots = *v;
@@ -137,27 +185,28 @@ Args Parse(int argc, char** argv) {
     if (auto v = value("dataset")) args.dataset = *v;
     if (auto v = value("op")) args.op = *v;
     if (auto v = value("module")) args.module = *v;
-    if (auto v = value("vertex")) args.vertex = std::stoul(*v);
-    if (auto v = value("k")) args.k = std::stoul(*v);
+    if (auto v = value("vertex")) args.vertex = Number(*v);
+    if (auto v = value("k")) args.k = Number(*v);
     if (arg == "--ranked") args.ranked = true;
     if (arg == "--watch") args.watch = true;
-    if (auto v = value("interval-ms")) args.interval_ms = std::stoul(*v);
-    if (auto v = value("min-applied")) args.min_applied = std::stoull(*v);
-    if (auto v = value("id")) args.id = std::stoul(*v);
+    if (auto v = value("interval-ms")) args.interval_ms = Number(*v);
+    if (auto v = value("min-applied")) args.min_applied = Number<U64>(*v);
+    if (auto v = value("id")) args.id = Number(*v);
     if (auto v = value("name")) args.name = *v;
     if (auto v = value("tags")) args.tags = SplitCommaList(*v);
     if (auto v = value("add")) args.adds = SplitCommaList(*v);
     if (auto v = value("remove")) args.removes = SplitCommaList(*v);
+    if (auto v = value("query")) args.query = *v;
+    if (auto v = value("retries")) args.retries = Number(*v);
+    if (auto v = value("fence-epoch")) args.fence_epoch = Number<U64>(*v);
     if (auto v = value("keywords")) {
-      std::stringstream in(*v);
-      std::string token;
-      while (std::getline(in, token, ',')) {
-        args.keywords.push_back(std::stoul(token));
+      for (const std::string& token : SplitCommaList(*v)) {
+        args.keywords.push_back(Number(token));
       }
     }
+    if (!known) throw std::invalid_argument("unknown argument " + arg);
   }
   if (args.snapshots.empty()) args.snapshots = args.dir + "/snapshots";
-  return args;
 }
 
 template <typename T, typename LoadFn>
@@ -329,7 +378,7 @@ int Query(const Args& args) {
 // Builds the serving state from the dataset files and writes one
 // crash-safe snapshot (temp file + fsync + atomic rename; see
 // docs/persistence.md) into the snapshot directory.
-int Snapshot(const Args& args) {
+int WriteLocalSnapshot(const Args& args) {
   const Graph graph = LoadFile<Graph>(
       args.dir + "/graph.bin", [](std::istream& in) { return LoadGraph(in); });
   const DocumentStore store =
@@ -519,62 +568,6 @@ int Fetch(const Args& args) {
   return 1;
 }
 
-// One parsed Prometheus exposition: series in file order plus each
-// metric's declared # TYPE, so watch mode can tell counters from gauges.
-struct ParsedScrape {
-  std::vector<std::pair<std::string, double>> series;  // "name{labels}" -> v
-  std::map<std::string, std::string> types;            // metric -> type
-};
-
-ParsedScrape ParseExposition(const std::string& text) {
-  ParsedScrape scrape;
-  std::stringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    if (line[0] == '#') {
-      std::stringstream meta(line);
-      std::string hash, kind, name, type;
-      if (meta >> hash >> kind >> name >> type && kind == "TYPE") {
-        scrape.types[name] = type;
-      }
-      continue;
-    }
-    // Exemplar lines put "# {trace_id=...} value" after the sample; the
-    // sample itself ends before the '#'.
-    std::string sample = line;
-    if (const std::size_t hash = sample.find(" # "); hash != std::string::npos) {
-      sample.resize(hash);
-    }
-    const std::size_t space = sample.rfind(' ');
-    if (space == std::string::npos || space + 1 >= sample.size()) continue;
-    try {
-      scrape.series.emplace_back(sample.substr(0, space),
-                                 std::stod(sample.substr(space + 1)));
-    } catch (const std::exception&) {
-      // Unparsable value (e.g. NaN spelled oddly): skip the series.
-    }
-  }
-  return scrape;
-}
-
-/// The declared type of the metric a series key belongs to. Histogram
-/// series are named <metric>_bucket/_sum/_count, so strip labels and
-/// those suffixes before the TYPE lookup.
-std::string SeriesType(const ParsedScrape& scrape, const std::string& key) {
-  std::string name = key.substr(0, key.find('{'));
-  auto it = scrape.types.find(name);
-  if (it != scrape.types.end()) return it->second;
-  for (const char* suffix : {"_bucket", "_sum", "_count"}) {
-    const std::size_t n = std::strlen(suffix);
-    if (name.size() > n && name.compare(name.size() - n, n, suffix) == 0) {
-      it = scrape.types.find(name.substr(0, name.size() - n));
-      if (it != scrape.types.end()) return it->second;
-    }
-  }
-  return "untyped";
-}
-
 // Scrapes the Prometheus text exposition from the first reachable
 // endpoint; with --watch, keeps scraping until interrupted, printing
 // counter and histogram series as deltas per interval (rates an operator
@@ -582,7 +575,7 @@ std::string SeriesType(const ParsedScrape& scrape, const std::string& key) {
 int Metrics(const Args& args) {
   const auto endpoints = ParseEndpointList("metrics", args.endpoints);
   if (endpoints.empty()) return 1;
-  std::map<std::string, double> previous;
+  std::map<std::string, std::uint64_t> previous;
   bool have_previous = false;
   while (true) {
     bool scraped = false;
@@ -599,20 +592,19 @@ int Metrics(const Args& args) {
         if (!args.watch) {
           std::fputs(reply.text.c_str(), stdout);
         } else {
-          const ParsedScrape scrape = ParseExposition(reply.text);
+          const server::ParsedMetrics scrape =
+              server::ParseMetricsText(reply.text);
           std::printf("# scrape of %s (%s per %ums; gauges raw)\n",
                       endpoint.ToString().c_str(),
                       have_previous ? "counter deltas" : "raw first scrape",
                       args.interval_ms);
-          std::map<std::string, double> current;
-          for (const auto& [key, value] : scrape.series) {
-            current[key] = value;
-            const std::string type = SeriesType(scrape, key);
-            const bool cumulative =
-                type == "counter" || type == "histogram";
-            double shown = value;
+          std::map<std::string, std::uint64_t> current;
+          for (const auto& [series, type, value] : scrape.samples) {
+            current[series] = value;
+            const bool cumulative = type == "counter" || type == "histogram";
+            std::uint64_t shown = value;
             if (cumulative && have_previous) {
-              const auto prev = previous.find(key);
+              const auto prev = previous.find(series);
               // A counter below its previous value means the server
               // restarted; show the raw count rather than a bogus
               // negative delta.
@@ -622,7 +614,8 @@ int Metrics(const Args& args) {
             }
             // Quiet cumulative series add nothing between scrapes.
             if (cumulative && have_previous && shown == 0) continue;
-            std::printf("%s %.17g%s\n", key.c_str(), shown,
+            std::printf("%s %llu%s\n", series.c_str(),
+                        static_cast<unsigned long long>(shown),
                         cumulative && have_previous ? " (delta)" : "");
           }
           previous = std::move(current);
@@ -709,6 +702,15 @@ int Health(const Args& args) {
   return any ? 0 : 1;
 }
 
+/// Reports a request the server answered with a non-OK status; the exit
+/// status of a rejection is 2 (usage and transport errors exit 1).
+int Rejected(const char* command, const server::Client::Reply& reply) {
+  std::fprintf(stderr, "%s: rejected: %s: %s\n", command,
+               std::string(server::StatusName(reply.status)).c_str(),
+               reply.error.c_str());
+  return 2;
+}
+
 // Flips the FIRST endpoint of --endpoints to primary (PROMOTE opcode).
 // Deliberately not failover-routed: the operator names the server to
 // promote, and that is where the request goes.
@@ -719,10 +721,7 @@ int Promote(const Args& args) {
     server::Client client;
     client.Connect(endpoints.front().host, endpoints.front().port);
     const auto reply = client.Promote(args.min_applied);
-    if (!reply.ok()) {
-      std::fprintf(stderr, "promote: rejected: %s\n", reply.error.c_str());
-      return 1;
-    }
+    if (!reply.ok()) return Rejected("promote", reply);
     std::printf("promoted %s: epoch=%llu applied=%llu\n",
                 endpoints.front().ToString().c_str(),
                 static_cast<unsigned long long>(reply.epoch),
@@ -734,29 +733,92 @@ int Promote(const Args& args) {
   }
 }
 
+// Runs `op` through a FailoverClient over --endpoints with --retries
+// attempts per request and --fence-epoch stamped on keyed mutations.
+// `op` returns the exit status; a transport failure on every endpoint
+// exits 1.
+int Online(const char* command, const Args& args,
+           const std::function<int(server::FailoverClient&)>& op) {
+  const auto endpoints = ParseEndpointList(command, args.endpoints);
+  if (endpoints.empty()) return 1;
+  server::RetryPolicy policy;
+  policy.max_attempts = std::max<std::uint32_t>(1, args.retries);
+  try {
+    server::FailoverClient client(endpoints, policy);
+    if (args.fence_epoch != 0) client.SetFenceEpoch(args.fence_epoch);
+    return op(client);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: failed: %s\n", command, e.what());
+    return 1;
+  }
+}
+
+int Ping(const Args& args) {
+  return Online("ping", args, [](server::FailoverClient& client) {
+    const auto reply = client.Ping();
+    return reply.ok() ? 0 : Rejected("ping", reply);
+  });
+}
+
+int Search(const Args& args) {
+  if (args.query.empty()) {
+    std::fprintf(stderr, "search: --query=TEXT required\n");
+    return 1;
+  }
+  return Online("search", args, [&](server::FailoverClient& client) {
+    const auto reply =
+        client.Search(args.query, args.vertex, args.k, args.ranked);
+    if (!reply.ok()) return Rejected("search", reply);
+    for (const server::WireResult& r : reply.results) {
+      const auto time = static_cast<unsigned long long>(r.travel_time);
+      if (args.ranked) {
+        std::printf("%u\t%s\ttime=%llu\tscore=%.4f\n", r.object,
+                    r.name.c_str(), time, r.score);
+      } else {
+        std::printf("%u\t%s\ttime=%llu\n", r.object, r.name.c_str(), time);
+      }
+    }
+    return 0;
+  });
+}
+
+// SNAPSHOT / RELOAD against a server: prints "<sequence>\t<path>".
+int SnapshotOnline(
+    const char* command, const Args& args,
+    server::Client::SnapshotReply (server::FailoverClient::*op)()) {
+  return Online(command, args, [&](server::FailoverClient& client) {
+    const auto reply = (client.*op)();
+    if (!reply.ok()) return Rejected(command, reply);
+    std::printf("%llu\t%s\n", static_cast<unsigned long long>(reply.sequence),
+                reply.path.c_str());
+    return 0;
+  });
+}
+
+// `snapshot` writes one from the dataset files, or with --endpoints asks
+// the server to write one.
+int Snapshot(const Args& args) {
+  if (args.endpoints.empty()) return WriteLocalSnapshot(args);
+  return SnapshotOnline("snapshot", args, &server::FailoverClient::Snapshot);
+}
+
+int Reload(const Args& args) {
+  return SnapshotOnline("reload", args, &server::FailoverClient::Reload);
+}
+
 // Shared tail of the three mutation commands: route the write through a
 // FailoverClient (NOT_PRIMARY redirects + idempotent retries) and print
 // the acked object id and op-log sequence.
 int Mutate(const char* command, const Args& args,
            const std::function<server::Client::MutateReply(
                server::FailoverClient&)>& op) {
-  const auto endpoints = ParseEndpointList(command, args.endpoints);
-  if (endpoints.empty()) return 1;
-  try {
-    server::FailoverClient client(endpoints);
+  return Online(command, args, [&](server::FailoverClient& client) {
     const auto reply = op(client);
-    if (!reply.ok()) {
-      std::fprintf(stderr, "%s: rejected: %s\n", command,
-                   reply.error.c_str());
-      return 1;
-    }
+    if (!reply.ok()) return Rejected(command, reply);
     std::printf("%u\tseq=%llu\n", reply.id,
                 static_cast<unsigned long long>(reply.sequence));
     return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s: failed: %s\n", command, e.what());
-    return 1;
-  }
+  });
 }
 
 int Insert(const Args& args) {
@@ -793,32 +855,12 @@ int Update(const Args& args) {
   });
 }
 
-int Main(int argc, char** argv) {
-  const Args args = Parse(argc, argv);
-  try {
-    if (args.command == "generate") return Generate(args);
-    if (args.command == "build") return Build(args);
-    if (args.command == "stats") return Stats(args);
-    if (args.command == "query") return Query(args);
-    if (args.command == "snapshot") return Snapshot(args);
-    if (args.command == "restore") return Restore(args);
-    if (args.command == "fetch") return Fetch(args);
-    if (args.command == "metrics") return Metrics(args);
-    if (args.command == "diag") return Diag(args);
-    if (args.command == "health") return Health(args);
-    if (args.command == "promote") return Promote(args);
-    if (args.command == "insert") return Insert(args);
-    if (args.command == "delete") return Delete(args);
-    if (args.command == "update") return Update(args);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
+void Usage() {
   std::fprintf(
       stderr,
       "usage: kspin_cli "
       "<generate|build|stats|query|snapshot|restore|fetch|metrics|diag|"
-      "health|promote|insert|delete|update> [--dir=DIR]\n"
+      "health|promote|ping|search|reload|insert|delete|update> [--dir=DIR]\n"
       "  generate --dataset=DE|ME|FL|E|US\n"
       "  query --vertex=V --k=K --keywords=1,2,3 [--op=and|or]\n"
       "        [--module=ch|hl] [--ranked]\n"
@@ -835,12 +877,55 @@ int Main(int argc, char** argv) {
       "           primary epoch, applied op-log sequence\n"
       "  promote  --endpoints=H:P[,...] [--min-applied=N]   flip the\n"
       "           FIRST endpoint to primary, bumping the epoch\n"
+      "  ping     --endpoints=H:P[,...]   liveness probe\n"
+      "  search   --endpoints=H:P[,...] --vertex=V --k=K --query=TEXT\n"
+      "           [--ranked]   boolean kNN or ranked top-k\n"
+      "  snapshot --endpoints=H:P[,...]   the server writes a snapshot now\n"
+      "  reload   --endpoints=H:P[,...]   the server reloads its newest\n"
+      "           valid snapshot\n"
       "  insert   --endpoints=H:P[,...] --vertex=V --name=NAME\n"
       "           [--tags=a,b,c]   durable insert (prints id + sequence)\n"
       "  delete   --endpoints=H:P[,...] --id=N   durable delete\n"
       "  update   --endpoints=H:P[,...] --id=N [--add=a,b] [--remove=c]\n"
-      "           durable keyword update\n");
-  return args.command.empty() ? 1 : 0;
+      "           durable keyword update\n"
+      "  ping, search, snapshot --endpoints, reload, insert, delete and\n"
+      "  update take [--retries=N] [--fence-epoch=N]. Exit status: 0 ok,\n"
+      "  2 rejected by the server, 1 usage or transport error.\n");
+}
+
+int Main(int argc, char** argv) {
+  if (argc < 2) {
+    Usage();
+    return 1;
+  }
+  Args args;
+  try {
+    Parse(argc, argv, args);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: %s\n", argv[1], e.what());
+    Usage();
+    return 1;
+  }
+  const std::map<std::string_view, int (*)(const Args&)> commands = {
+      {"generate", Generate}, {"build", Build},     {"stats", Stats},
+      {"query", Query},       {"snapshot", Snapshot}, {"restore", Restore},
+      {"fetch", Fetch},       {"metrics", Metrics}, {"diag", Diag},
+      {"health", Health},     {"promote", Promote}, {"ping", Ping},
+      {"search", Search},     {"reload", Reload},   {"insert", Insert},
+      {"delete", Delete},     {"update", Update},
+  };
+  const auto command = commands.find(args.command);
+  if (command == commands.end()) {
+    std::fprintf(stderr, "unknown command %s\n", args.command.c_str());
+    Usage();
+    return 1;
+  }
+  try {
+    return command->second(args);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }
 
 }  // namespace

@@ -1,12 +1,12 @@
 // Load harness for a running kspin_server (optionally behind
 // chaos_proxy): drives alternating traffic phases against a live
-// endpoint and reports tail latency from the server's own STATS
+// endpoint and reports tail latency from the server's own METRICS
 // histograms, so the numbers include queueing the client never sees.
 //
 //   load_harness --port=P [--host=H] [--threads=N] [--seconds=S]
 //                [--burst-qps=Q] [--burst-seconds=S] [--cycles=N]
 //                [--keywords=N] [--vertices=N] [--zipf=S] [--seed=S]
-//                [--k=K] [--deadline-ms=D] [--json]
+//                [--k=K] [--deadline-ms=D]
 //
 // Each cycle is two phases:
 //
@@ -27,13 +27,10 @@
 //
 // After every phase the harness prints the phase's offered/observed
 // rates, the client-side reply mix (ok / overloaded / deadline /
-// degraded), and the server-side query-latency p50/p99/p999 computed
-// from the STATS histogram delta for that phase — log2 buckets, so each
-// percentile is the upper bound of its bucket (at most 2x off).
-//
-// --json swaps the text rows for a single machine-readable JSON document
-// (config, per-phase results, final server counters) — the format
-// committed as BENCH_server.json.
+// degraded), and the server-side query-latency p50/p99/p999 of the
+// kspin_query_latency_us histogram between two METRICS scrapes that
+// bracket the phase. Each percentile is the `le` bound of the bucket
+// holding its nearest-rank sample (log2 buckets today: at most 2x off).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -41,6 +38,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <optional>
 #include <random>
 #include <string>
@@ -48,6 +46,7 @@
 #include <vector>
 
 #include "server/client.h"
+#include "server/metrics.h"
 #include "server/wire.h"
 
 namespace kspin::tools {
@@ -69,7 +68,6 @@ struct Args {
   std::uint64_t seed = 42;
   std::uint32_t k = 10;
   std::uint32_t deadline_ms = 0;
-  bool json = false;  ///< Emit one JSON document instead of the text rows.
 };
 
 std::optional<Args> Parse(int argc, char** argv) {
@@ -108,8 +106,6 @@ std::optional<Args> Parse(int argc, char** argv) {
       args.k = static_cast<std::uint32_t>(std::stoul(*v));
     } else if (auto v = value("deadline-ms")) {
       args.deadline_ms = static_cast<std::uint32_t>(std::stoul(*v));
-    } else if (arg == "--json") {
-      args.json = true;
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       return std::nullopt;
@@ -164,34 +160,6 @@ struct Tally {
     degraded += other.degraded;
   }
 };
-
-/// Percentile (bucket upper bound) from a cumulative-count wire
-/// histogram delta; 0 when the phase recorded nothing.
-std::uint64_t WirePercentile(const server::WireHistogram& before,
-                             const server::WireHistogram& after, double p,
-                             std::uint64_t* count_out = nullptr) {
-  const std::uint64_t count = after.count - before.count;
-  if (count_out != nullptr) *count_out = count;
-  if (count == 0) return 0;
-  const auto target = static_cast<std::uint64_t>(
-      std::ceil(p * static_cast<double>(count)));
-  std::uint64_t cumulative = 0;
-  const std::size_t buckets =
-      std::min(after.buckets.size(), before.buckets.size());
-  for (std::size_t i = 0; i < buckets; ++i) {
-    cumulative += after.buckets[i] - before.buckets[i];
-    if (cumulative >= target) return std::uint64_t{1} << (i + 1);
-  }
-  return std::uint64_t{1} << buckets;
-}
-
-const server::WireHistogram* FindHistogram(
-    const server::Client::StatsReply& stats, const std::string& name) {
-  for (const auto& h : stats.histograms) {
-    if (h.name == name) return &h;
-  }
-  return nullptr;
-}
 
 /// One traffic phase. `qps` 0 = closed loop; otherwise the aggregate
 /// open-loop rate is split evenly across threads, each pacing arrivals
@@ -271,6 +239,16 @@ Tally RunPhase(const Args& args, double seconds, double qps) {
   return total;
 }
 
+/// One METRICS scrape of `probe`, parsed; nullopt (reported) on failure.
+std::optional<server::ParsedMetrics> Scrape(server::Client& probe) {
+  const auto reply = probe.Metrics();
+  if (!reply.ok()) {
+    std::fprintf(stderr, "METRICS failed: %s\n", reply.error.c_str());
+    return std::nullopt;
+  }
+  return server::ParseMetricsText(reply.text);
+}
+
 int Main(int argc, char** argv) {
   const auto args = Parse(argc, argv);
   if (!args) {
@@ -279,7 +257,7 @@ int Main(int argc, char** argv) {
         "usage: load_harness --port=P [--host=H] [--threads=N] "
         "[--seconds=S] [--burst-qps=Q] [--burst-seconds=S] [--cycles=N] "
         "[--keywords=N] [--vertices=N] [--zipf=S] [--seed=S] [--k=K] "
-        "[--deadline-ms=D] [--json]\n");
+        "[--deadline-ms=D]\n");
     return 2;
   }
 
@@ -292,27 +270,13 @@ int Main(int argc, char** argv) {
     return 1;
   }
 
-  if (!args->json) {
-    std::printf(
-        "# load_harness: %s:%u, %d threads, zipf(%.2f) over %u keywords\n",
-        args->host.c_str(), args->port, args->threads, args->zipf,
-        args->keywords);
-    std::printf(
-        "phase\toffered_qps\tdone_qps\tok\tovld\tdead\tdeg\terr\t"
-        "p50_us\tp99_us\tp999_us\n");
-  }
-
-  // Per-phase results kept for the --json document (machine-readable
-  // output committed as BENCH_server.json and diffed across PRs).
-  struct PhaseResult {
-    const char* name;
-    int cycle;
-    double offered_qps;
-    double done_qps;
-    Tally tally;
-    std::uint64_t p50, p99, p999;
-  };
-  std::vector<PhaseResult> results;
+  std::printf(
+      "# load_harness: %s:%u, %d threads, zipf(%.2f) over %u keywords\n",
+      args->host.c_str(), args->port, args->threads, args->zipf,
+      args->keywords);
+  std::printf(
+      "phase\toffered_qps\tdone_qps\tok\tovld\tdead\tdeg\terr\t"
+      "p50_us\tp99_us\tp999_us\n");
 
   int failures = 0;
   for (int cycle = 0; cycle < args->cycles; ++cycle) {
@@ -327,125 +291,50 @@ int Main(int argc, char** argv) {
       phases.push_back({"burst", args->burst_seconds, args->burst_qps});
     }
     for (const Phase& phase : phases) {
-      const auto before = probe.Stats();
-      if (!before.ok()) {
-        std::fprintf(stderr, "STATS failed: %s\n", before.error.c_str());
-        return 1;
-      }
+      const auto before = Scrape(probe);
+      if (!before) return 1;
       const Clock::time_point start = Clock::now();
       const Tally tally = RunPhase(*args, phase.seconds, phase.qps);
       const double elapsed =
           std::chrono::duration<double>(Clock::now() - start).count();
-      const auto after = probe.Stats();
-      if (!after.ok()) {
-        std::fprintf(stderr, "STATS failed: %s\n", after.error.c_str());
-        return 1;
-      }
+      const auto after = Scrape(probe);
+      if (!after) return 1;
 
       // Server-side latency for just this phase: the histogram delta.
-      const auto* hb = FindHistogram(before, "query_latency_us");
-      const auto* ha = FindHistogram(after, "query_latency_us");
-      std::uint64_t p50 = 0, p99 = 0, p999 = 0;
-      if (hb != nullptr && ha != nullptr) {
-        p50 = WirePercentile(*hb, *ha, 0.50);
-        p99 = WirePercentile(*hb, *ha, 0.99);
-        p999 = WirePercentile(*hb, *ha, 0.999);
-      } else {
-        std::fprintf(stderr,
-                     "warning: server sent no query_latency_us histogram "
-                     "(protocol < 2?); tail latency unavailable\n");
-      }
+      const server::ParsedHistogram latency =
+          after->histograms.at("kspin_query_latency_us")
+              .Since(before->histograms.at("kspin_query_latency_us"));
       if (tally.ok == 0) ++failures;
       const double done_qps =
           static_cast<double>(tally.sent) / std::max(elapsed, 1e-9);
-      results.push_back(
-          {phase.name, cycle, phase.qps, done_qps, tally, p50, p99, p999});
-      if (!args->json) {
-        std::printf(
-            "%s\t%.0f\t%.0f\t%llu\t%llu\t%llu\t%llu\t%llu\t%llu\t%llu\t"
-            "%llu\n",
-            phase.name, phase.qps, done_qps,
-            static_cast<unsigned long long>(tally.ok),
-            static_cast<unsigned long long>(tally.overloaded),
-            static_cast<unsigned long long>(tally.deadline),
-            static_cast<unsigned long long>(tally.degraded),
-            static_cast<unsigned long long>(tally.errors),
-            static_cast<unsigned long long>(p50),
-            static_cast<unsigned long long>(p99),
-            static_cast<unsigned long long>(p999));
-      }
+      std::printf(
+          "%s\t%.0f\t%.0f\t%llu\t%llu\t%llu\t%llu\t%llu\t%llu\t%llu\t"
+          "%llu\n",
+          phase.name, phase.qps, done_qps,
+          static_cast<unsigned long long>(tally.ok),
+          static_cast<unsigned long long>(tally.overloaded),
+          static_cast<unsigned long long>(tally.deadline),
+          static_cast<unsigned long long>(tally.degraded),
+          static_cast<unsigned long long>(tally.errors),
+          static_cast<unsigned long long>(latency.Percentile(0.50)),
+          static_cast<unsigned long long>(latency.Percentile(0.99)),
+          static_cast<unsigned long long>(latency.Percentile(0.999)));
     }
   }
 
   // Final server-side counters an operator would look at after a drill.
-  const auto stats = probe.Stats();
-  if (args->json) {
-    std::printf("{\n  \"config\": {\"host\": \"%s\", \"port\": %u, "
-                "\"threads\": %d, \"cycles\": %d, \"zipf\": %.2f, "
-                "\"keywords\": %u, \"vertices\": %u, \"k\": %u, "
-                "\"burst_qps\": %.0f, \"deadline_ms\": %u},\n",
-                args->host.c_str(), args->port, args->threads, args->cycles,
-                args->zipf, args->keywords, args->vertices, args->k,
-                args->burst_qps, args->deadline_ms);
-    std::printf("  \"phases\": [\n");
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const PhaseResult& r = results[i];
-      std::printf(
-          "    {\"phase\": \"%s\", \"cycle\": %d, \"offered_qps\": %.0f, "
-          "\"done_qps\": %.1f, \"ok\": %llu, \"overloaded\": %llu, "
-          "\"deadline\": %llu, \"degraded\": %llu, \"errors\": %llu, "
-          "\"p50_us\": %llu, \"p99_us\": %llu, \"p999_us\": %llu}%s\n",
-          r.name, r.cycle, r.offered_qps, r.done_qps,
-          static_cast<unsigned long long>(r.tally.ok),
-          static_cast<unsigned long long>(r.tally.overloaded),
-          static_cast<unsigned long long>(r.tally.deadline),
-          static_cast<unsigned long long>(r.tally.degraded),
-          static_cast<unsigned long long>(r.tally.errors),
-          static_cast<unsigned long long>(r.p50),
-          static_cast<unsigned long long>(r.p99),
-          static_cast<unsigned long long>(r.p999),
-          i + 1 < results.size() ? "," : "");
+  if (const auto metrics = Scrape(probe)) {
+    std::printf("# server:");
+    for (const char* key :
+         {"requests_ok", "requests_overloaded", "requests_rate_limited",
+          "requests_codel_shed", "requests_deadline_rejected",
+          "requests_degraded", "brownout_entries", "brownout_seconds",
+          "overload_state", "admission_limit"}) {
+      std::printf(" %s=%llu", key,
+                  static_cast<unsigned long long>(
+                      metrics->Value("kspin_" + std::string(key))));
     }
-    std::printf("  ],\n");
-    std::printf(
-        "  \"server\": {\"requests_ok\": %llu, \"requests_overloaded\": "
-        "%llu, \"requests_rate_limited\": %llu, \"requests_codel_shed\": "
-        "%llu, \"requests_degraded\": %llu, \"brownout_entries\": %llu, "
-        "\"admission_limit\": %llu}\n}\n",
-        static_cast<unsigned long long>(
-            stats.ok() ? stats.Value("requests_ok") : 0),
-        static_cast<unsigned long long>(
-            stats.ok() ? stats.Value("requests_overloaded") : 0),
-        static_cast<unsigned long long>(
-            stats.ok() ? stats.Value("requests_rate_limited") : 0),
-        static_cast<unsigned long long>(
-            stats.ok() ? stats.Value("requests_codel_shed") : 0),
-        static_cast<unsigned long long>(
-            stats.ok() ? stats.Value("requests_degraded") : 0),
-        static_cast<unsigned long long>(
-            stats.ok() ? stats.Value("brownout_entries") : 0),
-        static_cast<unsigned long long>(
-            stats.ok() ? stats.Value("admission_limit") : 0));
-  } else if (stats.ok()) {
-    std::printf(
-        "# server: ok=%llu overloaded=%llu rate_limited=%llu "
-        "codel_shed=%llu deadline_rejected=%llu degraded=%llu "
-        "brownout_entries=%llu brownout_seconds=%llu overload_state=%llu "
-        "admission_limit=%llu\n",
-        static_cast<unsigned long long>(stats.Value("requests_ok")),
-        static_cast<unsigned long long>(
-            stats.Value("requests_overloaded")),
-        static_cast<unsigned long long>(
-            stats.Value("requests_rate_limited")),
-        static_cast<unsigned long long>(
-            stats.Value("requests_codel_shed")),
-        static_cast<unsigned long long>(
-            stats.Value("requests_deadline_rejected")),
-        static_cast<unsigned long long>(stats.Value("requests_degraded")),
-        static_cast<unsigned long long>(stats.Value("brownout_entries")),
-        static_cast<unsigned long long>(stats.Value("brownout_seconds")),
-        static_cast<unsigned long long>(stats.Value("overload_state")),
-        static_cast<unsigned long long>(stats.Value("admission_limit")));
+    std::printf("\n");
   }
   return failures == 0 ? 0 : 1;
 }
@@ -453,4 +342,11 @@ int Main(int argc, char** argv) {
 }  // namespace
 }  // namespace kspin::tools
 
-int main(int argc, char** argv) { return kspin::tools::Main(argc, argv); }
+int main(int argc, char** argv) {
+  try {
+    return kspin::tools::Main(argc, argv);
+  } catch (const std::exception& e) {  // Transport or malformed METRICS.
+    std::fprintf(stderr, "load_harness: %s\n", e.what());
+    return 1;
+  }
+}

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # End-to-end smoke test: boots kspin_server on an ephemeral port, drives
-# it with kspin_client (ping, searches, an update, stats), checks a clean
+# it with kspin_cli (ping, searches, an update, metrics), checks a clean
 # SIGINT shutdown, then runs a crash/restore cycle: snapshot, kill -9,
 # restart from --snapshot-dir, and verify byte-identical query results.
 # Then boots a primary + replica pair: writes through the primary,
@@ -29,7 +29,6 @@ set -euo pipefail
 
 BUILD_DIR="${1:-build}"
 SERVER="$BUILD_DIR/tools/kspin_server"
-CLIENT="$BUILD_DIR/tools/kspin_client"
 KCLI="$BUILD_DIR/tools/kspin_cli"
 PROXY="$BUILD_DIR/tools/chaos_proxy"
 LOADGEN="$BUILD_DIR/tools/load_harness"
@@ -47,7 +46,7 @@ FOPRI_OPLOG="$(mktemp -d)"
 FOREP_SNAP="$(mktemp -d)"
 FOREP_OPLOG="$(mktemp -d)"
 
-for bin in "$SERVER" "$CLIENT" "$KCLI" "$PROXY" "$LOADGEN"; do
+for bin in "$SERVER" "$KCLI" "$PROXY" "$LOADGEN"; do
   if [[ ! -x "$bin" ]]; then
     echo "smoke: missing binary $bin" >&2
     exit 1
@@ -93,36 +92,46 @@ start_server() {
 start_server
 echo "smoke: server up on port $PORT"
 
-"$CLIENT" --port="$PORT" ping
+"$KCLI" ping --endpoints=127.0.0.1:"$PORT"
 echo "smoke: ping ok"
 
-RESULTS="$("$CLIENT" --port="$PORT" search 5 3 "kw0 or kw1")"
+RESULTS="$("$KCLI" search --endpoints=127.0.0.1:"$PORT" --vertex=5 --k=3 --query="kw0 or kw1")"
 [[ -n "$RESULTS" ]] || { echo "smoke: empty search results" >&2; exit 1; }
 echo "smoke: search returned $(wc -l <<<"$RESULTS") results"
 
-"$CLIENT" --port="$PORT" ranked 5 3 kw0 kw2 >/dev/null
+"$KCLI" search --endpoints=127.0.0.1:"$PORT" --vertex=5 --k=3 --query="kw0 kw2" --ranked >/dev/null
 echo "smoke: ranked search ok"
 
-POI_OUT="$("$CLIENT" --port="$PORT" insert 7 smoketestpoi smokekw)"
+POI_OUT="$("$KCLI" insert --endpoints=127.0.0.1:"$PORT" --vertex=7 --name=smoketestpoi --tags=smokekw)"
 POI_ID="${POI_OUT%%$'\t'*}"
-FOUND="$("$CLIENT" --port="$PORT" search 7 1 smokekw)"
+FOUND="$("$KCLI" search --endpoints=127.0.0.1:"$PORT" --vertex=7 --k=1 --query=smokekw)"
 grep -q "smoketestpoi" <<<"$FOUND" || { echo "smoke: added POI not found" >&2; exit 1; }
-"$CLIENT" --port="$PORT" delete "$POI_ID" >/dev/null
+"$KCLI" delete --endpoints=127.0.0.1:"$PORT" --id="$POI_ID" >/dev/null
 echo "smoke: update cycle ok (poi id $POI_ID)"
 
+# A misspelled flag fails the command with usage (exit 1) and applies
+# nothing: it never falls back to a default such as vertex 0.
+APPLIED_BEFORE="$("$KCLI" metrics --endpoints=127.0.0.1:"$PORT" | awk '$1 == "kspin_mutations_applied" { print $2 }')"
+TYPO_RC=0
+"$KCLI" insert --endpoints=127.0.0.1:"$PORT" --vertx=7 --name=typopoi --tags=typokw 2>/dev/null || TYPO_RC=$?
+[[ "$TYPO_RC" == 1 ]] || { echo "smoke: misspelled flag exited $TYPO_RC, expected 1" >&2; exit 1; }
+APPLIED_AFTER="$("$KCLI" metrics --endpoints=127.0.0.1:"$PORT" | awk '$1 == "kspin_mutations_applied" { print $2 }')"
+[[ -n "$APPLIED_BEFORE" && "$APPLIED_AFTER" == "$APPLIED_BEFORE" ]] || { echo "smoke: misspelled insert applied a mutation ($APPLIED_BEFORE -> $APPLIED_AFTER)" >&2; exit 1; }
+echo "smoke: misspelled flag rejected, nothing applied (mutations_applied=$APPLIED_AFTER)"
+
 # Bad queries must be rejected without killing the server.
-if "$CLIENT" --port="$PORT" search 5 3 "((kw1" 2>/dev/null; then
+if "$KCLI" search --endpoints=127.0.0.1:"$PORT" --vertex=5 --k=3 --query="((kw1" 2>/dev/null; then
   echo "smoke: malformed query unexpectedly accepted" >&2
   exit 1
 fi
-"$CLIENT" --port="$PORT" ping
+"$KCLI" ping --endpoints=127.0.0.1:"$PORT"
 echo "smoke: bad query rejected, server alive"
 
-STATS="$("$CLIENT" --port="$PORT" stats)"
-grep -q "requests_ok" <<<"$STATS" || { echo "smoke: stats missing requests_ok" >&2; exit 1; }
-OK_COUNT="$(awk -F'\t' '$1 == "requests_ok" { print $2 }' <<<"$STATS")"
+METRICS="$("$KCLI" metrics --endpoints=127.0.0.1:"$PORT")"
+grep -q "^kspin_requests_ok " <<<"$METRICS" || { echo "smoke: metrics missing kspin_requests_ok" >&2; exit 1; }
+OK_COUNT="$(awk '$1 == "kspin_requests_ok" { print $2 }' <<<"$METRICS")"
 [[ "$OK_COUNT" -ge 6 ]] || { echo "smoke: implausible requests_ok=$OK_COUNT" >&2; exit 1; }
-echo "smoke: stats ok (requests_ok=$OK_COUNT)"
+echo "smoke: metrics ok (requests_ok=$OK_COUNT)"
 
 kill -INT "$SERVER_PID"
 for _ in $(seq 1 100); do
@@ -146,13 +155,13 @@ echo "smoke: graceful shutdown ok"
 start_server --snapshot-dir="$SNAPDIR"
 echo "smoke: snapshot server up on port $PORT"
 
-CRASH_OUT="$("$CLIENT" --port="$PORT" insert 9 crashpoi crashkw)"
+CRASH_OUT="$("$KCLI" insert --endpoints=127.0.0.1:"$PORT" --vertex=9 --name=crashpoi --tags=crashkw)"
 CRASH_ID="${CRASH_OUT%%$'\t'*}"
-BASELINE_A="$("$CLIENT" --port="$PORT" search 5 5 "kw0 or kw1")"
-BASELINE_B="$("$CLIENT" --port="$PORT" search 9 3 crashkw)"
+BASELINE_A="$("$KCLI" search --endpoints=127.0.0.1:"$PORT" --vertex=5 --k=5 --query="kw0 or kw1")"
+BASELINE_B="$("$KCLI" search --endpoints=127.0.0.1:"$PORT" --vertex=9 --k=3 --query=crashkw)"
 grep -q "crashpoi" <<<"$BASELINE_B" || { echo "smoke: crashpoi missing pre-crash" >&2; exit 1; }
 
-SNAP_OUT="$("$CLIENT" --port="$PORT" snapshot)"
+SNAP_OUT="$("$KCLI" snapshot --endpoints=127.0.0.1:"$PORT")"
 SNAP_PATH="$(cut -f2 <<<"$SNAP_OUT")"
 [[ -f "$SNAP_PATH" ]] || { echo "smoke: snapshot file $SNAP_PATH missing" >&2; exit 1; }
 echo "smoke: snapshot written ($SNAP_OUT)"
@@ -165,16 +174,16 @@ echo "smoke: server killed with SIGKILL"
 start_server --snapshot-dir="$SNAPDIR"
 grep -q "restored snapshot" "$LOG" || { echo "smoke: restart did not restore from snapshot" >&2; cat "$LOG" >&2; exit 1; }
 
-AFTER_A="$("$CLIENT" --port="$PORT" search 5 5 "kw0 or kw1")"
-AFTER_B="$("$CLIENT" --port="$PORT" search 9 3 crashkw)"
+AFTER_A="$("$KCLI" search --endpoints=127.0.0.1:"$PORT" --vertex=5 --k=5 --query="kw0 or kw1")"
+AFTER_B="$("$KCLI" search --endpoints=127.0.0.1:"$PORT" --vertex=9 --k=3 --query=crashkw)"
 [[ "$AFTER_A" == "$BASELINE_A" ]] || { echo "smoke: post-restore results differ (baseline A)" >&2; diff <(echo "$BASELINE_A") <(echo "$AFTER_A") >&2 || true; exit 1; }
 [[ "$AFTER_B" == "$BASELINE_B" ]] || { echo "smoke: post-restore results differ (baseline B)" >&2; diff <(echo "$BASELINE_B") <(echo "$AFTER_B") >&2 || true; exit 1; }
 grep -q "crashpoi" <<<"$AFTER_B" || { echo "smoke: crashpoi lost across crash" >&2; exit 1; }
 echo "smoke: post-crash results byte-identical (poi id $CRASH_ID survived)"
 
 # RELOAD over the wire converges on the same snapshot.
-"$CLIENT" --port="$PORT" reload >/dev/null
-AFTER_RELOAD="$("$CLIENT" --port="$PORT" search 5 5 "kw0 or kw1")"
+"$KCLI" reload --endpoints=127.0.0.1:"$PORT" >/dev/null
+AFTER_RELOAD="$("$KCLI" search --endpoints=127.0.0.1:"$PORT" --vertex=5 --k=5 --query="kw0 or kw1")"
 [[ "$AFTER_RELOAD" == "$BASELINE_A" ]] || { echo "smoke: RELOAD changed results" >&2; exit 1; }
 echo "smoke: RELOAD opcode ok"
 
@@ -200,9 +209,9 @@ start_server --snapshot-dir="$PSNAPDIR"
 PRIMARY_PORT="$PORT"
 echo "smoke: primary up on port $PRIMARY_PORT"
 
-REPL_OUT="$("$CLIENT" --port="$PRIMARY_PORT" insert 11 replpoi replkw)"
+REPL_OUT="$("$KCLI" insert --endpoints=127.0.0.1:"$PRIMARY_PORT" --vertex=11 --name=replpoi --tags=replkw)"
 REPL_ID="${REPL_OUT%%$'\t'*}"
-"$CLIENT" --port="$PRIMARY_PORT" snapshot >/dev/null
+"$KCLI" snapshot --endpoints=127.0.0.1:"$PRIMARY_PORT" >/dev/null
 echo "smoke: primary snapshot written (poi id $REPL_ID)"
 
 : >"$RLOG"
@@ -224,47 +233,47 @@ echo "smoke: replica up on port $REPLICA_PORT (bootstrapped from primary)"
 # Wait until the replica's health reports the primary's sequence.
 SEQ=""
 for _ in $(seq 1 100); do
-  SEQ="$("$CLIENT" --port="$REPLICA_PORT" health | awk -F'\t' '$1 == "snapshot_sequence" { print $2 }')"
+  SEQ="$("$KCLI" health --endpoints=127.0.0.1:"$REPLICA_PORT" | awk -F'\t' 'NR == 2 { print $5 }')"
   [[ -n "$SEQ" && "$SEQ" -ge 1 ]] && break
   sleep 0.1
 done
 [[ -n "$SEQ" && "$SEQ" -ge 1 ]] || { echo "smoke: replica never caught up (sequence=$SEQ)" >&2; cat "$RLOG" >&2; exit 1; }
-ROLE="$("$CLIENT" --port="$REPLICA_PORT" health | awk -F'\t' '$1 == "role" { print $2 }')"
+ROLE="$("$KCLI" health --endpoints=127.0.0.1:"$REPLICA_PORT" | awk -F'\t' 'NR == 2 { print $2 }')"
 [[ "$ROLE" == "replica" ]] || { echo "smoke: replica reports role=$ROLE" >&2; exit 1; }
 echo "smoke: replica caught up (snapshot_sequence=$SEQ)"
 
 # Byte-identical reads on both sides, including the replicated POI.
-PRIMARY_READ="$("$CLIENT" --port="$PRIMARY_PORT" search 5 5 "kw0 or kw1")"
-REPLICA_READ="$("$CLIENT" --port="$REPLICA_PORT" search 5 5 "kw0 or kw1")"
+PRIMARY_READ="$("$KCLI" search --endpoints=127.0.0.1:"$PRIMARY_PORT" --vertex=5 --k=5 --query="kw0 or kw1")"
+REPLICA_READ="$("$KCLI" search --endpoints=127.0.0.1:"$REPLICA_PORT" --vertex=5 --k=5 --query="kw0 or kw1")"
 [[ "$PRIMARY_READ" == "$REPLICA_READ" ]] || { echo "smoke: replica reads differ from primary" >&2; diff <(echo "$PRIMARY_READ") <(echo "$REPLICA_READ") >&2 || true; exit 1; }
-REPLICA_POI="$("$CLIENT" --port="$REPLICA_PORT" search 11 1 replkw)"
+REPLICA_POI="$("$KCLI" search --endpoints=127.0.0.1:"$REPLICA_PORT" --vertex=11 --k=1 --query=replkw)"
 grep -q "replpoi" <<<"$REPLICA_POI" || { echo "smoke: replicated POI missing on replica" >&2; exit 1; }
 echo "smoke: replica reads byte-identical to primary"
 
 # A write sent to the replica endpoint follows the NOT_PRIMARY redirect
 # to the live primary and succeeds there.
-REDIR_OUT="$("$CLIENT" --port="$REPLICA_PORT" insert 13 redirpoi redirkw)"
+REDIR_OUT="$("$KCLI" insert --endpoints=127.0.0.1:"$REPLICA_PORT" --vertex=13 --name=redirpoi --tags=redirkw)"
 REDIR_ID="${REDIR_OUT%%$'\t'*}"
-FOUND_ON_PRIMARY="$("$CLIENT" --port="$PRIMARY_PORT" search 13 1 redirkw)"
+FOUND_ON_PRIMARY="$("$KCLI" search --endpoints=127.0.0.1:"$PRIMARY_PORT" --vertex=13 --k=1 --query=redirkw)"
 grep -q "redirpoi" <<<"$FOUND_ON_PRIMARY" || { echo "smoke: redirected write missing on primary" >&2; exit 1; }
 echo "smoke: replica write redirected to primary (poi id $REDIR_ID)"
 
 # The redirected write reaches the replica by op-log tailing — the
 # primary's log ships just that record, so no second snapshot install
 # happens even after the primary writes snapshot 2.
-"$CLIENT" --port="$PRIMARY_PORT" snapshot >/dev/null
+"$KCLI" snapshot --endpoints=127.0.0.1:"$PRIMARY_PORT" >/dev/null
 FAILOVER_BASELINE=""
 for _ in $(seq 1 100); do
-  FAILOVER_BASELINE="$("$CLIENT" --port="$REPLICA_PORT" search 13 1 redirkw)"
+  FAILOVER_BASELINE="$("$KCLI" search --endpoints=127.0.0.1:"$REPLICA_PORT" --vertex=13 --k=1 --query=redirkw)"
   grep -q "redirpoi" <<<"$FAILOVER_BASELINE" && break
   sleep 0.1
 done
 grep -q "redirpoi" <<<"$FAILOVER_BASELINE" || { echo "smoke: redirected write never reached replica" >&2; cat "$RLOG" >&2; exit 1; }
-RSTATS="$("$CLIENT" --port="$REPLICA_PORT" stats)"
-RSOURCE="$(awk -F'\t' '$1 == "replication_source" { print $2 }' <<<"$RSTATS")"
-RRECORDS="$(awk -F'\t' '$1 == "replication_oplog_records" { print $2 }' <<<"$RSTATS")"
-RINSTALLS="$(awk -F'\t' '$1 == "replication_installs_ok" { print $2 }' <<<"$RSTATS")"
-[[ "$RSOURCE" == "1" ]] || { echo "smoke: replica not tailing the op log (replication_source=$RSOURCE)" >&2; echo "$RSTATS" >&2; exit 1; }
+RMETRICS="$("$KCLI" metrics --endpoints=127.0.0.1:"$REPLICA_PORT")"
+RSOURCE="$(awk '$1 == "kspin_replication_source" { print $2 }' <<<"$RMETRICS")"
+RRECORDS="$(awk '$1 == "kspin_replication_oplog_records" { print $2 }' <<<"$RMETRICS")"
+RINSTALLS="$(awk '$1 == "kspin_replication_installs_ok" { print $2 }' <<<"$RMETRICS")"
+[[ "$RSOURCE" == "1" ]] || { echo "smoke: replica not tailing the op log (replication_source=$RSOURCE)" >&2; echo "$RMETRICS" >&2; exit 1; }
 [[ -n "$RRECORDS" && "$RRECORDS" -ge 1 ]] || { echo "smoke: no op-log records shipped (replication_oplog_records=$RRECORDS)" >&2; exit 1; }
 # The boot-time bootstrap fetch is not a replicator install, so the
 # install counter stays at zero while tailing does all the work.
@@ -278,16 +287,16 @@ wait "$SERVER_PID" 2>/dev/null || true
 SERVER_PID=""
 echo "smoke: primary killed with SIGKILL"
 
-FAILOVER_READ="$("$CLIENT" --endpoints=127.0.0.1:"$PRIMARY_PORT",127.0.0.1:"$REPLICA_PORT" search 13 1 redirkw)"
+FAILOVER_READ="$("$KCLI" search --endpoints=127.0.0.1:"$PRIMARY_PORT",127.0.0.1:"$REPLICA_PORT" --vertex=13 --k=1 --query=redirkw)"
 [[ "$FAILOVER_READ" == "$FAILOVER_BASELINE" ]] || { echo "smoke: failover read differs" >&2; diff <(echo "$FAILOVER_BASELINE") <(echo "$FAILOVER_READ") >&2 || true; exit 1; }
-"$CLIENT" --endpoints=127.0.0.1:"$PRIMARY_PORT",127.0.0.1:"$REPLICA_PORT" ping
+"$KCLI" ping --endpoints=127.0.0.1:"$PRIMARY_PORT",127.0.0.1:"$REPLICA_PORT"
 echo "smoke: failover client keeps answering after primary death"
 
 # ---- observability ---------------------------------------------------
 # Scrape Prometheus text from the surviving replica: the key series must
 # be present, and engine counters must be monotone across scrapes that
 # bracket more query traffic.
-SCRAPE1="$("$CLIENT" --port="$REPLICA_PORT" metrics)"
+SCRAPE1="$("$KCLI" metrics --endpoints=127.0.0.1:"$REPLICA_PORT")"
 for series in \
   "# TYPE kspin_requests_ok counter" \
   "kspin_engine_distance_computations" \
@@ -299,19 +308,19 @@ for series in \
   grep -qF "$series" <<<"$SCRAPE1" || { echo "smoke: metrics missing series: $series" >&2; echo "$SCRAPE1" >&2; exit 1; }
 done
 DIST1="$(awk '$1 == "kspin_engine_distance_computations" { print $2 }' <<<"$SCRAPE1")"
-"$CLIENT" --port="$REPLICA_PORT" search 5 5 "kw0 or kw1" >/dev/null
-SCRAPE2="$("$CLIENT" --port="$REPLICA_PORT" metrics)"
+"$KCLI" search --endpoints=127.0.0.1:"$REPLICA_PORT" --vertex=5 --k=5 --query="kw0 or kw1" >/dev/null
+SCRAPE2="$("$KCLI" metrics --endpoints=127.0.0.1:"$REPLICA_PORT")"
 DIST2="$(awk '$1 == "kspin_engine_distance_computations" { print $2 }' <<<"$SCRAPE2")"
 [[ "$DIST1" =~ ^[0-9]+$ && "$DIST2" =~ ^[0-9]+$ ]] || { echo "smoke: non-numeric engine counter ($DIST1 / $DIST2)" >&2; exit 1; }
 [[ "$DIST2" -gt "$DIST1" ]] || { echo "smoke: engine counter not monotone ($DIST1 -> $DIST2)" >&2; exit 1; }
 echo "smoke: metrics scrape ok (engine_distance_computations $DIST1 -> $DIST2)"
 
 # With the primary gone, writes must fail rather than land on the replica.
-if "$CLIENT" --port="$REPLICA_PORT" insert 14 orphanpoi orphankw 2>/dev/null; then
+if "$KCLI" insert --endpoints=127.0.0.1:"$REPLICA_PORT" --vertex=14 --name=orphanpoi --tags=orphankw 2>/dev/null; then
   echo "smoke: write unexpectedly succeeded with primary dead" >&2
   exit 1
 fi
-"$CLIENT" --port="$REPLICA_PORT" ping
+"$KCLI" ping --endpoints=127.0.0.1:"$REPLICA_PORT"
 echo "smoke: writes fail cleanly without a primary, replica still serves"
 
 kill -INT "$REPLICA_PID"
@@ -338,15 +347,15 @@ echo "smoke: oplog primary up on port $MPRI_PORT"
 
 # Baseline snapshot BEFORE the writes: everything after it lives only in
 # the op log until replay proves it durable.
-"$CLIENT" --port="$MPRI_PORT" snapshot >/dev/null
+"$KCLI" snapshot --endpoints=127.0.0.1:"$MPRI_PORT" >/dev/null
 
-INS_OUT="$("$CLIENT" --port="$MPRI_PORT" insert 7 durablepoi durkw)"
+INS_OUT="$("$KCLI" insert --endpoints=127.0.0.1:"$MPRI_PORT" --vertex=7 --name=durablepoi --tags=durkw)"
 DUR_ID="${INS_OUT%%$'\t'*}"
 grep -q "seq=" <<<"$INS_OUT" || { echo "smoke: insert reply missing sequence: $INS_OUT" >&2; exit 1; }
-"$CLIENT" --port="$MPRI_PORT" update "$DUR_ID" +durkw2 >/dev/null
-DISP_OUT="$("$CLIENT" --port="$MPRI_PORT" insert 9 disposablepoi durkw)"
+"$KCLI" update --endpoints=127.0.0.1:"$MPRI_PORT" --id="$DUR_ID" --add=durkw2 >/dev/null
+DISP_OUT="$("$KCLI" insert --endpoints=127.0.0.1:"$MPRI_PORT" --vertex=9 --name=disposablepoi --tags=durkw)"
 DISP_ID="${DISP_OUT%%$'\t'*}"
-"$CLIENT" --port="$MPRI_PORT" delete "$DISP_ID" >/dev/null
+"$KCLI" delete --endpoints=127.0.0.1:"$MPRI_PORT" --id="$DISP_ID" >/dev/null
 echo "smoke: durable writes acked (insert id $DUR_ID, $INS_OUT)"
 
 kill -9 "$SERVER_PID"
@@ -357,12 +366,12 @@ echo "smoke: oplog primary killed with SIGKILL"
 start_server --snapshot-dir="$MPRIDIR"
 MPRI_PORT="$PORT"
 grep -q "restored snapshot" "$LOG" || { echo "smoke: oplog restart did not restore snapshot" >&2; cat "$LOG" >&2; exit 1; }
-MSTATS="$("$CLIENT" --port="$MPRI_PORT" stats)"
-REPLAYED="$(awk -F'\t' '$1 == "oplog_replay_records" { print $2 }' <<<"$MSTATS")"
+MMETRICS="$("$KCLI" metrics --endpoints=127.0.0.1:"$MPRI_PORT")"
+REPLAYED="$(awk '$1 == "kspin_oplog_replay_records" { print $2 }' <<<"$MMETRICS")"
 [[ -n "$REPLAYED" && "$REPLAYED" -ge 4 ]] || { echo "smoke: expected >=4 replayed op-log records, got $REPLAYED" >&2; cat "$LOG" >&2; exit 1; }
-REPLAY_READ="$("$CLIENT" --port="$MPRI_PORT" search 7 3 durkw2)"
+REPLAY_READ="$("$KCLI" search --endpoints=127.0.0.1:"$MPRI_PORT" --vertex=7 --k=3 --query=durkw2)"
 grep -q "durablepoi" <<<"$REPLAY_READ" || { echo "smoke: acked insert+update lost across kill -9" >&2; exit 1; }
-POST_DELETE="$("$CLIENT" --port="$MPRI_PORT" search 9 5 durkw)"
+POST_DELETE="$("$KCLI" search --endpoints=127.0.0.1:"$MPRI_PORT" --vertex=9 --k=5 --query=durkw)"
 if grep -q "disposablepoi" <<<"$POST_DELETE"; then
   echo "smoke: deleted POI resurrected by replay" >&2
   exit 1
@@ -387,17 +396,17 @@ done
 
 TAILED=""
 for _ in $(seq 1 100); do
-  TAILED="$("$CLIENT" --port="$MREP_PORT" search 7 3 durkw2 2>/dev/null || true)"
+  TAILED="$("$KCLI" search --endpoints=127.0.0.1:"$MREP_PORT" --vertex=7 --k=3 --query=durkw2 2>/dev/null || true)"
   grep -q "durablepoi" <<<"$TAILED" && break
   sleep 0.1
 done
 grep -q "durablepoi" <<<"$TAILED" || { echo "smoke: durable write never reached replica by tailing" >&2; cat "$RLOG" >&2; exit 1; }
-MRSTATS="$("$CLIENT" --port="$MREP_PORT" stats)"
-MRSOURCE="$(awk -F'\t' '$1 == "replication_source" { print $2 }' <<<"$MRSTATS")"
-MRRECORDS="$(awk -F'\t' '$1 == "replication_oplog_records" { print $2 }' <<<"$MRSTATS")"
-MRINSTALLS="$(awk -F'\t' '$1 == "replication_installs_ok" { print $2 }' <<<"$MRSTATS")"
-MRAPPLIED="$(awk -F'\t' '$1 == "mutations_applied" { print $2 }' <<<"$MRSTATS")"
-[[ "$MRSOURCE" == "1" ]] || { echo "smoke: oplog replica not tailing (replication_source=$MRSOURCE)" >&2; echo "$MRSTATS" >&2; exit 1; }
+MRMETRICS="$("$KCLI" metrics --endpoints=127.0.0.1:"$MREP_PORT")"
+MRSOURCE="$(awk '$1 == "kspin_replication_source" { print $2 }' <<<"$MRMETRICS")"
+MRRECORDS="$(awk '$1 == "kspin_replication_oplog_records" { print $2 }' <<<"$MRMETRICS")"
+MRINSTALLS="$(awk '$1 == "kspin_replication_installs_ok" { print $2 }' <<<"$MRMETRICS")"
+MRAPPLIED="$(awk '$1 == "kspin_mutations_applied" { print $2 }' <<<"$MRMETRICS")"
+[[ "$MRSOURCE" == "1" ]] || { echo "smoke: oplog replica not tailing (replication_source=$MRSOURCE)" >&2; echo "$MRMETRICS" >&2; exit 1; }
 [[ "$MRINSTALLS" == "0" ]] || { echo "smoke: oplog replica took $MRINSTALLS snapshot installs; tailing should need none" >&2; exit 1; }
 [[ -n "$MRRECORDS" && "$MRRECORDS" -ge 4 ]] || { echo "smoke: oplog replica shipped too few records ($MRRECORDS)" >&2; exit 1; }
 [[ -n "$MRAPPLIED" && "$MRAPPLIED" -ge 4 ]] || { echo "smoke: oplog replica applied too few mutations ($MRAPPLIED)" >&2; exit 1; }
@@ -405,16 +414,16 @@ echo "smoke: replica received writes by tailing (records=$MRRECORDS, applied=$MR
 
 # Replication lag while tailing is bounded by the poll interval, not a
 # snapshot cycle: with --replica-poll-ms=50 the gauge must stay small.
-LAG="$("$CLIENT" --port="$MREP_PORT" metrics | awk '$1 == "kspin_replication_lag_ms" { print $2 }')"
+LAG="$("$KCLI" metrics --endpoints=127.0.0.1:"$MREP_PORT" | awk '$1 == "kspin_replication_lag_ms" { print $2 }')"
 [[ "$LAG" =~ ^[0-9]+$ && "$LAG" -lt 1000 ]] || { echo "smoke: implausible replication_lag_ms=$LAG while tailing" >&2; exit 1; }
 echo "smoke: replication lag while tailing: ${LAG}ms"
 
 # One more acked write, then kill the primary: a failover read against
 # the dead-primary-first endpoint list must still see every write.
-LIVE_OUT="$("$CLIENT" --port="$MPRI_PORT" insert 11 livepoi durkw2)"
+LIVE_OUT="$("$KCLI" insert --endpoints=127.0.0.1:"$MPRI_PORT" --vertex=11 --name=livepoi --tags=durkw2)"
 LIVE_READ=""
 for _ in $(seq 1 100); do
-  LIVE_READ="$("$CLIENT" --port="$MREP_PORT" search 11 3 durkw2 2>/dev/null || true)"
+  LIVE_READ="$("$KCLI" search --endpoints=127.0.0.1:"$MREP_PORT" --vertex=11 --k=3 --query=durkw2 2>/dev/null || true)"
   grep -q "livepoi" <<<"$LIVE_READ" && break
   sleep 0.1
 done
@@ -423,17 +432,17 @@ grep -q "livepoi" <<<"$LIVE_READ" || { echo "smoke: final write never reached re
 kill -9 "$SERVER_PID"
 wait "$SERVER_PID" 2>/dev/null || true
 SERVER_PID=""
-FAILOVER_MUT="$("$CLIENT" --endpoints=127.0.0.1:"$MPRI_PORT",127.0.0.1:"$MREP_PORT" search 7 3 durkw2)"
+FAILOVER_MUT="$("$KCLI" search --endpoints=127.0.0.1:"$MPRI_PORT",127.0.0.1:"$MREP_PORT" --vertex=7 --k=3 --query=durkw2)"
 grep -q "durablepoi" <<<"$FAILOVER_MUT" || { echo "smoke: failover read lost the durable write" >&2; exit 1; }
 echo "smoke: failover read sees durable writes after primary death ($LIVE_OUT acked)"
 
 # With no live primary, keyed mutations must fail cleanly, not land on
 # the replica.
-if "$CLIENT" --port="$MREP_PORT" insert 13 orphanpoi durkw 2>/dev/null; then
+if "$KCLI" insert --endpoints=127.0.0.1:"$MREP_PORT" --vertex=13 --name=orphanpoi --tags=durkw 2>/dev/null; then
   echo "smoke: insert unexpectedly succeeded with primary dead" >&2
   exit 1
 fi
-"$CLIENT" --port="$MREP_PORT" ping
+"$KCLI" ping --endpoints=127.0.0.1:"$MREP_PORT"
 echo "smoke: keyed writes fail cleanly without a primary"
 
 kill -INT "$REPLICA_PID"
@@ -477,9 +486,9 @@ echo "smoke: chaos proxy on port $PXPORT (seed=11, delay-ms=2)"
 
 # Shared history lands through the proxy, then a snapshot seeds the
 # replica's bootstrap.
-SHARED_OUT="$("$CLIENT" --port="$PXPORT" insert 5 sharedpoi fokw)" \
+SHARED_OUT="$("$KCLI" insert --endpoints=127.0.0.1:"$PXPORT" --vertex=5 --name=sharedpoi --tags=fokw)" \
   || fo_die "shared insert through proxy failed"
-"$CLIENT" --port="$FOPRI_PORT" snapshot >/dev/null
+"$KCLI" snapshot --endpoints=127.0.0.1:"$FOPRI_PORT" >/dev/null
 echo "smoke: shared write through proxy acked ($SHARED_OUT)"
 
 : >"$RLOG"
@@ -497,7 +506,7 @@ done
 [[ -n "$FOREP_PORT" ]] || fo_die "failover replica never reported its port"
 CAUGHT=""
 for _ in $(seq 1 100); do
-  CAUGHT="$("$CLIENT" --port="$FOREP_PORT" search 5 1 fokw 2>/dev/null || true)"
+  CAUGHT="$("$KCLI" search --endpoints=127.0.0.1:"$FOREP_PORT" --vertex=5 --k=1 --query=fokw 2>/dev/null || true)"
   grep -q "sharedpoi" <<<"$CAUGHT" && break
   sleep 0.1
 done
@@ -511,17 +520,17 @@ for _ in $(seq 1 50); do
   sleep 0.1
 done
 grep -q "partition: on" "$PXERR" || fo_die "proxy never acknowledged partition"
-if "$CLIENT" --port="$PXPORT" --retries=1 insert 6 lostpoi fokw 2>/dev/null; then
+if "$KCLI" insert --endpoints=127.0.0.1:"$PXPORT" --vertex=6 --name=lostpoi --tags=fokw --retries=1 2>/dev/null; then
   fo_die "write through a partitioned proxy unexpectedly succeeded"
 fi
 echo "smoke: partition on, writes through proxy fail fast"
 
 # Promote the replica behind the partition: epoch 1, role primary.
-PROMOTE_OUT="$("$CLIENT" --port="$FOREP_PORT" promote)" \
+PROMOTE_OUT="$("$KCLI" promote --endpoints=127.0.0.1:"$FOREP_PORT")" \
   || fo_die "promote failed"
-NEW_EPOCH="$(awk -F'\t' '$1 == "epoch" { print $2 }' <<<"$PROMOTE_OUT")"
+NEW_EPOCH="$(sed -n 's/.* epoch=\([0-9]*\).*/\1/p' <<<"$PROMOTE_OUT")"
 [[ "$NEW_EPOCH" == "1" ]] || fo_die "promote reported epoch=$NEW_EPOCH, expected 1"
-PROMOTED_ROLE="$("$CLIENT" --port="$FOREP_PORT" health | awk -F'\t' '$1 == "role" { print $2 }')"
+PROMOTED_ROLE="$("$KCLI" health --endpoints=127.0.0.1:"$FOREP_PORT" | awk -F'\t' 'NR == 2 { print $2 }')"
 [[ "$PROMOTED_ROLE" == "primary" ]] || fo_die "promoted replica reports role=$PROMOTED_ROLE"
 echo "smoke: replica promoted under partition (epoch=$NEW_EPOCH)"
 
@@ -536,18 +545,18 @@ echo "$HEALTH_TABLE" | sed 's/^/smoke:   /'
 # The stale primary still takes one divergent write from its side of the
 # partition, then the first epoch-aware writer fences it: every write
 # after that dies with STALE_EPOCH while reads keep working.
-"$CLIENT" --port="$FOPRI_PORT" insert 7 doomedpoi doomkw >/dev/null \
+"$KCLI" insert --endpoints=127.0.0.1:"$FOPRI_PORT" --vertex=7 --name=doomedpoi --tags=doomkw >/dev/null \
   || fo_die "divergent write on stale primary failed"
-if FENCE_OUT="$("$CLIENT" --port="$FOPRI_PORT" --fence-epoch=1 --retries=1 insert 7 fencedpoi fokw 2>&1)"; then
+if FENCE_OUT="$("$KCLI" insert --endpoints=127.0.0.1:"$FOPRI_PORT" --vertex=7 --name=fencedpoi --tags=fokw --fence-epoch=1 --retries=1 2>&1)"; then
   fo_die "fenced write unexpectedly succeeded: $FENCE_OUT"
 fi
 grep -q "STALE_EPOCH" <<<"$FENCE_OUT" || fo_die "fencing did not report STALE_EPOCH: $FENCE_OUT"
-if "$CLIENT" --port="$FOPRI_PORT" --retries=1 insert 8 latepoi fokw 2>/dev/null; then
+if "$KCLI" insert --endpoints=127.0.0.1:"$FOPRI_PORT" --vertex=8 --name=latepoi --tags=fokw --retries=1 2>/dev/null; then
   fo_die "stale primary accepted a write after being fenced"
 fi
-STALE_COUNT="$("$CLIENT" --port="$FOPRI_PORT" stats | awk -F'\t' '$1 == "requests_stale_epoch" { print $2 }')"
+STALE_COUNT="$("$KCLI" metrics --endpoints=127.0.0.1:"$FOPRI_PORT" | awk '$1 == "kspin_requests_stale_epoch" { print $2 }')"
 [[ -n "$STALE_COUNT" && "$STALE_COUNT" -ge 2 ]] || fo_die "requests_stale_epoch=$STALE_COUNT, expected >=2"
-"$CLIENT" --port="$FOPRI_PORT" ping >/dev/null || fo_die "fenced primary stopped serving reads"
+"$KCLI" ping --endpoints=127.0.0.1:"$FOPRI_PORT" >/dev/null || fo_die "fenced primary stopped serving reads"
 echo "smoke: stale primary fenced (requests_stale_epoch=$STALE_COUNT), reads still served"
 
 # Heal the partition; a failover client listing the fenced ex-primary
@@ -558,9 +567,9 @@ for _ in $(seq 1 50); do
   sleep 0.1
 done
 grep -q "partition: off" "$PXERR" || fo_die "proxy never healed the partition"
-REROUTE_OUT="$("$CLIENT" --endpoints=127.0.0.1:"$PXPORT",127.0.0.1:"$FOREP_PORT" insert 9 reroutepoi fokw2)" \
+REROUTE_OUT="$("$KCLI" insert --endpoints=127.0.0.1:"$PXPORT",127.0.0.1:"$FOREP_PORT" --vertex=9 --name=reroutepoi --tags=fokw2)" \
   || fo_die "failover client write failed after heal"
-REROUTED="$("$CLIENT" --port="$FOREP_PORT" search 9 1 fokw2)"
+REROUTED="$("$KCLI" search --endpoints=127.0.0.1:"$FOREP_PORT" --vertex=9 --k=1 --query=fokw2)"
 grep -q "reroutepoi" <<<"$REROUTED" || fo_die "re-routed write missing on new primary"
 echo "smoke: failover client re-routed write to new primary ($REROUTE_OUT)"
 
@@ -570,7 +579,7 @@ echo "smoke: failover client re-routed write to new primary ($REROUTE_OUT)"
 kill -9 "$SERVER_PID"
 wait "$SERVER_PID" 2>/dev/null || true
 SERVER_PID=""
-"$CLIENT" --port="$FOREP_PORT" snapshot >/dev/null
+"$KCLI" snapshot --endpoints=127.0.0.1:"$FOREP_PORT" >/dev/null
 : >"$LOG"
 "$SERVER" --port=0 --grid=20x20 --pois=200 --seed=3 \
   --snapshot-dir="$FOPRI_SNAP" --oplog-dir="$FOPRI_OPLOG" --role=replica \
@@ -587,20 +596,20 @@ done
 
 CONVERGED=""
 for _ in $(seq 1 100); do
-  CONVERGED="$("$CLIENT" --port="$REJOIN_PORT" search 9 1 fokw2 2>/dev/null || true)"
+  CONVERGED="$("$KCLI" search --endpoints=127.0.0.1:"$REJOIN_PORT" --vertex=9 --k=1 --query=fokw2 2>/dev/null || true)"
   grep -q "reroutepoi" <<<"$CONVERGED" && break
   sleep 0.1
 done
 grep -q "reroutepoi" <<<"$CONVERGED" || fo_die "rejoined ex-primary never converged on new reign"
-DOOMED_READ="$("$CLIENT" --port="$REJOIN_PORT" search 7 5 doomkw)"
+DOOMED_READ="$("$KCLI" search --endpoints=127.0.0.1:"$REJOIN_PORT" --vertex=7 --k=5 --query=doomkw)"
 if grep -q "doomedpoi" <<<"$DOOMED_READ"; then
   fo_die "divergent write survived the rejoin repair"
 fi
-QUARANTINED="$("$CLIENT" --port="$REJOIN_PORT" stats | awk -F'\t' '$1 == "oplog_quarantined_records" { print $2 }')"
+QUARANTINED="$("$KCLI" metrics --endpoints=127.0.0.1:"$REJOIN_PORT" | awk '$1 == "kspin_oplog_quarantined_records" { print $2 }')"
 [[ -n "$QUARANTINED" && "$QUARANTINED" -ge 1 ]] || fo_die "oplog_quarantined_records=$QUARANTINED, expected >=1"
 ls "$FOPRI_OPLOG"/quarantine/divergent-*.log >/dev/null 2>&1 \
   || fo_die "no quarantine file preserved in $FOPRI_OPLOG/quarantine"
-REJOIN_EPOCH="$("$CLIENT" --port="$REJOIN_PORT" health | awk -F'\t' '$1 == "primary_epoch" { print $2 }')"
+REJOIN_EPOCH="$("$KCLI" health --endpoints=127.0.0.1:"$REJOIN_PORT" | awk -F'\t' 'NR == 2 { print $3 }')"
 [[ "$REJOIN_EPOCH" == "1" ]] || fo_die "rejoined ex-primary reports epoch=$REJOIN_EPOCH, expected 1"
 echo "smoke: ex-primary rejoined, quarantined $QUARANTINED divergent record(s), converged at epoch $REJOIN_EPOCH"
 
@@ -655,7 +664,7 @@ echo "smoke: overload server up on port $PORT"
 
 # The burst goes through chaos_proxy (transparent but for a 1 ms relay
 # delay), so shed-fast replies prove themselves over a real extra hop;
-# stats polling talks to the server directly, the way a dashboard would.
+# metrics polling talks to the server directly, the way a dashboard would.
 : >"$PXLOG"; : >"$PXERR"
 "$PROXY" --target=127.0.0.1:"$PORT" --seed=13 --delay-ms=1 \
   >"$PXLOG" 2>"$PXERR" &
@@ -673,12 +682,12 @@ done
   --deadline-ms=500 \
   || { echo "smoke: load harness failed" >&2; cat "$LOG" >&2; exit 1; }
 
-OSTATS="$("$CLIENT" --port="$PORT" stats)"
-OVL_OK="$(awk -F'\t' '$1 == "requests_ok" { print $2 }' <<<"$OSTATS")"
+OMETRICS="$("$KCLI" metrics --endpoints=127.0.0.1:"$PORT")"
+OVL_OK="$(awk '$1 == "kspin_requests_ok" { print $2 }' <<<"$OMETRICS")"
 # Any shed cause counts: hard queue-full, AIMD limit, CoDel sojourn, or
 # rate limit — which one fires first depends on arrival timing.
-OVL_SHED="$(awk -F'\t' '$1 == "requests_overloaded" || $1 == "requests_admission_limited" || $1 == "requests_codel_shed" || $1 == "requests_rate_limited" { total += $2 } END { print total + 0 }' <<<"$OSTATS")"
-OVL_ENTRIES="$(awk -F'\t' '$1 == "brownout_entries" { print $2 }' <<<"$OSTATS")"
+OVL_SHED="$(awk '$1 == "kspin_requests_overloaded" || $1 == "kspin_requests_admission_limited" || $1 == "kspin_requests_codel_shed" || $1 == "kspin_requests_rate_limited" { total += $2 } END { print total + 0 }' <<<"$OMETRICS")"
+OVL_ENTRIES="$(awk '$1 == "kspin_brownout_entries" { print $2 }' <<<"$OMETRICS")"
 [[ -n "$OVL_OK" && "$OVL_OK" -ge 1 ]] \
   || { echo "smoke: nothing served under overload (requests_ok=$OVL_OK)" >&2; exit 1; }
 [[ -n "$OVL_SHED" && "$OVL_SHED" -ge 1 ]] \
@@ -688,17 +697,17 @@ OVL_ENTRIES="$(awk -F'\t' '$1 == "brownout_entries" { print $2 }' <<<"$OSTATS")"
 echo "smoke: overload served $OVL_OK, shed $OVL_SHED, brownout_entries=$OVL_ENTRIES"
 
 # Recovery: with the load gone the limiter re-opens and brownout exits.
-# Each stats poll wakes the I/O loop, so ticks keep firing while idle.
+# Each metrics poll wakes the I/O loop, so ticks keep firing while idle.
 OVL_STATE=""
 for _ in $(seq 1 100); do
-  OVL_STATE="$("$CLIENT" --port="$PORT" stats | awk -F'\t' '$1 == "overload_state" { print $2 }')"
+  OVL_STATE="$("$KCLI" metrics --endpoints=127.0.0.1:"$PORT" | awk '$1 == "kspin_overload_state" { print $2 }')"
   [[ "$OVL_STATE" == "0" ]] && break
   sleep 0.1
 done
 [[ "$OVL_STATE" == "0" ]] \
   || { echo "smoke: overload_state=$OVL_STATE never recovered to 0" >&2; cat "$LOG" >&2; exit 1; }
-"$CLIENT" --port="$PORT" search 5 3 "kw0 or kw1" >/dev/null
-OVL_SECS="$("$CLIENT" --port="$PORT" stats | awk -F'\t' '$1 == "brownout_seconds" { print $2 }')"
+"$KCLI" search --endpoints=127.0.0.1:"$PORT" --vertex=5 --k=3 --query="kw0 or kw1" >/dev/null
+OVL_SECS="$("$KCLI" metrics --endpoints=127.0.0.1:"$PORT" | awk '$1 == "kspin_brownout_seconds" { print $2 }')"
 echo "smoke: overload recovered (overload_state=0, brownout_seconds=${OVL_SECS:-0})"
 
 # The whole brownout episode must be reconstructible from the recorder
