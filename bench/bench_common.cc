@@ -182,11 +182,6 @@ Measurement MeasureQueries(
     const std::function<void(const SpatialKeywordQuery&)>& query) {
   Measurement m;
   if (queries.empty()) return m;
-  // One untimed pass over the queries about to be timed, so no column
-  // pays for warming caches and memos that later columns reuse.
-  for (std::size_t i = 0; i < std::min(max_queries, queries.size()); ++i) {
-    query(queries[i]);
-  }
   Timer timer;
   std::size_t i = 0;
   const std::size_t min_queries = std::min<std::size_t>(8, queries.size());
@@ -243,6 +238,28 @@ double ToMb(std::size_t bytes) {
   return static_cast<double>(bytes) / (1024.0 * 1024.0);
 }
 
+namespace {
+
+// One sweep cell: an untimed pass over its queries, within the same
+// budget, then MeasureQueries. A sweep times every cell on one engine, so
+// without the pass its first column would pay for warming the caches and
+// memos that later columns reuse. The sweep's callables pass no
+// QueryStats, so the pass only reads.
+double MeasureWarm(
+    const std::vector<SpatialKeywordQuery>& queries, std::size_t max_queries,
+    double budget_seconds,
+    const std::function<void(const SpatialKeywordQuery&)>& query) {
+  Timer warm;
+  const std::size_t n = std::min(max_queries, queries.size());
+  for (std::size_t i = 0; i < n && warm.ElapsedSeconds() <= budget_seconds;
+       ++i) {
+    query(queries[i]);
+  }
+  return MeasureQueries(queries, max_queries, budget_seconds, query).avg_ms;
+}
+
+}  // namespace
+
 void RunParameterSweep(const std::string& figure, const Dataset& dataset,
                        QueryWorkload& workload,
                        const std::vector<NamedMethod>& methods,
@@ -263,12 +280,11 @@ void RunParameterSweep(const std::string& figure, const Dataset& dataset,
     for (const NamedMethod& method : methods) {
       std::vector<double> cells;
       for (std::uint32_t k : {1u, 5u, 10u, 25u, 50u}) {
-        cells.push_back(MeasureQueries(queries, max_queries, budget,
-                                       [&](const SpatialKeywordQuery& q) {
-                                         method.run(q.vertex, k, q.keywords,
-                                                    nullptr);
-                                       })
-                            .avg_ms);
+        cells.push_back(
+            MeasureWarm(queries, max_queries, budget,
+                        [&](const SpatialKeywordQuery& q) {
+                          method.run(q.vertex, k, q.keywords, nullptr);
+                        }));
       }
       PrintRow(method.name, cells);
     }
@@ -288,12 +304,11 @@ void RunParameterSweep(const std::string& figure, const Dataset& dataset,
         std::vector<SpatialKeywordQuery> queries(
             workload.QueriesForLength(terms).begin(),
             workload.QueriesForLength(terms).end());
-        cells.push_back(MeasureQueries(queries, max_queries, budget,
-                                       [&](const SpatialKeywordQuery& q) {
-                                         method.run(q.vertex, 10, q.keywords,
-                                                    nullptr);
-                                       })
-                            .avg_ms);
+        cells.push_back(
+            MeasureWarm(queries, max_queries, budget,
+                        [&](const SpatialKeywordQuery& q) {
+                          method.run(q.vertex, 10, q.keywords, nullptr);
+                        }));
       }
       PrintRow(method.name, cells);
     }

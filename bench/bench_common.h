@@ -142,9 +142,7 @@ struct Measurement {
 
 /// Runs `query` over `queries` until `max_queries` or `budget_seconds` is
 /// exhausted (whichever first; at least `min_queries`). The callable gets
-/// one SpatialKeywordQuery at a time. An untimed pass over the first
-/// min(max_queries, queries.size()) queries runs first, so the callable
-/// must only read: a callable that writes would apply its writes twice.
+/// one SpatialKeywordQuery at a time.
 Measurement MeasureQueries(
     const std::vector<SpatialKeywordQuery>& queries,
     std::size_t max_queries, double budget_seconds,
@@ -177,6 +175,8 @@ struct NamedMethod {
 
 /// The paper's two standard sweeps: (a) k in {1,5,10,25,50} at 2 terms,
 /// (b) #terms in 1..6 at k=10. Prints average ms per method per setting.
+/// Each cell runs one untimed pass over its queries before it is timed,
+/// so a cell's time does not depend on the cells swept before it.
 void RunParameterSweep(const std::string& figure, const Dataset& dataset,
                        QueryWorkload& workload,
                        const std::vector<NamedMethod>& methods, bool quick);

@@ -57,8 +57,13 @@ HistogramSnapshot LatencyHistogram::Snapshot() const {
 }
 
 std::uint64_t HistogramSnapshot::PercentileMicros(double p) const {
-  if (count == 0) return 0;
-  const std::uint64_t rank = NearestRank(p, count);
+  // The rank is taken over the buckets, not `count`: Snapshot loads the
+  // buckets before the count, so a Record in flight can leave the two one
+  // apart, and a rank past the buckets would read the last bound, 2^40.
+  std::uint64_t total = 0;
+  for (const std::uint64_t b : buckets) total += b;
+  if (total == 0) return 0;
+  const std::uint64_t rank = NearestRank(p, total);
   std::uint64_t seen = 0;
   for (std::size_t i = 0; i < kBuckets; ++i) {
     seen += buckets[i];
@@ -373,8 +378,12 @@ ParsedHistogram ParsedHistogram::Since(const ParsedHistogram& earlier) const {
 }
 
 std::uint64_t ParsedHistogram::Percentile(double p) const {
-  if (count == 0 || buckets.empty()) return 0;
-  const std::uint64_t rank = NearestRank(p, count);
+  // A scrape whose count ran ahead of its buckets renders every bucket
+  // without reaching `count`, so the rank is taken over what they hold.
+  const std::uint64_t total =
+      buckets.empty() ? 0 : std::min(count, buckets.back().second);
+  if (total == 0) return 0;
+  const std::uint64_t rank = NearestRank(p, total);
   for (const auto& [bound, cumulative] : buckets) {
     if (cumulative >= rank) return bound;
   }

@@ -43,7 +43,7 @@ struct HistogramSnapshot {
   std::array<std::uint64_t, kBuckets> exemplar_value{};
 
   /// p in (0, 1]; upper bound of the bucket holding the sample of
-  /// NearestRank(p, count) (0 when empty).
+  /// NearestRank(p, n), n the bucket total (0 when empty).
   std::uint64_t PercentileMicros(double p) const;
   /// Upper bound of bucket i in microseconds (2^(i+1)).
   static std::uint64_t BucketUpperMicros(std::size_t i) {
@@ -289,7 +289,8 @@ struct ParsedHistogram {
   /// family) and this scrape.
   ParsedHistogram Since(const ParsedHistogram& earlier) const;
   /// p in (0, 1]; the `le` bound of the bucket holding the sample of
-  /// NearestRank(p, count) (0 when empty).
+  /// NearestRank(p, n), n the lesser of `count` and the last bucket's
+  /// cumulative count (0 when empty).
   std::uint64_t Percentile(double p) const;
 };
 

@@ -99,6 +99,26 @@ TEST(LatencyHistogramTest, PercentileUsesTheNearestRank) {
   EXPECT_EQ(tail.Snapshot().PercentileMicros(0.99), 8192u);
 }
 
+TEST(LatencyHistogramTest, PercentileStaysInTheBucketsWhenCountRunsAhead) {
+  // Snapshot loads the buckets before the count, so a Record in flight
+  // can leave the count one above the bucket total. Such a tick's p99
+  // must name a filled bucket, not the last bound (2^40 us), on the
+  // server and in a parsed scrape alike.
+  MetricsSnapshot snapshot;
+  HistogramSnapshot& snap = snapshot.query_latency;
+  snap.buckets[6] = 50;  // 50 samples in [64, 128).
+  snap.count = 51;
+  snap.sum_micros = 50 * 100;
+  EXPECT_EQ(snap.PercentileMicros(0.99), 128u);
+  EXPECT_EQ(snap.PercentileMicros(1.0), 128u);
+  const ParsedHistogram parsed =
+      ParseMetricsText(RenderPrometheusText(snapshot))
+          .histograms.at("kspin_query_latency_us");
+  EXPECT_EQ(parsed.count, 51u);
+  EXPECT_EQ(parsed.Percentile(0.99), 128u);
+  EXPECT_EQ(parsed.Percentile(1.0), 128u);
+}
+
 TEST(NearestRankTest, IsTheCeilingWithoutFloatError) {
   EXPECT_EQ(NearestRank(0.99, 100), 99u);  // Not 100 from 99.00000000000001.
   EXPECT_EQ(NearestRank(0.999, 1000), 999u);

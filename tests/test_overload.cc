@@ -159,6 +159,21 @@ TEST(OverloadControllerTest, TickDiffsCumulativeHistogram) {
   EXPECT_EQ(d.p99_us, 0u);
 }
 
+TEST(OverloadControllerTest, RecordInFlightDoesNotViolateTheSlo) {
+  // Snapshot loads the buckets before the count, so a tick can see the
+  // count of a Record whose bucket it missed. That tick's p99 must come
+  // from its filled buckets, not read as the last bound (2^40 us).
+  OverloadOptions options;
+  options.latency_slo_ms = 10;
+  OverloadController controller(options, /*queue_capacity=*/64, /*workers=*/2);
+  HistogramSnapshot in_flight = Uniform(20, 500);
+  ++in_flight.count;
+  const OverloadDecision d = controller.Tick(in_flight, Uniform(0, 0), 0);
+  EXPECT_FALSE(d.slo_violated);
+  EXPECT_LE(d.p99_us, 1024u);
+  EXPECT_EQ(d.admission_limit, 64u);
+}
+
 TEST(OverloadControllerTest, BrownoutEngagesAfterSustainedViolation) {
   OverloadOptions options;
   options.latency_slo_ms = 10;

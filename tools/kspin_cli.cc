@@ -73,7 +73,8 @@
 //   older than N rejects them with STALE_EPOCH and fences itself. These
 //   commands (and promote) exit 0 on success, 2 when the server rejects
 //   the request and 1 on usage or transport errors. Every command rejects
-//   an argument it does not know with exit status 1.
+//   an argument it does not know, or runs without a flag it needs (query
+//   and search never default --vertex or --k), with exit status 1.
 #include <algorithm>
 #include <charconv>
 #include <chrono>
@@ -120,8 +121,9 @@ struct Args {
   std::string dataset = "FL";
   std::string op = "or";
   std::string module = "ch";
-  VertexId vertex = 0;
-  std::uint32_t k = 10;
+  // Required by the commands that read them: never defaulted.
+  std::optional<VertexId> vertex;
+  std::optional<std::uint32_t> k;
   std::vector<KeywordId> keywords;
   std::string query;  // For `search`: the and/or query text.
   bool ranked = false;
@@ -223,6 +225,16 @@ void SaveFile(const std::string& path, SaveFn save) {
   save(out);
 }
 
+void Usage();
+
+/// A command ran without a flag it needs: names the flags, prints the
+/// usage and returns exit status 1.
+int MissingFlags(const char* command, const char* flags) {
+  std::fprintf(stderr, "%s: %s required\n", command, flags);
+  Usage();
+  return 1;
+}
+
 int Generate(const Args& args) {
   const DatasetSpec spec = DatasetSpecByName(args.dataset);
   RoadNetworkOptions road;
@@ -305,17 +317,16 @@ int Stats(const Args& args) {
 }
 
 int Query(const Args& args) {
+  if (!args.vertex || !args.k || args.keywords.empty()) {
+    return MissingFlags("query", "--vertex=V, --k=K and --keywords=1,2,3");
+  }
   const Graph graph = LoadFile<Graph>(
       args.dir + "/graph.bin", [](std::istream& in) { return LoadGraph(in); });
   DocumentStore store =
       LoadFile<DocumentStore>(args.dir + "/docs.bin", [](std::istream& in) {
         return LoadDocumentStore(in);
       });
-  if (args.keywords.empty()) {
-    std::fprintf(stderr, "query: --keywords required\n");
-    return 1;
-  }
-  if (args.vertex >= graph.NumVertices()) {
+  if (*args.vertex >= graph.NumVertices()) {
     std::fprintf(stderr, "query: vertex out of range\n");
     return 1;
   }
@@ -352,25 +363,25 @@ int Query(const Args& args) {
 
   Timer query_timer;
   if (args.ranked) {
-    const auto results = engine.TopK(args.vertex, args.k, args.keywords);
+    const auto results = engine.TopK(*args.vertex, *args.k, args.keywords);
     const double ms = query_timer.ElapsedMillis();
     for (const TopKResult& r : results) {
       std::printf("object %u  score %.2f  travel %llu  relevance %.3f\n",
                   r.object, r.score,
                   static_cast<unsigned long long>(r.distance), r.relevance);
     }
-    std::printf("top-%u in %.3f ms\n", args.k, ms);
+    std::printf("top-%u in %.3f ms\n", *args.k, ms);
   } else {
     const BooleanOp op = args.op == "and" ? BooleanOp::kConjunctive
                                           : BooleanOp::kDisjunctive;
     const auto results =
-        engine.BooleanKnn(args.vertex, args.k, args.keywords, op);
+        engine.BooleanKnn(*args.vertex, *args.k, args.keywords, op);
     const double ms = query_timer.ElapsedMillis();
     for (const BkNNResult& r : results) {
       std::printf("object %u  travel %llu\n", r.object,
                   static_cast<unsigned long long>(r.distance));
     }
-    std::printf("B%uNN (%s) in %.3f ms\n", args.k, args.op.c_str(), ms);
+    std::printf("B%uNN (%s) in %.3f ms\n", *args.k, args.op.c_str(), ms);
   }
   return 0;
 }
@@ -440,6 +451,9 @@ int WriteLocalSnapshot(const Args& args) {
 // Restores the newest valid snapshot and optionally answers a query
 // against the restored state — end-to-end proof the file round-trips.
 int Restore(const Args& args) {
+  if (!args.keywords.empty() && (!args.vertex || !args.k)) {
+    return MissingFlags("restore", "--vertex=V and --k=K with --keywords");
+  }
   std::vector<std::string> skipped;
   Timer timer;
   std::optional<LoadedServiceSnapshot> loaded =
@@ -480,7 +494,7 @@ int Restore(const Args& args) {
       service.NumLivePois(), oracle->Name().c_str());
 
   if (!args.keywords.empty()) {
-    if (args.vertex >= graph.NumVertices()) {
+    if (*args.vertex >= graph.NumVertices()) {
       std::fprintf(stderr, "restore: vertex out of range\n");
       return 1;
     }
@@ -490,7 +504,7 @@ int Restore(const Args& args) {
       query += "kw" + std::to_string(args.keywords[i]);
     }
     Timer query_timer;
-    const auto results = service.Search(query, args.vertex, args.k);
+    const auto results = service.Search(query, *args.vertex, *args.k);
     const double ms = query_timer.ElapsedMillis();
     for (const PoiResult& r : results) {
       std::printf("%u\t%s\ttime=%llu\n", r.id, r.name.c_str(),
@@ -761,13 +775,12 @@ int Ping(const Args& args) {
 }
 
 int Search(const Args& args) {
-  if (args.query.empty()) {
-    std::fprintf(stderr, "search: --query=TEXT required\n");
-    return 1;
+  if (!args.vertex || !args.k || args.query.empty()) {
+    return MissingFlags("search", "--vertex=V, --k=K and --query=TEXT");
   }
   return Online("search", args, [&](server::FailoverClient& client) {
     const auto reply =
-        client.Search(args.query, args.vertex, args.k, args.ranked);
+        client.Search(args.query, *args.vertex, *args.k, args.ranked);
     if (!reply.ok()) return Rejected("search", reply);
     for (const server::WireResult& r : reply.results) {
       const auto time = static_cast<unsigned long long>(r.travel_time);
@@ -822,30 +835,23 @@ int Mutate(const char* command, const Args& args,
 }
 
 int Insert(const Args& args) {
-  if (args.name.empty()) {
-    std::fprintf(stderr, "insert: --name=NAME required\n");
-    return 1;
+  if (!args.vertex || args.name.empty()) {
+    return MissingFlags("insert", "--vertex=V and --name=NAME");
   }
   return Mutate("insert", args, [&](server::FailoverClient& client) {
-    return client.InsertDoc(args.vertex, args.name, args.tags);
+    return client.InsertDoc(*args.vertex, args.name, args.tags);
   });
 }
 
 int Delete(const Args& args) {
-  if (args.id == kInvalidObject) {
-    std::fprintf(stderr, "delete: --id=N required\n");
-    return 1;
-  }
+  if (args.id == kInvalidObject) return MissingFlags("delete", "--id=N");
   return Mutate("delete", args, [&](server::FailoverClient& client) {
     return client.DeleteDoc(args.id);
   });
 }
 
 int Update(const Args& args) {
-  if (args.id == kInvalidObject) {
-    std::fprintf(stderr, "update: --id=N required\n");
-    return 1;
-  }
+  if (args.id == kInvalidObject) return MissingFlags("update", "--id=N");
   if (args.adds.empty() && args.removes.empty()) {
     std::fprintf(stderr, "update: need --add=... and/or --remove=...\n");
     return 1;

@@ -119,6 +119,14 @@ APPLIED_AFTER="$("$KCLI" metrics --endpoints=127.0.0.1:"$PORT" | awk '$1 == "ksp
 [[ -n "$APPLIED_BEFORE" && "$APPLIED_AFTER" == "$APPLIED_BEFORE" ]] || { echo "smoke: misspelled insert applied a mutation ($APPLIED_BEFORE -> $APPLIED_AFTER)" >&2; exit 1; }
 echo "smoke: misspelled flag rejected, nothing applied (mutations_applied=$APPLIED_AFTER)"
 
+# A missing --vertex or --k is a usage error (exit 1), never vertex 0 or k 10.
+for PARTIAL in --vertex=5 --k=3; do
+  MISSING_RC=0
+  "$KCLI" search --endpoints=127.0.0.1:"$PORT" "$PARTIAL" --query=kw0 >/dev/null 2>&1 || MISSING_RC=$?
+  [[ "$MISSING_RC" == 1 ]] || { echo "smoke: search with only $PARTIAL exited $MISSING_RC, expected 1" >&2; exit 1; }
+done
+echo "smoke: search without --vertex or --k rejected"
+
 # Bad queries must be rejected without killing the server.
 if "$KCLI" search --endpoints=127.0.0.1:"$PORT" --vertex=5 --k=3 --query="((kw1" 2>/dev/null; then
   echo "smoke: malformed query unexpectedly accepted" >&2
