@@ -271,7 +271,8 @@ void RunParameterSweep(const std::string& figure, const Dataset& dataset,
   {
     std::vector<std::string> columns;
     for (std::uint32_t k : {1u, 5u, 10u, 25u, 50u}) {
-      columns.push_back("k" + std::to_string(k) + "_ms");
+      columns.push_back(
+          std::string("k").append(std::to_string(k)).append("_ms"));
     }
     PrintHeader(figure + "a: query time vs k (2 terms)", dataset, columns);
     std::vector<SpatialKeywordQuery> queries(
@@ -294,7 +295,8 @@ void RunParameterSweep(const std::string& figure, const Dataset& dataset,
   {
     std::vector<std::string> columns;
     for (std::uint32_t terms = 1; terms <= 6; ++terms) {
-      columns.push_back("t" + std::to_string(terms) + "_ms");
+      columns.push_back(
+          std::string("t").append(std::to_string(terms)).append("_ms"));
     }
     PrintHeader(figure + "b: query time vs #terms (k=10)", dataset,
                 columns);

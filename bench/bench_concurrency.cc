@@ -72,7 +72,8 @@ int Run(int argc, char** argv) {
 
   std::vector<std::string> columns;
   for (unsigned t : kThreadCounts) {
-    columns.push_back("t" + std::to_string(t) + "_qps");
+    columns.push_back(
+        std::string("t").append(std::to_string(t)).append("_qps"));
   }
   columns.push_back("speedup8");
   PrintHeader("Concurrency: batch QPS vs worker threads (k=10, 2 terms)",

@@ -171,8 +171,7 @@ std::vector<TopKResult> GTreeSpatialKeyword::TopK(
     double bound = 0.0;
     for (std::size_t j = 0; j < prepared.keywords.size(); ++j) {
       if (aggregates_.NodeContains(node, prepared.keywords[j])) {
-        bound += prepared.impacts[j] *
-                 relevance_.MaxImpact(prepared.keywords[j]);
+        bound += prepared.max_terms[j];
       }
     }
     return bound;

@@ -180,8 +180,7 @@ std::vector<EuclideanResult> IrTree::TopK(
     double bound = 0.0;
     for (std::size_t j = 0; j < prepared.keywords.size(); ++j) {
       if (NodeHasKeyword(node, prepared.keywords[j])) {
-        bound += prepared.impacts[j] *
-                 relevance_.MaxImpact(prepared.keywords[j]);
+        bound += prepared.max_terms[j];
       }
     }
     return bound;

@@ -57,9 +57,7 @@ std::vector<TopKResult> NetworkExpansionBaseline::TopK(
   if (k == 0 || keywords.empty()) return out;
   const PreparedQuery prepared = relevance_.PrepareQuery(keywords);
   double tr_max = 0.0;
-  for (std::size_t i = 0; i < prepared.keywords.size(); ++i) {
-    tr_max += prepared.impacts[i] * relevance_.MaxImpact(prepared.keywords[i]);
-  }
+  for (double term : prepared.max_terms) tr_max += term;
   if (tr_max <= 0.0) return out;
 
   // Max-heap of the k best scores for the termination bound D_k.

@@ -113,10 +113,7 @@ std::vector<TopKResult> RoadBaseline::TopK(
   if (k == 0 || keywords.empty()) return out;
   const PreparedQuery prepared = relevance_.PrepareQuery(keywords);
   double tr_global = 0.0;
-  for (std::size_t j = 0; j < prepared.keywords.size(); ++j) {
-    tr_global +=
-        prepared.impacts[j] * relevance_.MaxImpact(prepared.keywords[j]);
-  }
+  for (double term : prepared.max_terms) tr_global += term;
   if (tr_global <= 0.0) return out;
 
   auto relevant = [this, &prepared](GTree::NodeId node) {

@@ -3,12 +3,14 @@
 // boundary, and a CSR-style pod arena that packs many small lists into one
 // contiguous pool so traversals stop chasing per-list heap pointers.
 //
-// Used by the lower-bound hot path (AltIndex landmark rows, inverted-heap
-// entries) and the APX-NVD structures (site adjacency lists, quadtree
-// leaves) — see docs/performance.md.
+// The aligned allocator backs the lower-bound hot path (AltIndex landmark
+// rows, inverted-heap entries) and the quadtree leaves; the arena backs
+// the APX-NVD's adjacency lists and member CSRs — see
+// docs/performance.md.
 #ifndef KSPIN_COMMON_ARENA_H_
 #define KSPIN_COMMON_ARENA_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <new>
@@ -53,9 +55,10 @@ class CacheAlignedAllocator {
 template <typename T>
 using AlignedVector = std::vector<T, CacheAlignedAllocator<T>>;
 
-/// Many small immutable lists packed into one contiguous pod pool with a
-/// CSR offset table — the arena replacement for vector<vector<T>>. Lists
-/// are appended once (construction / deserialization) and then read-only;
+/// Many small lists packed into one contiguous pod pool with a CSR offset
+/// table — the arena replacement for vector<vector<T>>. Lists are
+/// appended at construction / deserialization and read-only afterwards,
+/// except that AppendToEach can grow chosen lists by re-laying the pool;
 /// neighbouring lists share cache lines instead of living in separate
 /// heap blocks.
 template <typename T>
@@ -82,6 +85,27 @@ class FlatLists {
     offsets_.push_back(static_cast<std::uint32_t>(pool_.size()));
   }
 
+  /// Appends `item` to each list named in `lists` (ascending, no
+  /// repeats), re-laying the pool in place in one backward pass: linear
+  /// in TotalItems() + NumLists(), no allocation beyond the pool's growth.
+  void AppendToEach(std::span<const std::uint32_t> lists, const T& item) {
+    pool_.resize(pool_.size() + lists.size());
+    std::size_t shift = lists.size();  // Appends in lists [0, i].
+    std::size_t next = lists.size();   // Unprocessed prefix of `lists`.
+    for (std::size_t i = NumLists(); i-- > 0 && shift > 0;) {
+      const std::uint32_t begin = offsets_[i];
+      const std::uint32_t end = offsets_[i + 1];
+      offsets_[i + 1] = static_cast<std::uint32_t>(end + shift);
+      if (next > 0 && lists[next - 1] == i) {
+        pool_[end + shift - 1] = item;
+        --shift;
+        --next;
+      }
+      std::copy_backward(pool_.begin() + begin, pool_.begin() + end,
+                         pool_.begin() + end + shift);
+    }
+  }
+
   std::span<const T> operator[](std::size_t i) const {
     return {pool_.data() + offsets_[i],
             static_cast<std::size_t>(offsets_[i + 1] - offsets_[i])};
@@ -102,10 +126,14 @@ class FlatLists {
   }
 
   /// The flat pool (for serialization and tests).
-  const AlignedVector<T>& Pool() const { return pool_; }
+  const std::vector<T>& Pool() const { return pool_; }
 
  private:
-  AlignedVector<T> pool_;
+  // A plain vector: lists start at arbitrary offsets, so aligning the
+  // pool's base buys nothing, while an aligned block per list family
+  // costs allocator padding (building dataset E's 3,300 keyword indexes
+  // on one thread took about 0.6 MB more RSS with aligned pools).
+  std::vector<T> pool_;
   std::vector<std::uint32_t> offsets_;  // offsets_[i]..offsets_[i+1].
 };
 

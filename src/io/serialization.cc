@@ -267,13 +267,32 @@ VoronoiRTree LoadVoronoiRTree(std::istream& in) {
   return tree;
 }
 
+// The keyword-index section keeps the bytes of the per-object layout it
+// was introduced with (docs/persistence.md): sites, per-site attachment
+// lists, (object, nodes) of attached objects sorted by object id, and the
+// sorted tombstoned object ids. The in-memory member table is written out
+// in that shape and derived back from it on load.
 void SaveApxNvd(const ApxNvd& nvd, std::ostream& out) {
   io::WritePod(out, nvd.options_.rho);
   io::WritePod(out, static_cast<std::uint32_t>(nvd.options_.storage));
   io::WritePod(out, nvd.options_.quadtree_max_depth);
   io::WritePod(out, nvd.options_.lazy_insert_threshold);
 
-  io::WritePodVector(out, nvd.sites_);
+  // Flat lazy inserts are members without nodes; the format lists them as
+  // sites after the built ones, with empty attachment lists.
+  const std::uint32_t num_members =
+      static_cast<std::uint32_t>(nvd.members_.size());
+  std::vector<SiteObject> sites(nvd.members_.begin(),
+                                nvd.members_.begin() + nvd.num_sites_);
+  std::vector<std::uint32_t> attached;  // Members with nodes.
+  for (std::uint32_t m = nvd.num_sites_; m < num_members; ++m) {
+    if (nvd.attached_nodes_[m - nvd.num_sites_].empty()) {
+      sites.push_back(nvd.members_[m]);
+    } else {
+      attached.push_back(m);
+    }
+  }
+  io::WritePodVector(out, sites);
   io::WritePod<std::uint64_t>(out, nvd.adjacency_.NumLists());
   for (std::size_t i = 0; i < nvd.adjacency_.NumLists(); ++i) {
     io::WritePodSpan<std::uint32_t>(out, nvd.adjacency_[i]);
@@ -287,22 +306,34 @@ void SaveApxNvd(const ApxNvd& nvd, std::ostream& out) {
   if (nvd.quadtree_ != nullptr) SaveColorQuadtree(*nvd.quadtree_, out);
   if (nvd.rtree_ != nullptr) SaveVoronoiRTree(*nvd.rtree_, out);
 
-  io::WritePod<std::uint64_t>(out, nvd.attachments_.size());
-  for (const auto& list : nvd.attachments_) io::WritePodVector(out, list);
-
-  // Sort hash-ordered containers so identical state yields identical bytes
-  // (snapshot files are byte-comparable across runs).
-  std::vector<std::pair<ObjectId, std::vector<std::uint32_t>>> attached(
-      nvd.attached_nodes_.begin(), nvd.attached_nodes_.end());
-  std::sort(attached.begin(), attached.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  io::WritePod<std::uint64_t>(out, attached.size());
-  for (const auto& [object, nodes] : attached) {
-    io::WritePod(out, object);
-    io::WritePodVector(out, nodes);
+  io::WritePod<std::uint64_t>(out, sites.size());
+  std::vector<SiteObject> list;
+  for (std::uint32_t node = 0; node < sites.size(); ++node) {
+    list.clear();
+    if (node < nvd.num_sites_) {
+      // The node's members after its site, in attachment order.
+      for (std::uint32_t m : nvd.node_members_[node].subspan(1)) {
+        list.push_back(nvd.members_[m]);
+      }
+    }
+    io::WritePodVector(out, list);
   }
 
-  std::vector<ObjectId> deleted(nvd.deleted_.begin(), nvd.deleted_.end());
+  std::sort(attached.begin(), attached.end(),
+            [&nvd](std::uint32_t a, std::uint32_t b) {
+              return nvd.members_[a].object < nvd.members_[b].object;
+            });
+  io::WritePod<std::uint64_t>(out, attached.size());
+  for (std::uint32_t m : attached) {
+    io::WritePod(out, nvd.members_[m].object);
+    io::WritePodSpan<std::uint32_t>(out,
+                                    nvd.attached_nodes_[m - nvd.num_sites_]);
+  }
+
+  std::vector<ObjectId> deleted;
+  for (std::uint32_t m = 0; m < num_members; ++m) {
+    if (nvd.deleted_[m]) deleted.push_back(nvd.members_[m].object);
+  }
   std::sort(deleted.begin(), deleted.end());
   io::WritePodVector(out, deleted);
 
@@ -321,9 +352,9 @@ std::unique_ptr<ApxNvd> LoadApxNvd(const Graph& graph, std::istream& in) {
   }
   nvd->options_.storage = static_cast<ApxNvdStorage>(storage);
 
-  nvd->sites_ = io::ReadPodVector<SiteObject>(in);
+  const std::vector<SiteObject> sites = io::ReadPodVector<SiteObject>(in);
   const auto adjacency_size = io::ReadPod<std::uint64_t>(in);
-  if (adjacency_size > nvd->sites_.size()) {
+  if (adjacency_size > sites.size()) {
     throw io::SerializationError("ApxNvd adjacency larger than site set");
   }
   for (std::uint64_t i = 0; i < adjacency_size; ++i) {
@@ -342,31 +373,36 @@ std::unique_ptr<ApxNvd> LoadApxNvd(const Graph& graph, std::istream& in) {
   }
 
   const auto attachments_size = io::ReadPod<std::uint64_t>(in);
-  if (attachments_size != nvd->sites_.size()) {
+  if (attachments_size != sites.size()) {
     throw io::SerializationError("ApxNvd attachments size mismatch");
   }
-  nvd->attachments_.resize(static_cast<std::size_t>(attachments_size));
-  for (auto& list : nvd->attachments_) {
-    list = io::ReadPodVector<SiteObject>(in);
-  }
+  std::vector<std::vector<SiteObject>> attachments(
+      static_cast<std::size_t>(attachments_size));
+  for (auto& list : attachments) list = io::ReadPodVector<SiteObject>(in);
 
+  // (object, nodes) of attached objects, in file order.
+  std::vector<std::pair<ObjectId, std::vector<std::uint32_t>>> attached;
   const auto attached_count = io::ReadPod<std::uint64_t>(in);
   for (std::uint64_t i = 0; i < attached_count; ++i) {
     const auto object = io::ReadPod<ObjectId>(in);
     auto nodes = io::ReadPodVector<std::uint32_t>(in);
     for (std::uint32_t node : nodes) {
-      if (node >= nvd->sites_.size()) {
+      if (node >= sites.size()) {
         throw io::SerializationError("ApxNvd attachment node out of range");
       }
     }
-    if (!nvd->attached_nodes_.emplace(object, std::move(nodes)).second) {
+    attached.emplace_back(object, std::move(nodes));
+  }
+  {
+    std::vector<ObjectId> ids;
+    for (const auto& [object, nodes] : attached) ids.push_back(object);
+    std::sort(ids.begin(), ids.end());
+    if (std::adjacent_find(ids.begin(), ids.end()) != ids.end()) {
       throw io::SerializationError("ApxNvd duplicate attached object");
     }
   }
 
-  for (const ObjectId o : io::ReadPodVector<ObjectId>(in)) {
-    nvd->deleted_.insert(o);
-  }
+  const std::vector<ObjectId> deleted = io::ReadPodVector<ObjectId>(in);
   nvd->lazy_inserts_ =
       static_cast<std::size_t>(io::ReadPod<std::uint64_t>(in));
   nvd->last_affected_size_ =
@@ -374,7 +410,7 @@ std::unique_ptr<ApxNvd> LoadApxNvd(const Graph& graph, std::istream& in) {
 
   // Cross-field consistency: a wrong-but-well-framed index must never
   // reach queries.
-  const std::size_t num_sites = nvd->sites_.size();
+  const std::size_t num_sites = sites.size();
   const bool has_voronoi = storage_tag != 0;
   if (has_voronoi &&
       (nvd->adjacency_.NumLists() != num_sites ||
@@ -390,23 +426,81 @@ std::unique_ptr<ApxNvd> LoadApxNvd(const Graph& graph, std::istream& in) {
       throw io::SerializationError("ApxNvd adjacency node out of range");
     }
   }
+  auto& members = nvd->object_members_;
   for (std::uint32_t i = 0; i < num_sites; ++i) {
-    const SiteObject& s = nvd->sites_[i];
-    if (s.vertex >= graph.NumVertices()) {
+    if (sites[i].vertex >= graph.NumVertices()) {
       throw io::SerializationError("ApxNvd site vertex out of range");
     }
-    if (!nvd->site_index_.emplace(s.object, i).second) {
+    members.emplace_back(sites[i].object, i);
+  }
+  std::sort(members.begin(), members.end());
+  for (std::size_t i = 1; i < members.size(); ++i) {
+    if (members[i - 1].first == members[i].first) {
       throw io::SerializationError("ApxNvd duplicate site object");
     }
   }
-  for (const auto& [object, nodes] : nvd->attached_nodes_) {
-    if (nvd->site_index_.contains(object)) {
+  for (const auto& [object, nodes] : attached) {
+    if (nvd->FindMember(object) != ApxNvd::kNoMember) {
       throw io::SerializationError("ApxNvd object both site and attachment");
     }
   }
   if (has_voronoi && !graph.HasCoordinates()) {
     throw io::SerializationError(
         "ApxNvd Voronoi storage requires graph coordinates");
+  }
+
+  // Derive the member table: the sites, then the attached objects in file
+  // order, each taking its vertex from the attachment lists. Every list
+  // entry must be an attached object that names that node, with one
+  // vertex across its lists, and every named node must list it.
+  nvd->members_ = sites;
+  nvd->num_sites_ = static_cast<std::uint32_t>(num_sites);
+  for (std::uint32_t i = 0; i < attached.size(); ++i) {
+    if (attached[i].second.empty()) {
+      throw io::SerializationError("ApxNvd attached object without nodes");
+    }
+    nvd->members_.push_back({attached[i].first, kInvalidVertex});
+    members.emplace_back(attached[i].first, num_sites + i);
+  }
+  std::sort(members.begin(), members.end());
+  std::vector<std::vector<std::uint32_t>> seen_nodes(attached.size());
+  std::vector<std::uint32_t> list;
+  for (std::uint32_t node = 0; node < num_sites; ++node) {
+    list.assign(1, node);
+    for (const SiteObject& a : attachments[node]) {
+      const std::uint32_t m = nvd->FindMember(a.object);
+      if (m == ApxNvd::kNoMember || m < num_sites) {
+        throw io::SerializationError("ApxNvd attachment of unknown object");
+      }
+      SiteObject& member = nvd->members_[m];
+      if (a.vertex >= graph.NumVertices() ||
+          (member.vertex != kInvalidVertex && member.vertex != a.vertex)) {
+        throw io::SerializationError("ApxNvd attachment vertex mismatch");
+      }
+      member.vertex = a.vertex;
+      seen_nodes[m - num_sites].push_back(node);
+      list.push_back(m);
+    }
+    nvd->node_members_.Append(list);
+  }
+  for (std::uint32_t i = 0; i < attached.size(); ++i) {
+    std::vector<std::uint32_t> named = attached[i].second;
+    std::sort(named.begin(), named.end());
+    if (named != seen_nodes[i]) {  // seen_nodes is ascending by node.
+      throw io::SerializationError(
+          "ApxNvd attached nodes disagree with attachment lists");
+    }
+    nvd->attached_nodes_.Append(attached[i].second);
+  }
+  nvd->deleted_.assign(nvd->members_.size(), false);
+  nvd->live_ = nvd->members_.size();
+  for (std::size_t i = 0; i < deleted.size(); ++i) {
+    const std::uint32_t m = nvd->FindMember(deleted[i]);
+    if (m == ApxNvd::kNoMember || nvd->deleted_[m]) {
+      throw io::SerializationError("ApxNvd bad tombstone");
+    }
+    nvd->deleted_[m] = true;
+    --nvd->live_;
   }
   return nvd;
 }

@@ -5,13 +5,8 @@
 
 namespace kspin {
 
-void InvertedHeap::StageNew(const SiteObject& site) {
-  if (!scratch_->inserted.Insert(site.object)) return;  // Already inserted.
-  scratch_->pending.push_back(site);
-}
-
 void InvertedHeap::FlushPending() {
-  std::vector<SiteObject>& pending = scratch_->pending;
+  std::vector<std::uint32_t>& pending = scratch_->pending;
   if (pending.empty()) return;
 
   stats_.lower_bounds_computed += pending.size();
@@ -25,9 +20,10 @@ void InvertedHeap::FlushPending() {
   // push_heap sifts. Extraction order is unaffected either way — the
   // comparator is a strict total order on (lower_bound, object).
   const bool bulk = entries.empty();
-  for (const SiteObject& site : pending) {
+  for (std::uint32_t member : pending) {
+    const SiteObject& site = nvd_->Member(member);
     const Distance lb = lower_bounds_->LowerBound(query_, site.vertex);
-    entries.push_back({lb, site.object, site.vertex});
+    entries.push_back({lb, site.object, member});
     if (!bulk) std::push_heap(entries.begin(), entries.end(), greater);
   }
   if (bulk) std::make_heap(entries.begin(), entries.end(), greater);
@@ -43,16 +39,15 @@ InvertedHeap::Candidate InvertedHeap::ExtractMin() {
 
   // LazyReheap (Algorithm 4): inject the adjacent objects of the extracted
   // candidate so Property 1 keeps holding for the remaining objects.
-  scratch_->expand.clear();
-  nvd_->ExpandCandidates(top.object, &scratch_->expand);
-  for (const SiteObject& site : scratch_->expand) StageNew(site);
+  nvd_->ForEachExpansion(top.member,
+                         [this](std::uint32_t member) { StageNew(member); });
   FlushPending();
 
   Candidate candidate;
   candidate.object = top.object;
-  candidate.vertex = top.vertex;
+  candidate.vertex = nvd_->Member(top.member).vertex;
   candidate.lower_bound = top.lower_bound;
-  candidate.deleted = nvd_->IsDeleted(top.object);
+  candidate.deleted = nvd_->IsDeletedMember(top.member);
   return candidate;
 }
 
@@ -66,8 +61,8 @@ InvertedHeap::InvertedHeap(const ApxNvd* nvd,
   } else {
     scratch_->Reset();
   }
-  nvd_->InitialCandidates(q, &scratch_->expand);
-  for (const SiteObject& site : scratch_->expand) StageNew(site);
+  nvd_->InitialMembers(q, &scratch_->initial);
+  for (std::uint32_t member : scratch_->initial) StageNew(member);
   FlushPending();
 }
 

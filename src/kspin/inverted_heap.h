@@ -7,9 +7,11 @@
 // Theorem 1), and each extraction triggers LazyReheap (Algorithm 4), which
 // injects the adjacent objects of the extracted one.
 //
-// Newly injected sites are staged in a pending buffer and flushed
-// together: each is priced with one LowerBound call, and a flush into an
-// empty heap seeds it with one make_heap (docs/performance.md).
+// Candidates are the keyword ApxNvd's dense member ids: the dedup set is
+// keyed by member, and expansion walks the index's CSR spans. Newly
+// injected members are staged in a pending buffer and flushed together:
+// each is priced with one LowerBound call, and a flush into an empty heap
+// seeds it with one make_heap (docs/performance.md, "The heap-pop path").
 // Extraction order is a strict total order on (lower_bound, object).
 //
 // Storage: every heap operates on an InvertedHeap::Scratch — the heap
@@ -47,12 +49,13 @@ class InvertedHeap {
  public:
   /// A heap entry: candidate keyed by its lower-bound distance (ties by
   /// object id, matching the extraction order of the original
-  /// priority_queue-based implementation). 16 flat bytes; entries live in
-  /// one cache-line-aligned pod array, four per line.
+  /// priority_queue-based implementation), carrying the candidate's member
+  /// id in the keyword's ApxNvd. 16 flat bytes; entries live in one
+  /// cache-line-aligned pod array, four per line.
   struct Entry {
     Distance lower_bound;
     ObjectId object;
-    VertexId vertex;
+    std::uint32_t member;
     bool operator>(const Entry& o) const {
       if (lower_bound != o.lower_bound) return lower_bound > o.lower_bound;
       return object > o.object;
@@ -64,15 +67,15 @@ class InvertedHeap {
   /// handed out by QueryWorkspace so per-query heap construction performs
   /// no allocation in steady state.
   struct Scratch {
-    AlignedVector<Entry> entries;      // Binary min-heap via std::*_heap.
-    StampedIdSet inserted;             // Dedup of injected objects.
-    std::vector<SiteObject> expand;    // LazyReheap expansion buffer.
-    std::vector<SiteObject> pending;   // Staged sites awaiting pricing.
+    AlignedVector<Entry> entries;         // Binary min-heap via std::*_heap.
+    StampedIdSet inserted;                // Dedup of injected member ids.
+    std::vector<std::uint32_t> initial;   // Initial candidates' members.
+    std::vector<std::uint32_t> pending;   // Staged members awaiting pricing.
 
     void Reset() {
       entries.clear();
       inserted.Clear();
-      expand.clear();
+      initial.clear();
       pending.clear();
     }
   };
@@ -118,7 +121,9 @@ class InvertedHeap {
  private:
   friend class HeapGenerator;
 
-  void StageNew(const SiteObject& site);
+  void StageNew(std::uint32_t member) {
+    if (scratch_->inserted.Insert(member)) scratch_->pending.push_back(member);
+  }
   void FlushPending();
 
   const ApxNvd* nvd_ = nullptr;  // Null for keywords without objects.

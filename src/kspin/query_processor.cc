@@ -284,8 +284,7 @@ std::vector<TopKResult> QueryProcessor::TopK(
     double tr_p = 0.0;
     for (std::size_t j = 0; j < heaps.size(); ++j) {
       if (!use_pseudo_lower_bounds_ || min_i >= heaps[j].MinKey()) {
-        tr_p += prepared.impacts[j] *
-                relevance_.MaxImpact(prepared.keywords[j]);
+        tr_p += prepared.max_terms[j];
       }
     }
     return scoring.LowerBoundScore(min_i, tr_p);
@@ -413,10 +412,7 @@ struct QueryProcessor::TopKStream::State {
     }
     double tr_p = 0.0;
     for (std::size_t j = 0; j < heaps.size(); ++j) {
-      if (min_i >= heaps[j].MinKey()) {
-        tr_p += prepared.impacts[j] *
-                processor->relevance_.MaxImpact(prepared.keywords[j]);
-      }
+      if (min_i >= heaps[j].MinKey()) tr_p += prepared.max_terms[j];
     }
     return scoring.LowerBoundScore(min_i, tr_p);
   }

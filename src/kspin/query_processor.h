@@ -173,7 +173,9 @@ class QueryProcessor {
   };
 
   /// Opens an incremental top-k stream (default weighted-distance
-  /// scoring). Exact: the i-th Next() is the i-th best object.
+  /// scoring). Exact: the i-th Next() is the i-th best object. A stream
+  /// must not outlive a write to the engine: its heaps hold member ids of
+  /// the keyword indexes, which a rebuild renumbers.
   TopKStream OpenTopKStream(VertexId q,
                             std::span<const KeywordId> keywords,
                             const ScoringFunction& scoring = {});

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "nvd/nvd.h"
 
@@ -17,55 +18,77 @@ ApxNvd::ApxNvd(const Graph& graph, std::vector<SiteObject> sites,
 }
 
 void ApxNvd::Build(std::vector<SiteObject> sites) {
-  site_index_.clear();
+  members_.clear();
+  node_members_.Clear();
+  attached_nodes_.Clear();
+  object_members_.clear();
   adjacency_.Clear();
   max_radius_.clear();
   quadtree_.reset();
   rtree_.reset();
-  attached_nodes_.clear();
-  deleted_.clear();
   lazy_inserts_ = 0;
 
   // Objects sharing a vertex collapse onto one Voronoi site: the first
   // becomes the site, the rest ride along as attachments of that node (so
   // they surface whenever the node does; their distances are identical).
   std::unordered_map<VertexId, std::uint32_t> vertex_site;
-  sites_.clear();
-  std::vector<std::pair<ObjectId, std::uint32_t>> colocated;
+  std::vector<std::pair<std::uint32_t, SiteObject>> colocated;  // (node, o)
+  members_.reserve(sites.size());
   for (const SiteObject& s : sites) {
-    if (site_index_.contains(s.object)) {
-      throw std::invalid_argument("ApxNvd: duplicate object id");
-    }
     auto [it, inserted] = vertex_site.try_emplace(
-        s.vertex, static_cast<std::uint32_t>(sites_.size()));
+        s.vertex, static_cast<std::uint32_t>(members_.size()));
     if (inserted) {
-      site_index_.emplace(s.object, it->second);
-      sites_.push_back(s);
+      members_.push_back(s);
     } else {
-      site_index_.emplace(s.object, UINT32_MAX);  // Not a site itself.
-      colocated.emplace_back(s.object, it->second);
+      colocated.emplace_back(it->second, s);
     }
   }
-  attachments_.assign(sites_.size(), {});
-  for (const auto& [object, node] : colocated) {
-    site_index_.erase(object);
-    attachments_[node].push_back({object, sites_[node].vertex});
-    attached_nodes_.emplace(
-        object, std::vector<std::uint32_t>{node});
+  num_sites_ = static_cast<std::uint32_t>(members_.size());
+
+  // Colocated objects follow the sites, grouped by node (input order
+  // within a node); each node's list is its site, then those objects.
+  std::stable_sort(colocated.begin(), colocated.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
+  std::vector<std::uint32_t> list;
+  std::size_t next = 0;
+  for (std::uint32_t node = 0; node < num_sites_; ++node) {
+    list.assign(1, node);
+    for (; next < colocated.size() && colocated[next].first == node;
+         ++next) {
+      list.push_back(static_cast<std::uint32_t>(members_.size()));
+      members_.push_back(colocated[next].second);
+      attached_nodes_.Append(std::span<const std::uint32_t>(&node, 1));
+    }
+    node_members_.Append(list);
+  }
+  deleted_.assign(members_.size(), false);
+  live_ = members_.size();
+
+  object_members_.reserve(members_.size());
+  for (std::uint32_t m = 0; m < members_.size(); ++m) {
+    object_members_.emplace_back(members_[m].object, m);
+  }
+  std::sort(object_members_.begin(), object_members_.end());
+  for (std::size_t i = 1; i < object_members_.size(); ++i) {
+    if (object_members_[i - 1].first == object_members_[i].first) {
+      throw std::invalid_argument("ApxNvd: duplicate object id");
+    }
   }
 
   // Observation 1: tiny inverted lists need no Voronoi machinery at all —
   // the "index" is the flat list itself.
-  if (sites_.size() <= options_.rho) return;
+  if (num_sites_ <= options_.rho) return;
 
   if (!graph_.HasCoordinates()) {
     throw std::invalid_argument(
         "ApxNvd: graph coordinates required for Voronoi storage");
   }
 
-  std::vector<VertexId> site_vertices(sites_.size());
-  for (std::uint32_t i = 0; i < sites_.size(); ++i) {
-    site_vertices[i] = sites_[i].vertex;
+  std::vector<VertexId> site_vertices(num_sites_);
+  for (std::uint32_t i = 0; i < num_sites_; ++i) {
+    site_vertices[i] = members_[i].vertex;
   }
   NetworkVoronoiDiagram nvd = BuildNvd(graph_, site_vertices);
   adjacency_ = FlatLists<std::uint32_t>::FromLists(nvd.adjacency);
@@ -82,20 +105,16 @@ void ApxNvd::Build(std::vector<SiteObject> sites) {
   }
 }
 
-void ApxNvd::InitialCandidates(VertexId q,
-                               std::vector<SiteObject>* out) const {
+void ApxNvd::InitialMembers(VertexId q,
+                            std::vector<std::uint32_t>* out) const {
   if (!HasVoronoi()) {
-    out->insert(out->end(), sites_.begin(), sites_.end());
-    for (const auto& list : attachments_) {
-      out->insert(out->end(), list.begin(), list.end());
-    }
+    for (std::uint32_t m = 0; m < members_.size(); ++m) out->push_back(m);
     return;
   }
   const Coordinate& coord = graph_.VertexCoordinate(q);
   auto emit_node = [this, out](std::uint32_t node) {
-    out->push_back(sites_[node]);
-    out->insert(out->end(), attachments_[node].begin(),
-                attachments_[node].end());
+    const std::span<const std::uint32_t> list = node_members_[node];
+    out->insert(out->end(), list.begin(), list.end());
   };
   if (quadtree_ != nullptr) {
     for (std::uint32_t color : quadtree_->Locate(coord)) emit_node(color);
@@ -107,67 +126,37 @@ void ApxNvd::InitialCandidates(VertexId q,
   }
 }
 
-void ApxNvd::ExpandCandidates(ObjectId o,
-                              std::vector<SiteObject>* out) const {
-  if (!HasVoronoi()) return;  // Flat lists are fully emitted at init.
-  auto emit_node = [this, out](std::uint32_t node) {
-    out->push_back(sites_[node]);
-    out->insert(out->end(), attachments_[node].begin(),
-                attachments_[node].end());
-  };
-  auto expand_node = [this, &emit_node](std::uint32_t node) {
-    emit_node(node);  // Covers co-attachments of the node itself.
-    for (std::uint32_t adj : adjacency_[node]) emit_node(adj);
-  };
-  auto site_it = site_index_.find(o);
-  if (site_it != site_index_.end()) {
-    expand_node(site_it->second);
-    return;
-  }
-  auto attached_it = attached_nodes_.find(o);
-  if (attached_it != attached_nodes_.end()) {
-    for (std::uint32_t node : attached_it->second) expand_node(node);
-  }
+std::uint32_t ApxNvd::FindMember(ObjectId o) const {
+  auto it = std::lower_bound(
+      object_members_.begin(), object_members_.end(), o,
+      [](const auto& entry, ObjectId id) { return entry.first < id; });
+  return it != object_members_.end() && it->first == o ? it->second
+                                                        : kNoMember;
 }
 
-std::size_t ApxNvd::NumLiveObjects() const {
-  std::size_t live = sites_.size() - 0;
-  for (const SiteObject& s : sites_) {
-    if (deleted_.contains(s.object)) --live;
-  }
-  for (const auto& [o, nodes] : attached_nodes_) {
-    if (!deleted_.contains(o)) ++live;
-  }
-  return live;
+bool ApxNvd::IsDeleted(ObjectId o) const {
+  const std::uint32_t m = FindMember(o);
+  return m != kNoMember && deleted_[m];
 }
 
 std::vector<SiteObject> ApxNvd::LiveObjects() const {
   std::vector<SiteObject> live;
-  live.reserve(sites_.size());
-  for (const SiteObject& s : sites_) {
-    if (!deleted_.contains(s.object)) live.push_back(s);
-  }
-  for (const auto& [o, nodes] : attached_nodes_) {
-    if (deleted_.contains(o) || nodes.empty()) continue;
-    // Attached objects record their vertex via the first attachment's
-    // stored copy in attachments_.
-    for (const SiteObject& a : attachments_[nodes.front()]) {
-      if (a.object == o) {
-        live.push_back(a);
-        break;
-      }
-    }
+  live.reserve(live_);
+  for (std::uint32_t m = 0; m < members_.size(); ++m) {
+    if (!deleted_[m]) live.push_back(members_[m]);
   }
   return live;
 }
 
 std::size_t ApxNvd::MemoryBytes() const {
-  std::size_t total = sites_.size() * sizeof(SiteObject) +
-                      max_radius_.size() * sizeof(Distance) +
+  std::size_t total = members_.capacity() * sizeof(SiteObject) +
+                      node_members_.MemoryBytes() +
+                      attached_nodes_.MemoryBytes() +
+                      deleted_.capacity() / 8 +
+                      object_members_.capacity() *
+                          sizeof(object_members_.front()) +
+                      max_radius_.capacity() * sizeof(Distance) +
                       adjacency_.MemoryBytes();
-  for (const auto& list : attachments_) {
-    total += list.size() * sizeof(SiteObject) + sizeof(list);
-  }
   if (quadtree_ != nullptr) total += quadtree_->MemoryBytes();
   if (rtree_ != nullptr) total += rtree_->MemoryBytes();
   return total;

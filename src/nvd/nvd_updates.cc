@@ -9,19 +9,35 @@
 
 namespace kspin {
 
+std::uint32_t ApxNvd::AppendMember(SiteObject object,
+                                   std::span<const std::uint32_t> nodes) {
+  const auto member = static_cast<std::uint32_t>(members_.size());
+  members_.push_back(object);
+  attached_nodes_.Append(nodes);
+  deleted_.push_back(false);
+  ++live_;
+  const std::pair<ObjectId, std::uint32_t> entry(object.object, member);
+  object_members_.insert(std::upper_bound(object_members_.begin(),
+                                          object_members_.end(), entry),
+                         entry);
+  return member;
+}
+
 void ApxNvd::Insert(ObjectId o, VertexId vertex, DistanceOracle& oracle) {
-  if (site_index_.contains(o) || attached_nodes_.contains(o)) {
+  if (const std::uint32_t m = FindMember(o); m != kNoMember) {
     // Re-inserting a tombstoned object (e.g. a keyword removed from an
     // object and later re-added) just revives it; its vertex is immutable.
-    if (deleted_.erase(o) > 0) return;
-    throw std::invalid_argument("ApxNvd::Insert: object already present");
+    if (!deleted_[m]) {
+      throw std::invalid_argument("ApxNvd::Insert: object already present");
+    }
+    deleted_[m] = false;
+    ++live_;
+    return;
   }
 
   if (!HasVoronoi()) {
     // Flat mode: the inverted list is the index; just append.
-    site_index_.emplace(o, static_cast<std::uint32_t>(sites_.size()));
-    sites_.push_back({o, vertex});
-    attachments_.emplace_back();
+    AppendMember({o, vertex}, {});
     ++lazy_inserts_;
     last_affected_size_ = 0;
     return;
@@ -30,18 +46,17 @@ void ApxNvd::Insert(ObjectId o, VertexId vertex, DistanceOracle& oracle) {
   // Step 1: find the (stale-NVD) 1NN site p of the new object. The
   // Voronoi storage yields <= rho candidate colours containing the true
   // nearest site; the Network Distance Module disambiguates.
-  std::vector<SiteObject> candidates;
-  InitialCandidates(vertex, &candidates);
+  std::vector<std::uint32_t> candidates;
+  InitialMembers(vertex, &candidates);
   oracle.BeginSourceBatch(vertex);
   std::uint32_t nearest = UINT32_MAX;
   Distance nearest_dist = kInfDistance;
-  for (const SiteObject& c : candidates) {
-    auto it = site_index_.find(c.object);
-    if (it == site_index_.end()) continue;  // Skip earlier lazy inserts.
-    const Distance d = oracle.NetworkDistance(vertex, c.vertex);
+  for (std::uint32_t c : candidates) {
+    if (c >= num_sites_) continue;  // Skip attached members.
+    const Distance d = oracle.NetworkDistance(vertex, members_[c].vertex);
     if (d < nearest_dist) {
       nearest_dist = d;
-      nearest = it->second;
+      nearest = c;
     }
   }
   if (nearest == UINT32_MAX) {
@@ -64,7 +79,7 @@ void ApxNvd::Insert(ObjectId o, VertexId vertex, DistanceOracle& oracle) {
     max_radius_star = std::max(max_radius_star, r);
   }
   std::vector<std::uint32_t> affected;
-  std::vector<std::uint8_t> visited(sites_.size(), 0);
+  std::vector<std::uint8_t> visited(num_sites_, 0);
   std::queue<std::uint32_t> bfs;
   bfs.push(nearest);
   visited[nearest] = 1;
@@ -75,7 +90,8 @@ void ApxNvd::Insert(ObjectId o, VertexId vertex, DistanceOracle& oracle) {
     for (std::uint32_t adj : adjacency_[node]) {
       if (visited[adj]) continue;
       visited[adj] = 1;
-      const Distance d = oracle.NetworkDistance(vertex, sites_[adj].vertex);
+      const Distance d =
+          oracle.NetworkDistance(vertex, members_[adj].vertex);
       if (d < 2 * max_radius_[adj]) {
         affected.push_back(adj);  // Theorem 2 cannot exclude it.
       }
@@ -90,31 +106,46 @@ void ApxNvd::Insert(ObjectId o, VertexId vertex, DistanceOracle& oracle) {
   last_affected_size_ = affected.size();
 
   // Step 3: attach the new object to every affected node.
-  for (std::uint32_t node : affected) {
-    attachments_[node].push_back({o, vertex});
-  }
-  attached_nodes_.emplace(o, std::move(affected));
+  const std::uint32_t member = AppendMember({o, vertex}, affected);
+  std::sort(affected.begin(), affected.end());
+  node_members_.AppendToEach(affected, member);
   ++lazy_inserts_;
 }
 
 void ApxNvd::Delete(ObjectId o) {
-  if (!site_index_.contains(o) && !attached_nodes_.contains(o)) {
+  const std::uint32_t m = FindMember(o);
+  if (m == kNoMember) {
     throw std::invalid_argument("ApxNvd::Delete: unknown object");
   }
-  if (!deleted_.insert(o).second) {
+  if (deleted_[m]) {
     throw std::invalid_argument("ApxNvd::Delete: already deleted");
   }
+  deleted_[m] = true;
+  --live_;
+}
+
+bool ApxNvd::LiveVerticesExceedRho() const {
+  // Build's Observation-1 cutoff counts distinct site vertices, not
+  // objects: colocated objects share one site.
+  std::vector<VertexId> seen;
+  for (std::uint32_t m = 0; m < members_.size(); ++m) {
+    if (deleted_[m]) continue;
+    const VertexId v = members_[m].vertex;
+    if (std::find(seen.begin(), seen.end(), v) != seen.end()) continue;
+    seen.push_back(v);
+    if (seen.size() > options_.rho) return true;
+  }
+  return false;
 }
 
 bool ApxNvd::NeedsRebuild() const {
-  const std::size_t live = NumLiveObjects();
   if (HasVoronoi()) {
     // Too many lazy inserts, or shrunk under the rho cutoff (flatten).
     return lazy_inserts_ > options_.lazy_insert_threshold ||
-           live <= options_.rho;
+           !LiveVerticesExceedRho();
   }
-  // Flat index: outgrew the cutoff plus the lazy slack.
-  return live > options_.rho + options_.lazy_insert_threshold;
+  // Flat index: a build would give it Voronoi structures now.
+  return LiveVerticesExceedRho();
 }
 
 void ApxNvd::Rebuild() {

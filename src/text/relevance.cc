@@ -16,31 +16,20 @@ double TermWeight(std::uint32_t frequency) {
 RelevanceModel::RelevanceModel(const DocumentStore& store,
                                const InvertedIndex& index)
     : store_(store), index_(index) {
-  norms_.assign(store.NumSlots(), 0.0);
+  runs_.assign(store.NumSlots(), Run{});
+  impacts_.reserve(store.TotalKeywordSlots());
   max_impact_.assign(index.NumKeywords(), 0.0);
-  for (ObjectId o = 0; o < store.NumSlots(); ++o) {
-    if (!store.IsLive(o)) continue;
-    double sum_sq = 0.0;
-    for (const DocEntry& entry : store.Document(o)) {
-      const double w = TermWeight(entry.frequency);
-      sum_sq += w * w;
-    }
-    norms_[o] = std::sqrt(sum_sq);
-    if (norms_[o] <= 0.0) continue;
-    for (const DocEntry& entry : store.Document(o)) {
-      const double impact = TermWeight(entry.frequency) / norms_[o];
-      if (impact > max_impact_[entry.keyword]) {
-        max_impact_[entry.keyword] = impact;
-      }
-    }
-  }
+  for (ObjectId o = 0; o < store.NumSlots(); ++o) RefreshObject(o);
 }
 
 double RelevanceModel::ObjectImpact(ObjectId o, KeywordId t) const {
-  const std::uint32_t f = store_.Frequency(o, t);
-  if (f == 0) return 0.0;
-  const double norm = Norm(o);
-  return norm > 0.0 ? TermWeight(f) / norm : 0.0;
+  if (o >= runs_.size()) return 0.0;
+  const Impact* begin = impacts_.data() + runs_[o].begin;
+  const Impact* end = begin + runs_[o].size;
+  const Impact* it = std::lower_bound(
+      begin, end, t,
+      [](const Impact& e, KeywordId keyword) { return e.keyword < keyword; });
+  return it != end && it->keyword == t ? it->impact : 0.0;
 }
 
 PreparedQuery RelevanceModel::PrepareQuery(
@@ -67,42 +56,63 @@ PreparedQuery RelevanceModel::PrepareQuery(
   }
   const double norm = std::sqrt(sum_sq);
   query.impacts.reserve(query.keywords.size());
-  for (double w : weights) {
-    query.impacts.push_back(norm > 0.0 ? w / norm : 0.0);
+  query.max_terms.reserve(query.keywords.size());
+  for (std::size_t j = 0; j < weights.size(); ++j) {
+    query.impacts.push_back(norm > 0.0 ? weights[j] / norm : 0.0);
+    query.max_terms.push_back(query.impacts[j] *
+                              MaxImpact(query.keywords[j]));
   }
   return query;
 }
 
-double RelevanceModel::TextualRelevance(const PreparedQuery& query,
-                                        ObjectId o) const {
-  double tr = 0.0;
-  for (std::size_t i = 0; i < query.keywords.size(); ++i) {
-    tr += query.impacts[i] * ObjectImpact(o, query.keywords[i]);
-  }
-  return tr;
-}
-
 void RelevanceModel::RefreshObject(ObjectId o) {
-  if (o >= norms_.size()) norms_.resize(o + 1, 0.0);
-  if (!store_.IsLive(o)) {
-    norms_[o] = 0.0;
-    return;
+  if (o >= runs_.size()) runs_.resize(o + 1, Run{});
+  Run& run = runs_[o];
+  double norm = 0.0;
+  std::span<const DocEntry> document;
+  if (store_.IsLive(o)) {
+    document = store_.Document(o);
+    double sum_sq = 0.0;
+    for (const DocEntry& entry : document) {
+      const double w = TermWeight(entry.frequency);
+      sum_sq += w * w;
+    }
+    norm = std::sqrt(sum_sq);
   }
-  double sum_sq = 0.0;
-  for (const DocEntry& entry : store_.Document(o)) {
-    const double w = TermWeight(entry.frequency);
-    sum_sq += w * w;
+  if (norm <= 0.0) document = {};  // No impacts: TR is 0.
+
+  // Rewrite in place when the run fits, else move it to the end; compact
+  // once abandoned entries outnumber live ones.
+  if (document.size() > run.size) {
+    dead_impacts_ += run.size;
+    run.begin = static_cast<std::uint32_t>(impacts_.size());
+    impacts_.resize(impacts_.size() + document.size());
+  } else {
+    dead_impacts_ += run.size - document.size();
   }
-  norms_[o] = std::sqrt(sum_sq);
-  if (norms_[o] <= 0.0) return;
-  for (const DocEntry& entry : store_.Document(o)) {
+  run.size = static_cast<std::uint32_t>(document.size());
+  for (std::size_t i = 0; i < document.size(); ++i) {
+    const DocEntry& entry = document[i];
+    const double impact = TermWeight(entry.frequency) / norm;
+    impacts_[run.begin + i] = {entry.keyword, impact};
     if (entry.keyword >= max_impact_.size()) {
       max_impact_.resize(entry.keyword + 1, 0.0);
     }
-    const double impact = TermWeight(entry.frequency) / norms_[o];
     if (impact > max_impact_[entry.keyword]) {
       max_impact_[entry.keyword] = impact;
     }
+  }
+  if (dead_impacts_ * 2 > impacts_.size()) {
+    std::vector<Impact> compact;
+    compact.reserve(impacts_.size() - dead_impacts_);
+    for (Run& r : runs_) {
+      const auto begin = static_cast<std::uint32_t>(compact.size());
+      compact.insert(compact.end(), impacts_.begin() + r.begin,
+                     impacts_.begin() + r.begin + r.size);
+      r.begin = begin;
+    }
+    impacts_ = std::move(compact);
+    dead_impacts_ = 0;
   }
 }
 

@@ -20,8 +20,11 @@ namespace kspin {
 
 /// A query's keyword ids with their precomputed impacts lambda_{t,psi}.
 struct PreparedQuery {
-  std::vector<KeywordId> keywords;
-  std::vector<double> impacts;  ///< Aligned with `keywords`.
+  std::vector<KeywordId> keywords;  ///< Ascending, no repeats.
+  std::vector<double> impacts;      ///< Aligned with `keywords`.
+  /// impacts[j] * lambda_{t_j,max}: the most keyword j can add to any
+  /// object's TR (the pseudo lower bound's terms, Algorithm 2).
+  std::vector<double> max_terms;
 };
 
 /// Spatio-textual scoring function (smaller is better). The paper uses
@@ -56,10 +59,13 @@ struct ScoringFunction {
   }
 };
 
-/// Precomputed impact machinery over a document snapshot.
+/// Precomputed impact machinery over a document snapshot. Each object
+/// keeps its impacts lambda_{t,o} as one contiguous run of (keyword,
+/// impact) sorted by keyword, so TR is a merge of two sorted lists with
+/// no logarithm and no document lookup.
 class RelevanceModel {
  public:
-  /// Precomputes per-object norms and per-keyword maximum impacts
+  /// Precomputes per-object impacts and per-keyword maximum impacts
   /// lambda_{t,max} (used by the pseudo lower bound, Algorithm 2).
   RelevanceModel(const DocumentStore& store, const InvertedIndex& index);
 
@@ -75,7 +81,19 @@ class RelevanceModel {
   PreparedQuery PrepareQuery(std::span<const KeywordId> keywords) const;
 
   /// TR(psi, o) per Equation 3. 0 when no query keyword occurs in doc(o).
-  double TextualRelevance(const PreparedQuery& query, ObjectId o) const;
+  /// `query.keywords` must be ascending, as PrepareQuery leaves them.
+  double TextualRelevance(const PreparedQuery& query, ObjectId o) const {
+    if (o >= runs_.size()) return 0.0;
+    const Impact* it = impacts_.data() + runs_[o].begin;
+    const Impact* const end = it + runs_[o].size;
+    double tr = 0.0;
+    for (std::size_t i = 0; i < query.keywords.size() && it != end; ++i) {
+      const KeywordId t = query.keywords[i];
+      while (it != end && it->keyword < t) ++it;
+      if (it != end && it->keyword == t) tr += query.impacts[i] * it->impact;
+    }
+    return tr;
+  }
 
   /// Spatio-textual score per Equation 1 (weighted distance). Returns
   /// +infinity for tr <= 0 (textually irrelevant objects never rank).
@@ -84,19 +102,27 @@ class RelevanceModel {
     return static_cast<double>(d) / tr;
   }
 
-  /// Recomputes the cached norm of object o and folds its impacts into the
-  /// per-keyword maxima (call after a document mutation; maxima only grow
-  /// under this refresh — a full rebuild tightens them after deletions).
+  /// Rewrites object o's impacts from its current document and folds them
+  /// into the per-keyword maxima (call after a document mutation; maxima
+  /// only grow under this refresh — a full rebuild tightens them after
+  /// deletions).
   void RefreshObject(ObjectId o);
 
  private:
-  double Norm(ObjectId o) const {
-    return o < norms_.size() ? norms_[o] : 0.0;
-  }
+  struct Impact {
+    KeywordId keyword;
+    double impact;  ///< lambda_{t,o}.
+  };
+  struct Run {
+    std::uint32_t begin = 0;
+    std::uint32_t size = 0;
+  };
 
   const DocumentStore& store_;
   const InvertedIndex& index_;
-  std::vector<double> norms_;       ///< ||w_o|| per object slot.
+  std::vector<Run> runs_;        ///< Per object slot, into impacts_.
+  std::vector<Impact> impacts_;  ///< Every object's run, back to back.
+  std::size_t dead_impacts_ = 0;  ///< impacts_ entries no run covers.
   std::vector<double> max_impact_;  ///< lambda_{t,max} per keyword.
 };
 

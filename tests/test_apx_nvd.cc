@@ -28,7 +28,7 @@ std::vector<SiteObject> RandomSites(const Graph& graph, std::uint32_t count,
 
 class ApxNvdStorageTest : public ::testing::TestWithParam<ApxNvdStorage> {};
 
-TEST_P(ApxNvdStorageTest, InitialCandidatesContainThe1Nn) {
+TEST_P(ApxNvdStorageTest, InitialMembersContainThe1Nn) {
   Graph graph = testing::SmallRoadNetwork();
   const auto sites = RandomSites(graph, 30, 41);
   ApxNvdOptions options;
@@ -43,8 +43,8 @@ TEST_P(ApxNvdStorageTest, InitialCandidatesContainThe1Nn) {
     Distance best = kInfDistance;
     for (const SiteObject& s : sites) best = std::min(best, dist[s.vertex]);
 
-    std::vector<SiteObject> candidates;
-    nvd.InitialCandidates(q, &candidates);
+    const std::vector<SiteObject> candidates =
+        testing::InitialObjects(nvd, q);
     ASSERT_FALSE(candidates.empty()) << "q=" << q;
     bool has_1nn = false;
     for (const SiteObject& c : candidates) {
@@ -64,10 +64,10 @@ TEST(ApxNvd, QuadtreeCandidatesRespectRho) {
   ApxNvdOptions options;
   options.rho = 5;
   ApxNvd nvd(graph, sites, options);
-  std::vector<SiteObject> candidates;
+  std::vector<std::uint32_t> candidates;
   for (VertexId q = 0; q < graph.NumVertices(); q += 13) {
     candidates.clear();
-    nvd.InitialCandidates(q, &candidates);
+    nvd.InitialMembers(q, &candidates);
     EXPECT_LE(candidates.size(), 5u) << "q=" << q;
   }
 }
@@ -79,12 +79,9 @@ TEST(ApxNvd, SmallListsStayFlat) {
   options.rho = 5;
   ApxNvd nvd(graph, sites, options);
   EXPECT_FALSE(nvd.HasVoronoi());  // Observation 1: no Voronoi built.
-  std::vector<SiteObject> candidates;
-  nvd.InitialCandidates(0, &candidates);
-  EXPECT_EQ(candidates.size(), 4u);  // The whole inverted list.
-  candidates.clear();
-  nvd.ExpandCandidates(sites[0].object, &candidates);
-  EXPECT_TRUE(candidates.empty());  // Nothing more to add.
+  // The whole inverted list, and nothing more to add.
+  EXPECT_EQ(testing::InitialObjects(nvd, 0).size(), 4u);
+  EXPECT_TRUE(testing::ExpansionObjects(nvd, sites[0].object).empty());
 }
 
 TEST(ApxNvd, ExpansionSuppliesAdjacentObjects) {
@@ -98,13 +95,10 @@ TEST(ApxNvd, ExpansionSuppliesAdjacentObjects) {
   std::set<ObjectId> reached;
   std::vector<ObjectId> frontier = {sites[0].object};
   reached.insert(sites[0].object);
-  std::vector<SiteObject> out;
   while (!frontier.empty()) {
     const ObjectId o = frontier.back();
     frontier.pop_back();
-    out.clear();
-    nvd.ExpandCandidates(o, &out);
-    for (const SiteObject& s : out) {
+    for (const SiteObject& s : testing::ExpansionObjects(nvd, o)) {
       if (reached.insert(s.object).second) frontier.push_back(s.object);
     }
   }
@@ -121,17 +115,13 @@ TEST(ApxNvd, ColocatedObjectsAllSurface) {
   options.rho = 3;
   ApxNvd nvd(graph, sites, options);
   // Wherever site 0 appears, the co-located objects ride along.
-  std::vector<SiteObject> out;
-  nvd.ExpandCandidates(sites[1].object, &out);
   // Gather full reachable set from any start.
   std::set<ObjectId> reached;
   std::vector<ObjectId> frontier = {sites[1].object};
   while (!frontier.empty()) {
     const ObjectId o = frontier.back();
     frontier.pop_back();
-    out.clear();
-    nvd.ExpandCandidates(o, &out);
-    for (const SiteObject& s : out) {
+    for (const SiteObject& s : testing::ExpansionObjects(nvd, o)) {
       if (reached.insert(s.object).second) frontier.push_back(s.object);
     }
   }

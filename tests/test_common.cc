@@ -1,9 +1,12 @@
-// Tests for the common utilities: seeded RNG draws, sampling, timers.
+// Tests for the common utilities: seeded RNG draws, sampling, timers, and
+// the CSR list arena.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <thread>
+#include <vector>
 
+#include "common/arena.h"
 #include "common/random.h"
 #include "common/timer.h"
 
@@ -88,6 +91,39 @@ TEST(AccumulatingTimer, SumsIntervals) {
   EXPECT_GT(timer.TotalSeconds(), first);
   timer.Reset();
   EXPECT_EQ(timer.TotalSeconds(), 0.0);
+}
+
+TEST(FlatLists, AppendToEachMatchesNestedLists) {
+  // Random nested lists (some empty), grown by random AppendToEach calls,
+  // must read back exactly like the vector<vector> they model.
+  Rng rng(9);
+  std::vector<std::vector<std::uint32_t>> nested(12);
+  for (auto& list : nested) {
+    const auto size = rng.UniformInt(0, 3);
+    for (std::uint64_t i = 0; i < size; ++i) {
+      list.push_back(static_cast<std::uint32_t>(rng.UniformInt(0, 99)));
+    }
+  }
+  FlatLists<std::uint32_t> flat = FlatLists<std::uint32_t>::FromLists(nested);
+  for (std::uint32_t item = 1000; item < 1040; ++item) {
+    std::vector<std::uint32_t> lists;
+    for (std::uint32_t i = 0; i < nested.size(); ++i) {
+      if (rng.Bernoulli(0.3)) lists.push_back(i);
+    }
+    flat.AppendToEach(lists, item);
+    for (std::uint32_t i : lists) nested[i].push_back(item);
+    ASSERT_EQ(flat.NumLists(), nested.size());
+    for (std::size_t i = 0; i < nested.size(); ++i) {
+      const std::span<const std::uint32_t> row = flat[i];
+      ASSERT_EQ(std::vector<std::uint32_t>(row.begin(), row.end()),
+                nested[i])
+          << "list " << i << " after item " << item;
+    }
+  }
+  // Appending to no list leaves everything in place.
+  const std::size_t total = flat.TotalItems();
+  flat.AppendToEach({}, 7);
+  EXPECT_EQ(flat.TotalItems(), total);
 }
 
 }  // namespace

@@ -83,13 +83,12 @@ TEST_P(RhoSweep, CandidateBoundRespectedByVoronoiIndexes) {
   options.nvd.rho = rho;
   options.num_threads = 2;
   KeywordIndex index(graph_, store_, *inverted_, options);
-  std::vector<SiteObject> candidates;
   for (KeywordId t = 0; t < 45; ++t) {
     const ApxNvd* nvd = index.Index(t);
     if (nvd == nullptr || !nvd->HasVoronoi()) continue;
     for (VertexId q = 0; q < graph_.NumVertices(); q += 29) {
-      candidates.clear();
-      nvd->InitialCandidates(q, &candidates);
+      const std::vector<SiteObject> candidates =
+          testing::InitialObjects(*nvd, q);
       EXPECT_LE(candidates.size(), rho)
           << "keyword " << t << " q=" << q << " rho=" << rho;
       // No duplicates among initial candidates.

@@ -65,7 +65,9 @@ TEST_F(KeywordIndexTest, UpdateRoutingCreatesAndMaintainsIndexes) {
   const std::vector<KeywordId> keywords = {fresh};
   index_->OnObjectInserted(9001, 5, keywords, *oracle_);
   ASSERT_NE(index_->Index(fresh), nullptr);
-  if (was_empty) EXPECT_FALSE(index_->Index(fresh)->HasVoronoi());
+  if (was_empty) {
+    EXPECT_FALSE(index_->Index(fresh)->HasVoronoi());
+  }
   EXPECT_EQ(index_->Index(fresh)->NumLazyInserts(),
             was_empty ? 1u : index_->Index(fresh)->NumLazyInserts());
 

@@ -3,12 +3,19 @@
 // SerializationError rather than yielding a corrupt index.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
+#include <tuple>
 
+#include "common/random.h"
 #include "io/binary_format.h"
+#include "io/checksum.h"
 #include "io/fault_injection.h"
 #include "io/serialization.h"
+#include "kspin/inverted_heap.h"
 #include "kspin/keyword_index.h"
+#include "routing/alt.h"
+#include "routing/contraction_hierarchy.h"
 #include "routing/dijkstra.h"
 #include "test_util.h"
 #include "text/inverted_index.h"
@@ -364,10 +371,10 @@ TEST(Serialization, KeywordIndexRoundTripQueryIdentical) {
   EXPECT_EQ(loaded.NumVoronoiIndexes(), original.NumVoronoiIndexes());
   // Every per-keyword index must supply the same heap candidates.
   auto candidates = [](const ApxNvd& nvd, VertexId v) {
-    std::vector<SiteObject> raw;
-    nvd.InitialCandidates(v, &raw);
     std::vector<std::pair<ObjectId, VertexId>> out;
-    for (const SiteObject& s : raw) out.emplace_back(s.object, s.vertex);
+    for (const SiteObject& s : testing::InitialObjects(nvd, v)) {
+      out.emplace_back(s.object, s.vertex);
+    }
     std::sort(out.begin(), out.end());
     return out;
   };
@@ -383,6 +390,226 @@ TEST(Serialization, KeywordIndexRoundTripQueryIdentical) {
           << "t=" << t << " v=" << v;
     }
   }
+}
+
+// A keyword index in lazy state, over a store of 40 Zipfian keywords
+// whose every fourth object has a twin on its vertex (colocated members in
+// Voronoi and flat indexes): 80 random lazy inserts over 48 keywords
+// (every third on an existing object's vertex; keywords without objects
+// get flat indexes), a tombstone for every fifth object of each list, and
+// one revive (a keyword removed from an object and re-added).
+constexpr KeywordId kLazyKeywords = 48;
+
+KeywordIndex LazyKeywordIndex(const Graph& graph, DistanceOracle& oracle) {
+  constexpr KeywordId kKeywords = kLazyKeywords;
+  DocumentStore store = testing::TestDocuments(graph, 40, 0.2, 73);
+  const auto base = static_cast<ObjectId>(store.NumSlots());
+  for (ObjectId o = 0; o < base; o += 4) {
+    const KeywordId t = store.Document(o).front().keyword;
+    store.AddObject(store.ObjectVertex(o), {{t, 1}});
+  }
+  InvertedIndex inverted(store, kKeywords);
+  KeywordIndexOptions options;
+  options.nvd.rho = 3;
+  options.num_threads = 2;
+  KeywordIndex index(graph, store, inverted, options);
+
+  Rng rng(74);
+  auto next = static_cast<ObjectId>(store.NumSlots());
+  for (int i = 0; i < 80; ++i) {
+    const auto t = static_cast<KeywordId>(rng.UniformInt(0, kKeywords - 1));
+    const std::span<const ObjectId> list = inverted.Objects(t);
+    const VertexId v =
+        i % 3 == 0 && !list.empty()
+            ? store.ObjectVertex(list[i % list.size()])
+            : static_cast<VertexId>(
+                  rng.UniformInt(0, graph.NumVertices() - 1));
+    const std::vector<KeywordId> keywords = {t};
+    index.OnObjectInserted(next++, v, keywords, oracle);
+  }
+  KeywordId busiest = 0;
+  for (KeywordId t = 0; t < kKeywords; ++t) {
+    const std::span<const ObjectId> list = inverted.Objects(t);
+    for (std::size_t i = 0; i < list.size(); i += 5) {
+      index.OnKeywordRemoved(list[i], t);
+    }
+    if (list.size() > inverted.ListSize(busiest)) busiest = t;
+  }
+  const ObjectId revived = inverted.Objects(busiest).front();
+  index.OnKeywordAdded(revived, store.ObjectVertex(revived), busiest, oracle);
+  return index;
+}
+
+struct Pop {
+  ObjectId object;
+  Distance lower_bound;
+  bool deleted;
+  bool operator==(const Pop&) const = default;
+};
+
+struct Drained {
+  std::vector<Pop> pops;
+  HeapStats stats;
+};
+
+Drained DrainHeap(const ApxNvd& nvd, const LowerBoundModule& lower_bounds,
+                  VertexId q) {
+  Drained out;
+  InvertedHeap heap(&nvd, &lower_bounds, q);
+  while (!heap.Empty()) {
+    const InvertedHeap::Candidate c = heap.ExtractMin();
+    out.pops.push_back({c.object, c.lower_bound, c.deleted});
+  }
+  out.stats = heap.Stats();
+  return out;
+}
+
+// The order a lazily populated heap must extract in: the least
+// (lower_bound, object) among the members supplied so far, where the
+// supply is the index's initial members plus the expansion of every
+// extracted one — an ordered set fed through the same member API.
+std::vector<Pop> ReferenceOrder(const ApxNvd& nvd,
+                                const LowerBoundModule& lower_bounds,
+                                VertexId q) {
+  std::set<std::tuple<Distance, ObjectId, std::uint32_t>> open;
+  std::vector<bool> supplied(nvd.NumMembers(), false);
+  auto supply = [&](std::uint32_t m) {
+    if (supplied[m]) return;
+    supplied[m] = true;
+    const SiteObject& site = nvd.Member(m);
+    open.emplace(lower_bounds.LowerBound(q, site.vertex), site.object, m);
+  };
+  std::vector<std::uint32_t> initial;
+  nvd.InitialMembers(q, &initial);
+  for (std::uint32_t m : initial) supply(m);
+  std::vector<Pop> pops;
+  while (!open.empty()) {
+    const auto [lower_bound, object, member] = *open.begin();
+    open.erase(open.begin());
+    nvd.ForEachExpansion(member, supply);
+    pops.push_back({object, lower_bound, nvd.IsDeletedMember(member)});
+  }
+  return pops;
+}
+
+// The member table is derived on load from the keyword-index section,
+// whose bytes are unchanged: a lazy-state index must extract the same
+// (object, lower bound, deleted) sequence with the same heap counters
+// after a round trip, every sequence must yield each live and tombstoned
+// object exactly once in the (lower_bound, object) order of its supply,
+// and re-saving the loaded index must reproduce the bytes.
+TEST(Serialization, KeywordIndexLazyStateRoundTripExtractsIdentically) {
+  Graph graph = testing::SmallRoadNetwork(69);
+  ContractionHierarchy ch(graph);
+  ChOracle oracle(ch);
+  AltIndex alt(graph, 8);
+  KeywordIndex original = LazyKeywordIndex(graph, oracle);
+  std::stringstream buffer;
+  SaveKeywordIndex(original, buffer);
+  const std::string bytes = buffer.str();
+  // CRC32C of the section written by the object-keyed layout this member
+  // table replaced, for the same fixture: everything past the header, the
+  // options and the build time (36 bytes).
+  EXPECT_EQ(io::Crc32c(std::string_view(bytes).substr(36)), 3576367584u);
+  KeywordIndex loaded = LoadKeywordIndex(graph, buffer);
+  std::stringstream resaved;
+  SaveKeywordIndex(loaded, resaved);
+  EXPECT_EQ(resaved.str(), bytes);
+
+  std::size_t voronoi = 0;
+  std::size_t flat = 0;
+  std::size_t tombstones = 0;
+  for (KeywordId t = 0; t < kLazyKeywords; ++t) {
+    const ApxNvd* a = original.Index(t);
+    const ApxNvd* b = loaded.Index(t);
+    ASSERT_EQ(a == nullptr, b == nullptr) << "t=" << t;
+    if (a == nullptr) continue;
+    ++(a->HasVoronoi() ? voronoi : flat);
+    ASSERT_EQ(a->HasVoronoi(), b->HasVoronoi()) << "t=" << t;
+    ASSERT_EQ(a->NumLiveObjects(), b->NumLiveObjects()) << "t=" << t;
+    for (VertexId q = 0; q < graph.NumVertices(); q += 37) {
+      const Drained before = DrainHeap(*a, alt, q);
+      const Drained after = DrainHeap(*b, alt, q);
+      ASSERT_EQ(before.pops, after.pops) << "t=" << t << " q=" << q;
+      EXPECT_EQ(before.stats.lower_bounds_computed,
+                after.stats.lower_bounds_computed);
+      EXPECT_EQ(before.stats.insertions, after.stats.insertions);
+      EXPECT_EQ(before.stats.extractions, after.stats.extractions);
+      EXPECT_EQ(before.stats.lb_batch_calls, after.stats.lb_batch_calls);
+      EXPECT_EQ(before.stats.lb_batch_items, after.stats.lb_batch_items);
+
+      const std::vector<Pop>& pops = before.pops;
+      ASSERT_EQ(pops, ReferenceOrder(*a, alt, q)) << "t=" << t << " q=" << q;
+      ASSERT_EQ(pops.size(), a->NumMembers()) << "t=" << t << " q=" << q;
+      std::set<ObjectId> seen;
+      std::size_t dead = 0;
+      for (const Pop& pop : pops) {
+        EXPECT_TRUE(seen.insert(pop.object).second);
+        EXPECT_EQ(pop.deleted, a->IsDeleted(pop.object));
+        dead += pop.deleted ? 1 : 0;
+      }
+      EXPECT_EQ(pops.size() - dead, a->NumLiveObjects());
+      if (q == 0) tombstones += dead;
+    }
+  }
+  EXPECT_GT(voronoi, 0u);
+  EXPECT_GT(flat, 0u);
+  EXPECT_GT(tombstones, 0u);
+}
+
+// Hand-written flat ApxNvd sections (two sites, object 7 attached to site
+// 0's node): the loader derives the member table and rejects sections
+// whose attachment lists, attached-object nodes and tombstones disagree.
+TEST(Serialization, ApxNvdLoaderRejectsInconsistentMemberTables) {
+  Graph graph = testing::TinyGrid();
+  using Attached = std::pair<ObjectId, std::vector<std::uint32_t>>;
+  const auto stream = [](const std::vector<std::vector<SiteObject>>& lists,
+                         const std::vector<Attached>& attached,
+                         const std::vector<ObjectId>& deleted) {
+    std::stringstream out;
+    for (std::uint32_t field : {5u, 0u, 16u, 64u}) io::WritePod(out, field);
+    io::WritePodVector(out, std::vector<SiteObject>{{0, 1}, {1, 2}});
+    io::WritePod<std::uint64_t>(out, 0);            // Adjacency lists.
+    io::WritePodVector(out, std::vector<Distance>{});  // Radii.
+    io::WritePod<std::uint8_t>(out, 0);             // Flat: no storage.
+    io::WritePod<std::uint64_t>(out, lists.size());
+    for (const auto& list : lists) io::WritePodVector(out, list);
+    io::WritePod<std::uint64_t>(out, attached.size());
+    for (const auto& [object, nodes] : attached) {
+      io::WritePod(out, object);
+      io::WritePodVector(out, nodes);
+    }
+    io::WritePodVector(out, deleted);
+    io::WritePod<std::uint64_t>(out, 0);  // Lazy inserts.
+    io::WritePod<std::uint64_t>(out, 0);  // Last affected set size.
+    return out.str();
+  };
+  const auto load = [&graph](const std::string& bytes) {
+    std::stringstream in(bytes);
+    return LoadApxNvd(graph, in);
+  };
+  const std::vector<std::vector<SiteObject>> lists = {{{7, 1}}, {}};
+  const std::vector<Attached> attached = {{7, {0}}};
+
+  const auto nvd = load(stream(lists, attached, {1}));
+  ASSERT_EQ(nvd->NumMembers(), 3u);
+  EXPECT_EQ(nvd->Member(2).object, 7u);
+  EXPECT_EQ(nvd->Member(2).vertex, 1u);
+  EXPECT_TRUE(nvd->IsDeleted(1));
+  EXPECT_EQ(nvd->NumLiveObjects(), 2u);
+  EXPECT_EQ(testing::InitialObjects(*nvd, 0).size(), 3u);
+
+  const auto rejects = [&](const std::string& bytes) {
+    EXPECT_THROW(load(bytes), io::SerializationError);
+  };
+  rejects(stream({{{8, 1}}, {}}, attached, {}));           // Unknown object.
+  rejects(stream({{{0, 1}}, {}}, attached, {}));           // A site attached.
+  rejects(stream({{{7, 1}}, {{7, 2}}}, {{7, {0, 1}}}, {}));  // Two vertices.
+  rejects(stream({{{7, 9}}, {}}, attached, {}));           // Vertex range.
+  rejects(stream(lists, {{7, {0, 1}}}, {}));               // Missing entry.
+  rejects(stream({{}, {}}, {{7, {}}}, {}));                // No vertex.
+  rejects(stream(lists, attached, {99}));                  // Unknown tombstone.
+  rejects(stream(lists, attached, {1, 1}));                // Tombstoned twice.
 }
 
 TEST(Serialization, PoiCatalogRoundTrip) {

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <set>
 
+#include "common/random.h"
 #include "text/document_store.h"
 #include "text/inverted_index.h"
 #include "text/query_workload.h"
@@ -151,6 +152,69 @@ TEST(RelevanceModel, RefreshTracksMutations) {
   // Adding a second keyword grows the norm, shrinking t0's impact.
   EXPECT_LT(model.ObjectImpact(o, 0), before);
   EXPECT_GT(model.ObjectImpact(o, 1), 0.0);
+}
+
+// TR from the precomputed impact runs must equal, bit for bit, the
+// document formula sum_i lambda_{t_i,psi} * (1 + ln f) / ||w_o|| evaluated
+// in query-keyword order — on a fresh model and through refreshes that
+// rewrite runs in place, move them to the end of the pool and compact it.
+TEST(RelevanceModel, ImpactRunsMatchTheDocumentFormulaExactly) {
+  Graph graph = testing::SmallRoadNetwork();
+  DocumentStore store = testing::TestDocuments(graph, 30, 0.1, 23);
+  InvertedIndex index(store, 40);
+  RelevanceModel model(store, index);
+  auto reference = [&store](const PreparedQuery& query, ObjectId o) {
+    double tr = 0.0;
+    for (std::size_t i = 0; i < query.keywords.size(); ++i) {
+      const std::uint32_t f = store.Frequency(o, query.keywords[i]);
+      double impact = 0.0;
+      if (f > 0) {
+        double sum_sq = 0.0;
+        for (const DocEntry& e : store.Document(o)) {
+          const double w = 1.0 + std::log(static_cast<double>(e.frequency));
+          sum_sq += w * w;
+        }
+        impact =
+            (1.0 + std::log(static_cast<double>(f))) / std::sqrt(sum_sq);
+      }
+      tr += query.impacts[i] * impact;
+    }
+    return tr;
+  };
+  Rng rng(24);
+  auto check = [&](int round) {
+    for (int trial = 0; trial < 8; ++trial) {
+      std::vector<KeywordId> keywords;
+      for (int j = 0; j < 1 + trial % 4; ++j) {
+        keywords.push_back(static_cast<KeywordId>(rng.UniformInt(0, 39)));
+      }
+      const PreparedQuery query = model.PrepareQuery(keywords);
+      for (std::size_t j = 0; j < query.keywords.size(); ++j) {
+        ASSERT_EQ(query.max_terms[j],
+                  query.impacts[j] * model.MaxImpact(query.keywords[j]));
+      }
+      for (ObjectId o = 0; o < store.NumSlots(); ++o) {
+        ASSERT_EQ(model.TextualRelevance(query, o), reference(query, o))
+            << "round " << round << " object " << o;
+      }
+    }
+  };
+  check(0);
+  for (int round = 1; round <= 150; ++round) {
+    const auto o = static_cast<ObjectId>(
+        rng.UniformInt(0, store.NumSlots() - 1));
+    if (!store.IsLive(o)) continue;
+    const auto t = static_cast<KeywordId>(rng.UniformInt(0, 39));
+    if (round % 37 == 0) {
+      store.DeleteObject(o);
+    } else if (store.Contains(o, t) && store.Document(o).size() > 1) {
+      store.RemoveKeyword(o, t);  // Shrinks the run in place.
+    } else {
+      store.AddKeyword(o, t, 1 + round % 3);  // May move it to the end.
+    }
+    model.RefreshObject(o);
+    check(round);
+  }
 }
 
 TEST(ZipfGenerator, ProducesZipfianFrequencies) {

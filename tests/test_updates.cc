@@ -196,10 +196,8 @@ TEST(ApxNvdUpdates, AffectedSetsFollowTheorem2) {
   // The inserted object must now surface near its vertex: its own vertex's
   // initial candidates or their expansions must include it. More simply,
   // the 1NN query semantics: object 999 is at distance 0 from sample[30].
-  std::vector<SiteObject> candidates;
-  nvd.InitialCandidates(sample[30], &candidates);
   bool found = false;
-  for (const SiteObject& c : candidates) {
+  for (const SiteObject& c : testing::InitialObjects(nvd, sample[30])) {
     if (c.object == 999) found = true;
   }
   EXPECT_TRUE(found) << "lazily inserted object missing from candidates at "
@@ -235,6 +233,102 @@ TEST(ApxNvdUpdates, FlatIndexGrowsIntoVoronoiOnRebuild) {
   nvd.Rebuild();
   EXPECT_TRUE(nvd.HasVoronoi());  // 12 live objects > rho.
   EXPECT_EQ(nvd.NumLiveObjects(), 12u);
+}
+
+TEST(ApxNvdUpdates, FlatIndexPastRhoVerticesNeedsRebuild) {
+  // Build gives a keyword with more than rho distinct site vertices an
+  // APX-NVD (Observation 1), so a flat index that lazy inserts grew past
+  // that cutoff needs a rebuild, well before rho + the lazy threshold.
+  Graph graph = testing::SmallRoadNetwork();
+  ContractionHierarchy ch(graph);
+  ChOracle oracle(ch);
+  ApxNvdOptions options;
+  options.rho = 3;  // Default lazy_insert_threshold (64).
+  ApxNvd nvd(graph, {{0, 5}, {1, 9}}, options);
+  EXPECT_FALSE(nvd.NeedsRebuild());
+  for (std::uint32_t i = 0; i < 10; ++i) {
+    nvd.Insert(100 + i, static_cast<VertexId>(20 + i * 7), oracle);
+  }
+  EXPECT_FALSE(nvd.HasVoronoi());
+  EXPECT_EQ(nvd.NumLiveObjects(), 12u);
+  EXPECT_TRUE(nvd.NeedsRebuild());
+  nvd.Rebuild();
+  EXPECT_TRUE(nvd.HasVoronoi());
+  EXPECT_FALSE(nvd.NeedsRebuild());  // One rebuild settles it.
+}
+
+TEST(ApxNvdUpdates, ColocatedObjectsOnRhoVerticesStayFlat) {
+  // Six objects on three vertices: flat by construction at rho = 3, and a
+  // rebuild would build the same flat index, so none is needed — even
+  // when the objects arrived as lazy inserts.
+  Graph graph = testing::SmallRoadNetwork();
+  ContractionHierarchy ch(graph);
+  ChOracle oracle(ch);
+  ApxNvdOptions options;
+  options.rho = 3;
+  std::vector<SiteObject> sites;
+  for (ObjectId o = 0; o < 6; ++o) {
+    sites.push_back({o, static_cast<VertexId>(10 + 10 * (o % 3))});
+  }
+  ApxNvd built(graph, sites, options);
+  EXPECT_FALSE(built.HasVoronoi());
+  EXPECT_FALSE(built.NeedsRebuild());
+
+  ApxNvd grown(graph, {sites[0]}, options);
+  for (std::size_t i = 1; i < sites.size(); ++i) {
+    grown.Insert(sites[i].object, sites[i].vertex, oracle);
+  }
+  EXPECT_EQ(grown.NumLiveObjects(), 6u);
+  EXPECT_FALSE(grown.NeedsRebuild());
+  grown.Rebuild();
+  EXPECT_FALSE(grown.HasVoronoi());
+  EXPECT_FALSE(grown.NeedsRebuild());
+
+  // A Voronoi index whose live objects shrink onto rho vertices flattens.
+  sites.push_back({6, 70});
+  ApxNvd voronoi(graph, sites, options);  // Four distinct vertices.
+  ASSERT_TRUE(voronoi.HasVoronoi());
+  EXPECT_FALSE(voronoi.NeedsRebuild());
+  voronoi.Delete(6);
+  EXPECT_TRUE(voronoi.NeedsRebuild());  // Six live objects, 3 vertices.
+  voronoi.Rebuild();
+  EXPECT_FALSE(voronoi.HasVoronoi());
+  EXPECT_FALSE(voronoi.NeedsRebuild());
+}
+
+TEST(ApxNvdUpdates, DeleteReviveAndLiveCount) {
+  Graph graph = testing::SmallRoadNetwork();
+  ContractionHierarchy ch(graph);
+  ChOracle oracle(ch);
+  Rng rng(118);
+  auto sample = rng.SampleWithoutReplacement(
+      static_cast<std::uint32_t>(graph.NumVertices()), 20);
+  std::vector<SiteObject> sites;
+  for (std::uint32_t i = 0; i < 20; ++i) sites.push_back({i, sample[i]});
+  sites.push_back({20, sample[3]});  // Colocated attachment.
+  ApxNvdOptions options;
+  options.rho = 3;
+  ApxNvd nvd(graph, sites, options);
+  ASSERT_TRUE(nvd.HasVoronoi());
+  nvd.Insert(50, sample[7], oracle);  // Lazy attachment.
+  EXPECT_EQ(nvd.NumLiveObjects(), 22u);
+  for (ObjectId o : {ObjectId{3}, ObjectId{20}, ObjectId{50}}) {
+    nvd.Delete(o);
+    EXPECT_TRUE(nvd.IsDeleted(o));
+    EXPECT_TRUE(nvd.IsDeletedMember(testing::MemberOf(nvd, o)));
+  }
+  EXPECT_EQ(nvd.NumLiveObjects(), 19u);
+  // Re-inserting a tombstoned object revives it under the same member;
+  // a live one is rejected.
+  const std::uint32_t member = testing::MemberOf(nvd, 20);
+  const std::size_t members = nvd.NumMembers();
+  nvd.Insert(20, sample[3], oracle);
+  EXPECT_FALSE(nvd.IsDeleted(20));
+  EXPECT_EQ(testing::MemberOf(nvd, 20), member);
+  EXPECT_EQ(nvd.NumMembers(), members);
+  EXPECT_EQ(nvd.NumLiveObjects(), 20u);
+  EXPECT_THROW(nvd.Insert(20, sample[3], oracle), std::invalid_argument);
+  EXPECT_FALSE(nvd.IsDeleted(12345));
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "graph/graph.h"
 #include "graph/graph_builder.h"
 #include "graph/road_network_generator.h"
+#include "nvd/apx_nvd.h"
 #include "text/document_store.h"
 #include "text/zipf_generator.h"
 
@@ -71,6 +72,37 @@ inline Graph TinyGrid() {
   }
   builder.SetCoordinates(std::move(coords));
   return builder.Build();
+}
+
+/// The member id of object o in `nvd` (NumMembers() when absent).
+inline std::uint32_t MemberOf(const ApxNvd& nvd, ObjectId o) {
+  std::uint32_t m = 0;
+  while (m < nvd.NumMembers() && nvd.Member(m).object != o) ++m;
+  return m;
+}
+
+/// The objects of `nvd`'s initial candidate members for query vertex q,
+/// in supply order.
+inline std::vector<SiteObject> InitialObjects(const ApxNvd& nvd,
+                                              VertexId q) {
+  std::vector<std::uint32_t> members;
+  nvd.InitialMembers(q, &members);
+  std::vector<SiteObject> out;
+  for (std::uint32_t m : members) out.push_back(nvd.Member(m));
+  return out;
+}
+
+/// The objects `nvd` supplies when object o is extracted from a heap
+/// (Algorithm 4's expansion), in supply order.
+inline std::vector<SiteObject> ExpansionObjects(const ApxNvd& nvd,
+                                                ObjectId o) {
+  std::vector<SiteObject> out;
+  const std::uint32_t member = MemberOf(nvd, o);
+  if (member == nvd.NumMembers()) return out;
+  nvd.ForEachExpansion(member, [&nvd, &out](std::uint32_t m) {
+    out.push_back(nvd.Member(m));
+  });
+  return out;
 }
 
 }  // namespace kspin::testing
