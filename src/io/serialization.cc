@@ -41,15 +41,29 @@ Graph LoadGraph(std::istream& in) {
   graph.offsets_ = io::ReadPodVector<std::size_t>(in);
   graph.arcs_ = io::ReadPodVector<Arc>(in);
   graph.coordinates_ = io::ReadPodVector<Coordinate>(in);
-  if (graph.offsets_.empty() ||
+  if (graph.offsets_.empty() || graph.offsets_.front() != 0 ||
       graph.offsets_.back() != graph.arcs_.size() ||
+      !std::is_sorted(graph.offsets_.begin(), graph.offsets_.end()) ||
       (!graph.coordinates_.empty() &&
        graph.coordinates_.size() != graph.offsets_.size() - 1)) {
     throw io::SerializationError("inconsistent graph arrays");
   }
-  for (const Arc& arc : graph.arcs_) {
-    if (arc.head >= graph.offsets_.size() - 1) {
-      throw io::SerializationError("arc head out of range");
+  // As GraphBuilder enforces: every shortest-path method relies on
+  // strictly positive weights, and contraction on the absence of
+  // self-loops.
+  const std::size_t n = graph.offsets_.size() - 1;
+  for (std::size_t v = 0; v < n; ++v) {
+    for (std::size_t i = graph.offsets_[v]; i < graph.offsets_[v + 1]; ++i) {
+      const Arc& arc = graph.arcs_[i];
+      if (arc.head >= n) {
+        throw io::SerializationError("arc head out of range");
+      }
+      if (arc.head == v) {
+        throw io::SerializationError("self-loop arc");
+      }
+      if (arc.weight == 0) {
+        throw io::SerializationError("zero arc weight");
+      }
     }
   }
   return graph;

@@ -1,6 +1,7 @@
 #include "nvd/apx_nvd.h"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -9,15 +10,15 @@
 namespace kspin {
 
 ApxNvd::ApxNvd(const Graph& graph, std::vector<SiteObject> sites,
-               ApxNvdOptions options)
+               ApxNvdOptions options, const MortonOrder* order)
     : graph_(graph), options_(options) {
   if (options_.rho == 0) {
     throw std::invalid_argument("ApxNvd: rho must be >= 1");
   }
-  Build(std::move(sites));
+  Build(std::move(sites), order);
 }
 
-void ApxNvd::Build(std::vector<SiteObject> sites) {
+void ApxNvd::Build(std::vector<SiteObject> sites, const MortonOrder* order) {
   members_.clear();
   node_members_.Clear();
   attached_nodes_.Clear();
@@ -97,9 +98,13 @@ void ApxNvd::Build(std::vector<SiteObject> sites) {
   // Voronoi storage over every vertex's owner colour; the O(|V|) owner
   // array itself is discarded (Observation 2a).
   if (options_.storage == ApxNvdStorage::kQuadtree) {
-    quadtree_ = std::make_unique<ColorQuadtree>(
-        graph_.Coordinates(), nvd.owner, options_.rho,
-        options_.quadtree_max_depth);
+    std::optional<MortonOrder> own_order;
+    if (order == nullptr) {
+      order = &own_order.emplace(graph_.Coordinates(),
+                                 options_.quadtree_max_depth);
+    }
+    quadtree_ =
+        std::make_unique<ColorQuadtree>(*order, nvd.owner, options_.rho);
   } else {
     rtree_ = std::make_unique<VoronoiRTree>(graph_.Coordinates(), nvd.owner);
   }

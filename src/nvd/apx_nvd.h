@@ -82,9 +82,12 @@ class ApxNvd {
  public:
   /// Builds the index for one keyword's object set. Requires graph
   /// coordinates when Voronoi structures are needed (|sites| > rho).
-  /// Throws on duplicate object ids or missing coordinates.
+  /// Throws on duplicate object ids or missing coordinates. A quadtree
+  /// build uses `order`, the Z-order of the graph's vertices at
+  /// options.quadtree_max_depth that a batch of builds shares, or
+  /// computes its own when it is null.
   ApxNvd(const Graph& graph, std::vector<SiteObject> sites,
-         ApxNvdOptions options = {});
+         ApxNvdOptions options = {}, const MortonOrder* order = nullptr);
 
   // ----- Candidate generation (consumed by the Heap Generator) ---------
 
@@ -153,8 +156,8 @@ class ApxNvd {
   bool NeedsRebuild() const;
 
   /// Reconstructs the index from the live object set, absorbing all lazy
-  /// updates.
-  void Rebuild();
+  /// updates. `order` is as for the constructor.
+  void Rebuild(const MortonOrder* order = nullptr);
 
   // ----- Introspection ---------------------------------------------------
 
@@ -181,7 +184,7 @@ class ApxNvd {
 
   static constexpr std::uint32_t kNoMember = UINT32_MAX;
 
-  void Build(std::vector<SiteObject> sites);
+  void Build(std::vector<SiteObject> sites, const MortonOrder* order);
   std::vector<SiteObject> LiveObjects() const;
   /// Member id of object o, or kNoMember.
   std::uint32_t FindMember(ObjectId o) const;

@@ -1,11 +1,61 @@
 #include "nvd/nvd.h"
 
 #include <algorithm>
-#include <queue>
+#include <array>
+#include <bit>
 #include <stdexcept>
 #include <unordered_set>
+#include <utility>
 
 namespace kspin {
+namespace {
+
+// Monotone radix heap over (distance, vertex) (Ahuja, Mehlhorn, Orlin and
+// Tarjan, 1990): valid while no pushed key is below the last popped one,
+// as in Dijkstra. Bucket b > 0 holds the keys whose highest bit differing
+// from the last popped key is bit b - 1; bucket 0 holds keys equal to it.
+// Pops among equal keys come in no particular order.
+class RadixHeap {
+ public:
+  bool Empty() const { return size_ == 0; }
+
+  void Push(Distance key, VertexId vertex) {
+    buckets_[BucketOf(key)].push_back({key, vertex});
+    ++size_;
+  }
+
+  std::pair<Distance, VertexId> Pop() {
+    if (buckets_[0].empty()) {
+      // The least key of the first non-empty bucket becomes the new
+      // reference; every entry of that bucket then lands strictly lower.
+      std::size_t b = 1;
+      while (buckets_[b].empty()) ++b;
+      std::vector<Entry>& bucket = buckets_[b];
+      last_ = std::min_element(bucket.begin(), bucket.end())->first;
+      for (const Entry& entry : bucket) {
+        buckets_[BucketOf(entry.first)].push_back(entry);
+      }
+      bucket.clear();
+    }
+    const Entry top = buckets_[0].back();
+    buckets_[0].pop_back();
+    --size_;
+    return top;
+  }
+
+ private:
+  using Entry = std::pair<Distance, VertexId>;
+
+  std::size_t BucketOf(Distance key) const {
+    return static_cast<std::size_t>(std::bit_width(key ^ last_));
+  }
+
+  std::array<std::vector<Entry>, 65> buckets_;
+  Distance last_ = 0;
+  std::size_t size_ = 0;
+};
+
+}  // namespace
 
 NetworkVoronoiDiagram BuildNvd(const Graph& graph,
                                std::span<const VertexId> sites) {
@@ -26,43 +76,33 @@ NetworkVoronoiDiagram BuildNvd(const Graph& graph,
   nvd.adjacency.assign(sites.size(), {});
   nvd.max_radius.assign(sites.size(), 0);
 
-  // Multi-source Dijkstra; ties broken towards the lower site index so the
-  // partition is deterministic.
-  struct Entry {
-    Distance dist;
-    std::uint32_t site;
-    VertexId vertex;
-    bool operator>(const Entry& o) const {
-      if (dist != o.dist) return dist > o.dist;
-      return site > o.site;
-    }
-  };
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue;
+  // Multi-source Dijkstra. A vertex settles with the least site among its
+  // minimal-distance offers: weights are strictly positive, so every such
+  // offer comes from a vertex settled earlier, before the vertex's first
+  // entry pops. An equal-distance offer from a lower site therefore just
+  // rewrites the owner, and the queue needs no site and no tie order.
+  RadixHeap queue;
   for (std::uint32_t s = 0; s < sites.size(); ++s) {
     const VertexId v = sites[s];
     if (v >= n) throw std::invalid_argument("BuildNvd: site out of range");
     nvd.owner[v] = s;
     nvd.owner_distance[v] = 0;
-    queue.push({0, s, v});
+    queue.Push(0, v);
   }
-  std::vector<std::uint8_t> settled(n, 0);
-  while (!queue.empty()) {
-    const Entry top = queue.top();
-    queue.pop();
-    if (settled[top.vertex]) continue;
-    settled[top.vertex] = 1;
-    nvd.owner[top.vertex] = top.site;
-    nvd.owner_distance[top.vertex] = top.dist;
-    nvd.max_radius[top.site] = std::max(nvd.max_radius[top.site], top.dist);
-    for (const Arc& arc : graph.Neighbors(top.vertex)) {
-      if (settled[arc.head]) continue;
-      const Distance nd = top.dist + arc.weight;
-      if (nd < nvd.owner_distance[arc.head] ||
-          (nd == nvd.owner_distance[arc.head] &&
-           top.site < nvd.owner[arc.head])) {
-        nvd.owner_distance[arc.head] = nd;
-        nvd.owner[arc.head] = top.site;
-        queue.push({nd, top.site, arc.head});
+  while (!queue.Empty()) {
+    const auto [d, v] = queue.Pop();
+    if (d > nvd.owner_distance[v]) continue;  // Stale entry.
+    const std::uint32_t site = nvd.owner[v];
+    nvd.max_radius[site] = std::max(nvd.max_radius[site], d);
+    for (const Arc& arc : graph.Neighbors(v)) {
+      const Distance nd = d + arc.weight;
+      Distance& head_distance = nvd.owner_distance[arc.head];
+      if (nd < head_distance) {
+        head_distance = nd;
+        nvd.owner[arc.head] = site;
+        queue.Push(nd, arc.head);
+      } else if (nd == head_distance && site < nvd.owner[arc.head]) {
+        nvd.owner[arc.head] = site;
       }
     }
   }

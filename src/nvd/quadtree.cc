@@ -9,27 +9,28 @@
 namespace kspin {
 namespace {
 
-struct ZPoint {
-  std::uint64_t z;
-  std::uint32_t color;
-};
+// Morton code of p on the 2^grid_bits grid with the given origin and scale.
+std::uint64_t GridZ(const Coordinate& p, double origin_x, double origin_y,
+                    double scale, std::uint32_t grid_bits) {
+  double fx = (static_cast<double>(p.x) - origin_x) * scale;
+  double fy = (static_cast<double>(p.y) - origin_y) * scale;
+  const double max_cell = static_cast<double>((1u << grid_bits) - 1);
+  fx = std::clamp(fx, 0.0, max_cell);
+  fy = std::clamp(fy, 0.0, max_cell);
+  return MortonEncode(static_cast<std::uint32_t>(fx),
+                      static_cast<std::uint32_t>(fy));
+}
 
 }  // namespace
 
-ColorQuadtree::ColorQuadtree(std::span<const Coordinate> points,
-                             std::span<const std::uint32_t> colors,
-                             std::uint32_t max_colors,
-                             std::uint32_t max_depth) {
-  if (points.empty() || points.size() != colors.size()) {
-    throw std::invalid_argument("ColorQuadtree: bad input sizes");
+MortonOrder::MortonOrder(std::span<const Coordinate> points,
+                         std::uint32_t max_depth) {
+  if (points.empty()) {
+    throw std::invalid_argument("MortonOrder: no points");
   }
-  if (max_colors == 0) {
-    throw std::invalid_argument("ColorQuadtree: max_colors must be >= 1");
-  }
-  max_depth = std::min<std::uint32_t>(max_depth, 16);
-  grid_bits_ = max_depth;
+  grid_bits_ = std::min<std::uint32_t>(max_depth, 16);
 
-  // Quantize coordinates onto a 2^max_depth grid covering the bounding box.
+  // Quantize coordinates onto a 2^grid_bits grid covering the bounding box.
   std::int64_t min_x = points[0].x, max_x = points[0].x;
   std::int64_t min_y = points[0].y, max_y = points[0].y;
   for (const Coordinate& p : points) {
@@ -45,12 +46,39 @@ ColorQuadtree::ColorQuadtree(std::span<const Coordinate> points,
   const double cells = static_cast<double>(1u << grid_bits_);
   scale_ = (cells - 1.0) / span;
 
-  std::vector<ZPoint> zpoints(points.size());
+  sorted_.resize(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
-    zpoints[i] = {QuantizedZ(points[i]), colors[i]};
+    sorted_[i] = {GridZ(points[i], origin_x_, origin_y_, scale_, grid_bits_),
+                  static_cast<std::uint32_t>(i)};
   }
-  std::sort(zpoints.begin(), zpoints.end(),
-            [](const ZPoint& a, const ZPoint& b) { return a.z < b.z; });
+  std::sort(sorted_.begin(), sorted_.end(),
+            [](const Entry& a, const Entry& b) { return a.z < b.z; });
+}
+
+ColorQuadtree::ColorQuadtree(std::span<const Coordinate> points,
+                             std::span<const std::uint32_t> colors,
+                             std::uint32_t max_colors,
+                             std::uint32_t max_depth)
+    : ColorQuadtree(MortonOrder(points, max_depth), colors, max_colors) {}
+
+ColorQuadtree::ColorQuadtree(const MortonOrder& order,
+                             std::span<const std::uint32_t> colors,
+                             std::uint32_t max_colors) {
+  if (colors.size() != order.NumPoints()) {
+    throw std::invalid_argument("ColorQuadtree: bad input sizes");
+  }
+  if (max_colors == 0) {
+    throw std::invalid_argument("ColorQuadtree: max_colors must be >= 1");
+  }
+  origin_x_ = order.origin_x_;
+  origin_y_ = order.origin_y_;
+  scale_ = order.scale_;
+  grid_bits_ = order.grid_bits_;
+  const std::vector<MortonOrder::Entry>& zpoints = order.sorted_;
+  std::vector<std::uint32_t> zcolors(zpoints.size());
+  for (std::size_t i = 0; i < zpoints.size(); ++i) {
+    zcolors[i] = colors[zpoints[i].point];
+  }
 
   // Recursive subdivision over the Morton-sorted array. A cell at `depth`
   // spans 2*(grid_bits_ - depth) trailing bits of the Z code.
@@ -71,25 +99,25 @@ ColorQuadtree::ColorQuadtree(std::span<const Coordinate> points,
 
     // Count distinct colours with early exit past max_colors.
     bool small_enough = true;
-    if (frame.depth < max_depth) {
+    if (frame.depth < grid_bits_) {
       distinct.clear();
       for (std::size_t i = frame.begin; i < frame.end; ++i) {
-        distinct.insert(zpoints[i].color);
+        distinct.insert(zcolors[i]);
         if (distinct.size() > max_colors) {
           small_enough = false;
           break;
         }
       }
     }
-    if (small_enough || frame.depth >= max_depth) {
+    if (small_enough || frame.depth >= grid_bits_) {
       distinct.clear();
       Leaf leaf;
       leaf.z_begin = frame.z_begin;
       leaf.z_end = frame.z_begin + cell_span;
       leaf.color_offset = static_cast<std::uint32_t>(color_pool_.size());
       for (std::size_t i = frame.begin; i < frame.end; ++i) {
-        if (distinct.insert(zpoints[i].color).second) {
-          color_pool_.push_back(zpoints[i].color);
+        if (distinct.insert(zcolors[i]).second) {
+          color_pool_.push_back(zcolors[i]);
         }
       }
       leaf.color_count =
@@ -117,13 +145,7 @@ ColorQuadtree::ColorQuadtree(std::span<const Coordinate> points,
 }
 
 std::uint64_t ColorQuadtree::QuantizedZ(const Coordinate& p) const {
-  double fx = (static_cast<double>(p.x) - origin_x_) * scale_;
-  double fy = (static_cast<double>(p.y) - origin_y_) * scale_;
-  const double max_cell = static_cast<double>((1u << grid_bits_) - 1);
-  fx = std::clamp(fx, 0.0, max_cell);
-  fy = std::clamp(fy, 0.0, max_cell);
-  return MortonEncode(static_cast<std::uint32_t>(fx),
-                      static_cast<std::uint32_t>(fy));
+  return GridZ(p, origin_x_, origin_y_, scale_, grid_bits_);
 }
 
 std::span<const std::uint32_t> ColorQuadtree::Locate(

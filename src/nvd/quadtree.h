@@ -6,6 +6,11 @@
 // distinct colours. Leaves are serialized as a Morton-ordered list
 // (Samet): point location is a binary search over Z-order intervals, with
 // good locality of reference and no pointer overhead.
+//
+// The Z-order of the points (a MortonOrder) depends only on their
+// coordinates and the grid depth, not on the colours, so every keyword's
+// quadtree over the graph's vertices can be built from one shared order:
+// a build gathers its colours in that order and subdivides.
 #ifndef KSPIN_NVD_QUADTREE_H_
 #define KSPIN_NVD_QUADTREE_H_
 
@@ -19,6 +24,30 @@
 
 namespace kspin {
 
+/// The Z-order of a point set: each point's Morton code on a
+/// 2^depth x 2^depth grid over the set's bounding box, and the point
+/// indices sorted by code.
+class MortonOrder {
+ public:
+  /// Orders non-empty `points`; `max_depth` is capped at 16.
+  MortonOrder(std::span<const Coordinate> points,
+              std::uint32_t max_depth = 16);
+
+  std::size_t NumPoints() const { return sorted_.size(); }
+
+ private:
+  friend class ColorQuadtree;
+
+  struct Entry {
+    std::uint64_t z;
+    std::uint32_t point;
+  };
+
+  double origin_x_ = 0, origin_y_ = 0, scale_ = 1;
+  std::uint32_t grid_bits_ = 16;
+  std::vector<Entry> sorted_;  // Ascending z.
+};
+
 /// Morton-list quadtree over coloured points.
 class ColorQuadtree {
  public:
@@ -30,6 +59,12 @@ class ColorQuadtree {
   ColorQuadtree(std::span<const Coordinate> points,
                 std::span<const std::uint32_t> colors,
                 std::uint32_t max_colors, std::uint32_t max_depth = 16);
+
+  /// The same tree from the points' precomputed Z-order (its depth caps
+  /// subdivision): point i of `order` has colour `colors[i]`.
+  ColorQuadtree(const MortonOrder& order,
+                std::span<const std::uint32_t> colors,
+                std::uint32_t max_colors);
 
   /// Colours of the leaf cell containing `p` (empty span if `p` falls in
   /// dead space no input point occupied).

@@ -6,7 +6,6 @@
 #include <queue>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 
 namespace kspin {
 namespace {
@@ -19,8 +18,10 @@ struct DynArc {
   VertexId mid = kInvalidVertex;
 };
 
-// Mutable overlay graph used during contraction. Arcs to already-contracted
-// vertices are skipped rather than erased.
+// Mutable overlay graph used during contraction. Readers skip arcs to
+// contracted vertices; contracting v also drops them, once, from the
+// lists of v's live neighbours. Removal is stable and new shortcuts are
+// appended, so live arcs keep the order in which they were created.
 class Overlay {
  public:
   explicit Overlay(const Graph& graph)
@@ -33,18 +34,22 @@ class Overlay {
   }
 
   bool IsContracted(VertexId v) const { return contracted_[v] != 0; }
-  void MarkContracted(VertexId v) { contracted_[v] = 1; }
 
-  // Live neighbours of v (excluding contracted ones), compacting the stored
-  // list as a side effect.
-  std::vector<DynArc>& Compact(VertexId v) {
-    auto& arcs = adjacency_[v];
-    arcs.erase(std::remove_if(arcs.begin(), arcs.end(),
-                              [this](const DynArc& a) {
-                                return contracted_[a.head] != 0;
-                              }),
-               arcs.end());
-    return arcs;
+  // Stored arcs of v, dead ones included: skip heads that IsContracted.
+  const std::vector<DynArc>& Arcs(VertexId v) const { return adjacency_[v]; }
+
+  // Marks v contracted and drops the dead arcs of its live neighbours
+  // `neighbors`.
+  void Contract(VertexId v, const std::vector<DynArc>& neighbors) {
+    contracted_[v] = 1;
+    for (const DynArc& arc : neighbors) {
+      auto& arcs = adjacency_[arc.head];
+      arcs.erase(std::remove_if(arcs.begin(), arcs.end(),
+                                [this](const DynArc& a) {
+                                  return contracted_[a.head] != 0;
+                                }),
+                 arcs.end());
+    }
   }
 
   // Adds or relaxes the undirected edge {u, v} (a shortcut via `mid`).
@@ -75,45 +80,74 @@ class Overlay {
   std::vector<std::uint8_t> contracted_;
 };
 
-// Budget-limited local Dijkstra from `source` in the overlay, excluding
-// `excluded`, bounded by `bound`. Returns per-target distances via the dist
-// map (only vertices reached within budget appear).
+// Budget-limited local Dijkstra in the overlay over version-stamped flat
+// arrays and one pooled heap, which pops (distance, vertex) pairs in
+// ascending order, ties to the lower vertex id.
 class WitnessSearch {
  public:
-  void Run(Overlay& overlay, VertexId source, VertexId excluded,
-           Distance bound, std::uint32_t settle_limit) {
-    dist_.clear();
-    using Entry = std::pair<Distance, VertexId>;
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue;
+  explicit WitnessSearch(std::size_t num_vertices)
+      : dist_(num_vertices), stamp_(num_vertices, 0),
+        target_(num_vertices, 0) {}
+
+  // Searches from `source`, avoiding `excluded`, until every head of
+  // `targets` other than the source has settled, the next vertex lies
+  // beyond `bound`, or `settle_limit` vertices have settled. A settled
+  // target's distance is final, so stopping once all have settled
+  // changes no DistanceTo the caller reads.
+  void Run(const Overlay& overlay, VertexId source, VertexId excluded,
+           std::span<const DynArc> targets, Distance bound,
+           std::uint32_t settle_limit) {
+    if (++version_ == 0) {
+      std::fill(stamp_.begin(), stamp_.end(), 0);
+      std::fill(target_.begin(), target_.end(), 0);
+      version_ = 1;
+    }
+    std::size_t unsettled_targets = 0;
+    for (const DynArc& arc : targets) {
+      if (arc.head != source && target_[arc.head] != version_) {
+        target_[arc.head] = version_;
+        ++unsettled_targets;
+      }
+    }
+    const auto greater = std::greater<Entry>{};
+    heap_.assign(1, {0, source});
     dist_[source] = 0;
-    queue.push({0, source});
+    stamp_[source] = version_;
     std::uint32_t settled = 0;
-    while (!queue.empty() && settled < settle_limit) {
-      auto [d, v] = queue.top();
-      queue.pop();
-      auto it = dist_.find(v);
-      if (it != dist_.end() && d > it->second) continue;
+    while (!heap_.empty() && settled < settle_limit) {
+      const auto [d, v] = heap_.front();
+      std::pop_heap(heap_.begin(), heap_.end(), greater);
+      heap_.pop_back();
+      if (d > dist_[v]) continue;  // Stale entry.
       if (d > bound) break;
       ++settled;
-      for (const DynArc& arc : overlay.Compact(v)) {
-        if (arc.head == excluded) continue;
+      if (target_[v] == version_ && --unsettled_targets == 0) break;
+      for (const DynArc& arc : overlay.Arcs(v)) {
+        if (arc.head == excluded || overlay.IsContracted(arc.head)) continue;
         const Distance nd = d + arc.weight;
-        auto [slot, inserted] = dist_.try_emplace(arc.head, nd);
-        if (inserted || nd < slot->second) {
-          slot->second = nd;
-          queue.push({nd, arc.head});
+        if (stamp_[arc.head] != version_ || nd < dist_[arc.head]) {
+          dist_[arc.head] = nd;
+          stamp_[arc.head] = version_;
+          heap_.push_back({nd, arc.head});
+          std::push_heap(heap_.begin(), heap_.end(), greater);
         }
       }
     }
   }
 
+  // Tentative distance from the last source (kInfDistance if unreached).
   Distance DistanceTo(VertexId v) const {
-    auto it = dist_.find(v);
-    return it == dist_.end() ? kInfDistance : it->second;
+    return stamp_[v] == version_ ? dist_[v] : kInfDistance;
   }
 
  private:
-  std::unordered_map<VertexId, Distance> dist_;
+  using Entry = std::pair<Distance, VertexId>;
+
+  std::vector<Distance> dist_;
+  std::vector<std::uint32_t> stamp_;   // dist_[v] is set iff == version_.
+  std::vector<std::uint32_t> target_;  // v is a target iff == version_.
+  std::uint32_t version_ = 0;
+  std::vector<Entry> heap_;
 };
 
 }  // namespace
@@ -124,14 +158,20 @@ ContractionHierarchy::ContractionHierarchy(
   rank_.assign(n, 0);
 
   Overlay overlay(graph);
-  WitnessSearch witness;
+  WitnessSearch witness(n);
   std::vector<std::int32_t> contracted_neighbors(n, 0);
+  // Live neighbours of the vertex being (simulated) contracted. Shortcuts
+  // join two of them, never v, so the list stays valid throughout.
+  std::vector<DynArc> neighbors;
 
-  // Simulates contracting v: counts the shortcuts required and (optionally)
-  // materializes them. Returns the number of shortcuts.
+  // Simulates contracting v: fills `neighbors`, counts the shortcuts
+  // required and (optionally) materializes them. Returns the number of
+  // shortcuts.
   auto contract = [&](VertexId v, bool simulate) -> std::int32_t {
-    std::vector<DynArc> neighbors = overlay.Compact(v);  // Copy: overlay
-                                                         // mutates below.
+    neighbors.clear();
+    for (const DynArc& arc : overlay.Arcs(v)) {
+      if (!overlay.IsContracted(arc.head)) neighbors.push_back(arc);
+    }
     std::int32_t shortcuts = 0;
     for (std::size_t i = 0; i < neighbors.size(); ++i) {
       const VertexId u = neighbors[i].head;
@@ -143,7 +183,9 @@ ContractionHierarchy::ContractionHierarchy(
                             neighbors[j].weight);
       }
       if (max_target == 0) continue;
-      witness.Run(overlay, u, v, max_target, options.witness_settle_limit);
+      witness.Run(overlay, u, v,
+                  std::span<const DynArc>(neighbors).subspan(i + 1),
+                  max_target, options.witness_settle_limit);
       for (std::size_t j = i + 1; j < neighbors.size(); ++j) {
         const VertexId w = neighbors[j].head;
         if (w == u) continue;
@@ -165,10 +207,9 @@ ContractionHierarchy::ContractionHierarchy(
   };
 
   auto priority = [&](VertexId v) -> std::int64_t {
-    const std::int32_t degree =
-        static_cast<std::int32_t>(overlay.Compact(v).size());
     const std::int32_t shortcuts = contract(v, /*simulate=*/true);
-    const std::int32_t edge_difference = shortcuts - degree;
+    const std::int32_t edge_difference =
+        shortcuts - static_cast<std::int32_t>(neighbors.size());
     return static_cast<std::int64_t>(options.edge_difference_factor) *
                edge_difference +
            static_cast<std::int64_t>(options.contracted_neighbors_factor) *
@@ -202,11 +243,11 @@ ContractionHierarchy::ContractionHierarchy(
     // All live neighbours are still uncontracted, i.e. higher-ranked:
     // capture them as v's upward arcs (originals plus shortcuts, with any
     // weight improvements applied so far).
-    for (const DynArc& arc : overlay.Compact(v)) {
+    for (const DynArc& arc : neighbors) {
       ++contracted_neighbors[arc.head];
       upward[v].push_back({arc.head, arc.weight, arc.mid});
     }
-    overlay.MarkContracted(v);
+    overlay.Contract(v, neighbors);
   }
 
   up_offsets_.assign(n + 1, 0);

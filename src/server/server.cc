@@ -1105,40 +1105,11 @@ void Server::ProcessRequest(Request& request, QueryProcessor* processor) {
     // relaxed adds; AddQueryStats skips zero fields, so a failed query
     // that never reached the engine costs nothing here).
     metrics_.AddQueryStats(qstats);
-
-    const bool slow = options_.slow_query_threshold_ms > 0 &&
-                      micros >= std::uint64_t{1000} *
-                                    options_.slow_query_threshold_ms;
-    if (trace_ != nullptr || slow) {
-      QueryTraceEvent event;
-      event.fingerprint =
-          QueryFingerprint(traced_query, traced_vertex, traced_k);
-      event.trace_id = request.trace.trace_id;
-      event.parent_span_id = request.trace.parent_span_id;
-      event.span_id = span_id;
-      event.opcode = request.op->name;
-      event.query = traced_query;
-      event.vertex = traced_vertex;
-      event.k = traced_k;
-      event.status = StatusName(final_status);
-      event.latency_us = micros;
-      event.queue_us = request.queue_us;
-      event.degraded = traced_degraded;
-      event.stats = qstats;
-      const std::string line = FormatQueryTrace(event);
-      if (trace_ != nullptr) {
-        trace_->Write(line);
-        metrics_.traces_emitted.fetch_add(1, std::memory_order_relaxed);
-        metrics_.trace_rotations.store(trace_->rotations(),
-                                       std::memory_order_relaxed);
-      }
-      if (slow) {
-        metrics_.slow_queries.fetch_add(1, std::memory_order_relaxed);
-        std::fprintf(stderr, "slow query (%llu us): %s\n",
-                     static_cast<unsigned long long>(micros), line.c_str());
-      }
-    }
   }
+  const bool slow = is_query && options_.slow_query_threshold_ms > 0 &&
+                    micros >= std::uint64_t{1000} *
+                                  options_.slow_query_threshold_ms;
+  if (slow) metrics_.slow_queries.fetch_add(1, std::memory_order_relaxed);
   const Clock::time_point respond_start = Clock::now();
   Respond(request.conn, header, std::move(response));
   // Always record the span into the flight recorder — this is what a
@@ -1177,6 +1148,37 @@ void Server::ProcessRequest(Request& request, QueryProcessor* processor) {
       clamp_u32(qstats.false_positive_distances);
   span.results = traced_results;
   recorder_.RecordSpan(span);
+
+  // The trace-file line (formatted, then written under the sink's mutex
+  // with a flush) and the slow-query log line go out after the reply, so
+  // neither delays it; the line carries the span id recorded above.
+  if (is_query && (trace_ != nullptr || slow)) {
+    QueryTraceEvent event;
+    event.fingerprint = QueryFingerprint(traced_query, traced_vertex, traced_k);
+    event.trace_id = request.trace.trace_id;
+    event.parent_span_id = request.trace.parent_span_id;
+    event.span_id = span_id;
+    event.opcode = request.op->name;
+    event.query = traced_query;
+    event.vertex = traced_vertex;
+    event.k = traced_k;
+    event.status = StatusName(final_status);
+    event.latency_us = micros;
+    event.queue_us = request.queue_us;
+    event.degraded = traced_degraded;
+    event.stats = qstats;
+    const std::string line = FormatQueryTrace(event);
+    if (trace_ != nullptr) {
+      trace_->Write(line);
+      metrics_.traces_emitted.fetch_add(1, std::memory_order_relaxed);
+      metrics_.trace_rotations.store(trace_->rotations(),
+                                     std::memory_order_relaxed);
+    }
+    if (slow) {
+      std::fprintf(stderr, "slow query (%llu us): %s\n",
+                   static_cast<unsigned long long>(micros), line.c_str());
+    }
+  }
 }
 
 // ----- Mutations -----------------------------------------------------------

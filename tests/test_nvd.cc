@@ -1,9 +1,11 @@
 // Exact Network Voronoi Diagram tests: owners, adjacency, MaxRadius.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "common/random.h"
+#include "graph/graph_builder.h"
 #include "nvd/nvd.h"
 #include "routing/dijkstra.h"
 #include "test_util.h"
@@ -51,6 +53,73 @@ TEST(Nvd, OwnersMatchBruteForceNearestSite) {
     ASSERT_EQ(nvd.owner_distance[v], best) << "v=" << v;
     ASSERT_EQ(site_dist[nvd.owner[v]][v], best) << "v=" << v;
   }
+}
+
+// A unit-weight grid is full of equal-distance ties. The sites are listed
+// in descending vertex order, so the lowest site index and the lowest
+// vertex id disagree on every tie: each vertex must go to the lowest site
+// index among its nearest sites, and MaxRadius and the adjacency must
+// follow from those owners.
+TEST(Nvd, TiesGoToTheLowestSiteIndexOnAUnitGrid) {
+  constexpr VertexId kSide = 12;
+  GraphBuilder builder(kSide * kSide);
+  for (VertexId row = 0; row < kSide; ++row) {
+    for (VertexId col = 0; col < kSide; ++col) {
+      const VertexId v = row * kSide + col;
+      if (col + 1 < kSide) builder.AddEdge(v, v + 1, 1);
+      if (row + 1 < kSide) builder.AddEdge(v, v + kSide, 1);
+    }
+  }
+  const Graph graph = builder.Build();
+  Rng rng(35);
+  std::vector<std::uint32_t> sample = rng.SampleWithoutReplacement(
+      static_cast<std::uint32_t>(graph.NumVertices()), 11);
+  std::vector<VertexId> sites(sample.begin(), sample.end());
+  std::sort(sites.rbegin(), sites.rend());
+  const NetworkVoronoiDiagram nvd = BuildNvd(graph, sites);
+
+  DijkstraWorkspace workspace(graph.NumVertices());
+  std::vector<std::vector<Distance>> site_dist;
+  for (VertexId s : sites) {
+    const auto& d = workspace.SingleSource(graph, s);
+    site_dist.emplace_back(d.begin(), d.end());
+  }
+  std::vector<std::uint32_t> owner(graph.NumVertices());
+  std::vector<Distance> max_radius(sites.size(), 0);
+  std::size_t ties = 0;
+  for (VertexId v = 0; v < graph.NumVertices(); ++v) {
+    std::uint32_t best = 0;
+    std::size_t nearest = 0;
+    for (std::uint32_t s = 0; s < sites.size(); ++s) {
+      if (site_dist[s][v] < site_dist[best][v]) {
+        best = s;
+        nearest = 1;
+      } else if (site_dist[s][v] == site_dist[best][v]) {
+        ++nearest;
+      }
+    }
+    if (nearest > 1) ++ties;
+    owner[v] = best;
+    max_radius[best] = std::max(max_radius[best], site_dist[best][v]);
+    ASSERT_EQ(nvd.owner[v], best) << "v=" << v;
+    ASSERT_EQ(nvd.owner_distance[v], site_dist[best][v]) << "v=" << v;
+  }
+  EXPECT_GT(ties, graph.NumVertices() / 10);
+  EXPECT_EQ(nvd.max_radius, max_radius);
+
+  std::vector<std::vector<std::uint32_t>> adjacency(sites.size());
+  for (VertexId u = 0; u < graph.NumVertices(); ++u) {
+    for (const Arc& arc : graph.Neighbors(u)) {
+      if (owner[u] != owner[arc.head]) {
+        adjacency[owner[u]].push_back(owner[arc.head]);
+      }
+    }
+  }
+  for (auto& list : adjacency) {
+    std::sort(list.begin(), list.end());
+    list.erase(std::unique(list.begin(), list.end()), list.end());
+  }
+  EXPECT_EQ(nvd.adjacency, adjacency);
 }
 
 TEST(Nvd, MaxRadiusIsTightPerSite) {

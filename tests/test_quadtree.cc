@@ -3,6 +3,8 @@
 // mechanism).
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "common/morton.h"
 #include "common/random.h"
 #include "nvd/quadtree.h"
@@ -98,6 +100,30 @@ TEST(ColorQuadtree, CoincidentPointsOfDifferentColorsStopAtMaxDepth) {
   EXPECT_GE(cell.size(), 3u);
 }
 
+// One MortonOrder serves every colouring of its points: a tree built from
+// the shared order equals the tree built from the points, leaf for leaf
+// and colour for colour, also where coincident points differ in colour.
+TEST(ColorQuadtree, SharedOrderBuildsThePointsBasedTree) {
+  Graph graph = testing::SmallRoadNetwork();
+  std::vector<Coordinate> points = graph.Coordinates();
+  for (std::size_t i = 0; i < 60; ++i) points.push_back(points[i * 5]);
+  constexpr std::uint32_t kDepth = 10;
+  const MortonOrder order(points, kDepth);
+  Rng rng(6);
+  for (std::uint32_t trial = 0; trial < 12; ++trial) {
+    std::vector<std::uint32_t> colors(points.size());
+    for (auto& c : colors) {
+      c = static_cast<std::uint32_t>(rng.UniformInt(0, 2 + 4 * trial));
+    }
+    const std::uint32_t rho = 1 + trial % 5;
+    std::stringstream shared;
+    std::stringstream own;
+    SaveColorQuadtree(ColorQuadtree(order, colors, rho), shared);
+    SaveColorQuadtree(ColorQuadtree(points, colors, rho, kDepth), own);
+    EXPECT_EQ(shared.str(), own.str()) << "trial " << trial;
+  }
+}
+
 TEST(ColorQuadtree, ValidatesInput) {
   std::vector<Coordinate> points = {{0, 0}};
   std::vector<std::uint32_t> colors = {1, 2};
@@ -105,6 +131,9 @@ TEST(ColorQuadtree, ValidatesInput) {
   std::vector<std::uint32_t> one = {1};
   EXPECT_THROW(ColorQuadtree(points, one, 0), std::invalid_argument);
   EXPECT_THROW(ColorQuadtree({}, {}, 2), std::invalid_argument);
+  const MortonOrder order(points);
+  EXPECT_THROW(ColorQuadtree(order, colors, 2), std::invalid_argument);
+  EXPECT_THROW(MortonOrder({}), std::invalid_argument);
 }
 
 }  // namespace

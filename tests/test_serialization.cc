@@ -339,6 +339,56 @@ TEST(Serialization, RejectsCorruptedArcHeads) {
   EXPECT_THROW(LoadGraph(corrupted), io::SerializationError);
 }
 
+// A hand-written graph stream: the path 0 - 1 - 2 with weights 4 and 5,
+// or the same arrays with one of them broken.
+std::string GraphStream(const std::vector<std::uint64_t>& offsets,
+                        const std::vector<Arc>& arcs) {
+  std::stringstream out;
+  out.write("KSPGRPH1", 8);
+  io::WritePod<std::uint32_t>(out, 1);
+  io::WritePodVector(out, offsets);
+  io::WritePodVector(out, arcs);
+  io::WritePodVector(out, std::vector<Coordinate>{});
+  return out.str();
+}
+
+const std::vector<std::uint64_t> kPathOffsets = {0, 1, 3, 4};
+const std::vector<Arc> kPathArcs = {{1, 4}, {0, 4}, {2, 5}, {1, 5}};
+
+TEST(Serialization, GraphLoadsHandWrittenStream) {
+  std::stringstream in(GraphStream(kPathOffsets, kPathArcs));
+  const Graph graph = LoadGraph(in);
+  ASSERT_EQ(graph.NumVertices(), 3u);
+  EXPECT_EQ(graph.Neighbors(1).size(), 2u);
+}
+
+// LoadGraph accepts only what GraphBuilder can produce: CSR offsets that
+// start at 0 and never decrease, no self-loops, and strictly positive
+// weights.
+TEST(Serialization, GraphRejectsNonzeroFirstOffset) {
+  std::stringstream in(GraphStream({1, 1, 3, 4}, kPathArcs));
+  EXPECT_THROW(LoadGraph(in), io::SerializationError);
+}
+
+TEST(Serialization, GraphRejectsDecreasingOffsets) {
+  std::stringstream in(GraphStream({0, 1, 0, 4}, kPathArcs));
+  EXPECT_THROW(LoadGraph(in), io::SerializationError);
+}
+
+TEST(Serialization, GraphRejectsZeroWeightArc) {
+  std::vector<Arc> arcs = kPathArcs;
+  arcs[2].weight = 0;
+  std::stringstream in(GraphStream(kPathOffsets, arcs));
+  EXPECT_THROW(LoadGraph(in), io::SerializationError);
+}
+
+TEST(Serialization, GraphRejectsSelfLoop) {
+  std::vector<Arc> arcs = kPathArcs;
+  arcs[2].head = 1;  // Vertex 1's second arc.
+  std::stringstream in(GraphStream(kPathOffsets, arcs));
+  EXPECT_THROW(LoadGraph(in), io::SerializationError);
+}
+
 TEST(Serialization, EmptyDocumentStoreRoundTrip) {
   DocumentStore empty;
   std::stringstream buffer;
