@@ -1,30 +1,12 @@
 #include "kspin/keyword_index.h"
 
-#include <algorithm>
 #include <atomic>
+#include <optional>
 #include <thread>
 
 #include "common/timer.h"
 
 namespace kspin {
-namespace {
-
-// The Z-order of the graph's vertices that every quadtree of one batch of
-// builds shares: it depends only on the coordinates and the depth. None
-// when no index of the batch can need a quadtree (an index of at most rho
-// objects builds flat, Observation 1).
-std::unique_ptr<MortonOrder> BatchOrder(const Graph& graph,
-                                        const ApxNvdOptions& options,
-                                        std::size_t max_objects) {
-  if (options.storage != ApxNvdStorage::kQuadtree ||
-      max_objects <= options.rho || !graph.HasCoordinates()) {
-    return nullptr;
-  }
-  return std::make_unique<MortonOrder>(graph.Coordinates(),
-                                       options.quadtree_max_depth);
-}
-
-}  // namespace
 
 KeywordIndex::KeywordIndex(const Graph& graph, const DocumentStore& store,
                            const InvertedIndex& inverted,
@@ -39,12 +21,13 @@ KeywordIndex::KeywordIndex(const Graph& graph, const DocumentStore& store,
   if (num_threads == 0) num_threads = std::thread::hardware_concurrency();
   if (num_threads == 0) num_threads = 1;
 
-  std::size_t max_objects = 0;
-  for (KeywordId t = 0; t < indexes_.size(); ++t) {
-    max_objects = std::max(max_objects, inverted.Objects(t).size());
+  // Every quadtree of the build shares one Z-order of the graph's
+  // vertices: it depends only on the coordinates and the depth.
+  std::optional<MortonOrder> order;
+  if (options_.nvd.storage == ApxNvdStorage::kQuadtree &&
+      graph_.HasCoordinates()) {
+    order.emplace(graph_.Coordinates(), options_.nvd.quadtree_max_depth);
   }
-  const std::unique_ptr<MortonOrder> order =
-      BatchOrder(graph_, options_.nvd, max_objects);
 
   std::atomic<std::size_t> next{0};
   auto worker = [this, &store, &inverted, &next, &order] {
@@ -59,8 +42,9 @@ KeywordIndex::KeywordIndex(const Graph& graph, const DocumentStore& store,
       for (ObjectId o : inv) {
         sites.push_back({o, store.ObjectVertex(o)});
       }
-      indexes_[t] = std::make_unique<ApxNvd>(graph_, std::move(sites),
-                                             options_.nvd, order.get());
+      indexes_[t] = std::make_unique<ApxNvd>(
+          graph_, std::move(sites), options_.nvd,
+          order.has_value() ? &*order : nullptr);
     }
   };
   if (num_threads == 1) {
@@ -111,15 +95,11 @@ void KeywordIndex::OnKeywordRemoved(ObjectId o, KeywordId keyword) {
 
 std::size_t KeywordIndex::RebuildPending() {
   std::vector<ApxNvd*> pending;
-  std::size_t max_objects = 0;
   for (auto& index : indexes_) {
     if (index != nullptr && index->NeedsRebuild()) {
       pending.push_back(index.get());
-      max_objects = std::max(max_objects, index->NumLiveObjects());
     }
   }
-  const std::unique_ptr<MortonOrder> order =
-      BatchOrder(graph_, options_.nvd, max_objects);
   unsigned num_threads = options_.num_threads;
   if (num_threads == 0) num_threads = std::thread::hardware_concurrency();
   if (num_threads == 0) num_threads = 1;
@@ -127,11 +107,11 @@ std::size_t KeywordIndex::RebuildPending() {
       num_threads,
       static_cast<unsigned>(std::max<std::size_t>(1, pending.size())));
   std::atomic<std::size_t> next{0};
-  auto worker = [&pending, &next, &order] {
+  auto worker = [&pending, &next] {
     for (;;) {
       const std::size_t i = next.fetch_add(1);
       if (i >= pending.size()) break;
-      pending[i]->Rebuild(order.get());
+      pending[i]->Rebuild();
     }
   };
   if (num_threads == 1) {

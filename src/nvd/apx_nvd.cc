@@ -15,6 +15,12 @@ ApxNvd::ApxNvd(const Graph& graph, std::vector<SiteObject> sites,
   if (options_.rho == 0) {
     throw std::invalid_argument("ApxNvd: rho must be >= 1");
   }
+  if (order != nullptr &&
+      (order->NumPoints() != graph_.NumVertices() ||
+       order->Depth() != std::min(options_.quadtree_max_depth, 16u))) {
+    throw std::invalid_argument(
+        "ApxNvd: order does not match the graph and quadtree depth");
+  }
   Build(std::move(sites), order);
 }
 

@@ -83,9 +83,10 @@ class ApxNvd {
   /// Builds the index for one keyword's object set. Requires graph
   /// coordinates when Voronoi structures are needed (|sites| > rho).
   /// Throws on duplicate object ids or missing coordinates. A quadtree
-  /// build uses `order`, the Z-order of the graph's vertices at
-  /// options.quadtree_max_depth that a batch of builds shares, or
-  /// computes its own when it is null.
+  /// build uses `order`, the Z-order of the graph's vertices that a batch
+  /// of builds shares, or computes its own when it is null; throws when
+  /// `order` covers another number of points or another depth than
+  /// options.quadtree_max_depth (capped at 16).
   ApxNvd(const Graph& graph, std::vector<SiteObject> sites,
          ApxNvdOptions options = {}, const MortonOrder* order = nullptr);
 
@@ -156,8 +157,8 @@ class ApxNvd {
   bool NeedsRebuild() const;
 
   /// Reconstructs the index from the live object set, absorbing all lazy
-  /// updates. `order` is as for the constructor.
-  void Rebuild(const MortonOrder* order = nullptr);
+  /// updates.
+  void Rebuild();
 
   // ----- Introspection ---------------------------------------------------
 

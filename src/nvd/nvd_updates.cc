@@ -148,13 +148,13 @@ bool ApxNvd::NeedsRebuild() const {
   return LiveVerticesExceedRho();
 }
 
-void ApxNvd::Rebuild(const MortonOrder* order) {
+void ApxNvd::Rebuild() {
   std::vector<SiteObject> live = LiveObjects();
   std::sort(live.begin(), live.end(),
             [](const SiteObject& a, const SiteObject& b) {
               return a.object < b.object;
             });
-  Build(std::move(live), order);
+  Build(std::move(live), nullptr);
 }
 
 }  // namespace kspin

@@ -35,6 +35,9 @@ class MortonOrder {
 
   std::size_t NumPoints() const { return sorted_.size(); }
 
+  /// The grid depth: min(max_depth, 16).
+  std::uint32_t Depth() const { return grid_bits_; }
+
  private:
   friend class ColorQuadtree;
 

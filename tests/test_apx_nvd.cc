@@ -143,6 +143,28 @@ TEST(ApxNvd, RejectsZeroRho) {
   EXPECT_THROW(ApxNvd(graph, {{0, 1}}, options), std::invalid_argument);
 }
 
+// A shared Z-order must be of the graph's vertices at the options'
+// quadtree depth (capped at 16); any other would build the tree at
+// another depth or over other points.
+TEST(ApxNvd, RejectsAMismatchedSharedOrder) {
+  Graph graph = testing::SmallRoadNetwork();
+  const auto sites = RandomSites(graph, 20, 47);
+  ApxNvdOptions options;
+  options.quadtree_max_depth = 12;
+  const MortonOrder at_12(graph.Coordinates(), 12);
+  const MortonOrder at_16(graph.Coordinates(), 16);
+  const std::vector<Coordinate> fewer(graph.Coordinates().begin(),
+                                      graph.Coordinates().end() - 1);
+  const MortonOrder short_12(fewer, 12);
+  EXPECT_TRUE(ApxNvd(graph, sites, options, &at_12).HasVoronoi());
+  EXPECT_THROW(ApxNvd(graph, sites, options, &at_16), std::invalid_argument);
+  EXPECT_THROW(ApxNvd(graph, sites, options, &short_12),
+               std::invalid_argument);
+  options.quadtree_max_depth = 20;
+  EXPECT_TRUE(ApxNvd(graph, sites, options, &at_16).HasVoronoi());
+  EXPECT_THROW(ApxNvd(graph, sites, options, &at_12), std::invalid_argument);
+}
+
 TEST(ApxNvd, MemoryShrinksWithLargerRho) {
   Graph graph = testing::MediumRoadNetwork();
   const auto sites = RandomSites(graph, 100, 46);

@@ -3,9 +3,7 @@
 // batching, and memory accounting.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
-#include <sstream>
 
 #include "kspin/keyword_index.h"
 #include "routing/contraction_hierarchy.h"
@@ -102,49 +100,6 @@ TEST_F(KeywordIndexTest, RebuildPendingBatchesSaturatedIndexes) {
   EXPECT_GE(rebuilt, 1u);
   EXPECT_FALSE(index_->Index(busy)->NeedsRebuild());
   EXPECT_EQ(index_->RebuildPending(), 0u);
-}
-
-// RebuildPending runs its rebuilds on two threads that share one Z-order
-// of the vertices; each rebuilt index must equal a standalone build of
-// its live objects, which orders the vertices itself. The comparison
-// skips the saved image's last 8 bytes, the affected-set size of the
-// last Insert, which a rebuild keeps.
-TEST_F(KeywordIndexTest, ParallelRebuildsEqualStandaloneBuilds) {
-  std::vector<KeywordId> busy;
-  for (KeywordId t = 0; t < 50 && busy.size() < 3; ++t) {
-    if (inverted_->ListSize(t) > 8) busy.push_back(t);
-  }
-  ASSERT_EQ(busy.size(), 3u);
-  for (ObjectId o = 6000; o < 6005; ++o) {
-    index_->OnObjectInserted(o, static_cast<VertexId>(o % 97), busy,
-                             *oracle_);
-  }
-  EXPECT_GE(index_->RebuildPending(), busy.size());
-  ApxNvdOptions options;
-  options.rho = 4;
-  options.lazy_insert_threshold = 3;
-  for (KeywordId t : busy) {
-    const ApxNvd& rebuilt = *index_->Index(t);
-    ASSERT_TRUE(rebuilt.HasVoronoi());
-    std::vector<SiteObject> live;
-    for (std::uint32_t m = 0; m < rebuilt.NumMembers(); ++m) {
-      if (!rebuilt.IsDeletedMember(m)) live.push_back(rebuilt.Member(m));
-    }
-    std::sort(live.begin(), live.end(),
-              [](const SiteObject& a, const SiteObject& b) {
-                return a.object < b.object;
-              });
-    const ApxNvd standalone(graph_, std::move(live), options);
-    std::stringstream want;
-    std::stringstream got;
-    SaveApxNvd(standalone, want);
-    SaveApxNvd(rebuilt, got);
-    const auto body = [](const std::stringstream& image) {
-      const std::string bytes = image.str();
-      return bytes.substr(0, bytes.size() - sizeof(std::uint64_t));
-    };
-    EXPECT_EQ(body(got), body(want)) << "keyword " << t;
-  }
 }
 
 TEST_F(KeywordIndexTest, MemoryAndBuildAccounting) {

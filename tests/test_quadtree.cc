@@ -3,10 +3,15 @@
 // mechanism).
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
+#include <set>
 #include <sstream>
+#include <string>
 
 #include "common/morton.h"
 #include "common/random.h"
+#include "io/checksum.h"
 #include "nvd/quadtree.h"
 #include "nvd/nvd.h"
 #include "test_util.h"
@@ -100,27 +105,101 @@ TEST(ColorQuadtree, CoincidentPointsOfDifferentColorsStopAtMaxDepth) {
   EXPECT_GE(cell.size(), 3u);
 }
 
-// One MortonOrder serves every colouring of its points: a tree built from
-// the shared order equals the tree built from the points, leaf for leaf
-// and colour for colour, also where coincident points differ in colour.
-TEST(ColorQuadtree, SharedOrderBuildsThePointsBasedTree) {
-  Graph graph = testing::SmallRoadNetwork();
-  std::vector<Coordinate> points = graph.Coordinates();
-  for (std::size_t i = 0; i < 60; ++i) points.push_back(points[i * 5]);
-  constexpr std::uint32_t kDepth = 10;
-  const MortonOrder order(points, kDepth);
-  Rng rng(6);
-  for (std::uint32_t trial = 0; trial < 12; ++trial) {
-    std::vector<std::uint32_t> colors(points.size());
-    for (auto& c : colors) {
-      c = static_cast<std::uint32_t>(rng.UniformInt(0, 2 + 4 * trial));
+// Coloured point sets for the shared-order tests: the small network's
+// vertices plus 60 repeats of earlier ones, so that coincident points
+// differ in colour, under 12 random colourings with rho from 1 to 5.
+class SharedOrderTest : public ::testing::Test {
+ protected:
+  static constexpr std::uint32_t kDepth = 10;
+
+  struct Coloring {
+    std::vector<std::uint32_t> colors;
+    std::uint32_t rho;
+  };
+
+  SharedOrderTest() : points_(testing::SmallRoadNetwork().Coordinates()) {
+    for (std::size_t i = 0; i < 60; ++i) points_.push_back(points_[i * 5]);
+    Rng rng(6);
+    for (std::uint32_t trial = 0; trial < 12; ++trial) {
+      Coloring coloring{std::vector<std::uint32_t>(points_.size()),
+                        1 + trial % 5};
+      for (auto& c : coloring.colors) {
+        c = static_cast<std::uint32_t>(rng.UniformInt(0, 2 + 4 * trial));
+      }
+      colorings_.push_back(std::move(coloring));
     }
-    const std::uint32_t rho = 1 + trial % 5;
-    std::stringstream shared;
-    std::stringstream own;
-    SaveColorQuadtree(ColorQuadtree(order, colors, rho), shared);
-    SaveColorQuadtree(ColorQuadtree(points, colors, rho, kDepth), own);
-    EXPECT_EQ(shared.str(), own.str()) << "trial " << trial;
+  }
+
+  std::vector<Coordinate> points_;
+  std::vector<Coloring> colorings_;
+};
+
+// Brute force, blind to how a tree orders its points: the leaf a point
+// locates to holds exactly the distinct colours of the points locating
+// to it, every leaf holds some point, and a leaf holds more than rho
+// colours only as one grid cell at maximum depth, which here only
+// coincident points share.
+TEST_F(SharedOrderTest, EveryLeafHoldsExactlyTheColorsOfItsPoints) {
+  const MortonOrder order(points_, kDepth);
+  for (std::size_t trial = 0; trial < colorings_.size(); ++trial) {
+    const Coloring& coloring = colorings_[trial];
+    const ColorQuadtree shared(order, coloring.colors, coloring.rho);
+    const ColorQuadtree own(points_, coloring.colors, coloring.rho, kDepth);
+    for (const ColorQuadtree* tree : {&shared, &own}) {
+      std::map<const std::uint32_t*, std::vector<std::size_t>> leaves;
+      for (std::size_t i = 0; i < points_.size(); ++i) {
+        leaves[tree->Locate(points_[i]).data()].push_back(i);
+      }
+      EXPECT_EQ(leaves.size(), tree->NumLeaves()) << "trial " << trial;
+      for (const auto& [slice, members] : leaves) {
+        const Coordinate& first = points_[members.front()];
+        const auto cell = tree->Locate(first);
+        std::set<std::uint32_t> want;
+        bool coincident = true;
+        for (std::size_t i : members) {
+          want.insert(coloring.colors[i]);
+          coincident = coincident && points_[i] == first;
+        }
+        const std::set<std::uint32_t> got(cell.begin(), cell.end());
+        EXPECT_EQ(got.size(), cell.size()) << "trial " << trial;
+        EXPECT_EQ(got, want) << "trial " << trial;
+        if (!coincident) {
+          EXPECT_LE(cell.size(), coloring.rho) << "trial " << trial;
+        }
+      }
+    }
+  }
+}
+
+// The saved bytes of each colouring's tree, recorded when every tree
+// sorted its own (z, colour) pairs on z. A sort of (z, point) pairs on z
+// alone makes the same comparisons, hence the same permutation, so a tree
+// gathered from the shared order and a tree built from the points must
+// both still save them, colour lists in the same order.
+TEST_F(SharedOrderTest, TreesSaveTheBytesOfPerTreeSorting) {
+  struct Digest {
+    std::size_t size;
+    std::uint32_t crc;
+  };
+  constexpr Digest kSaved[] = {
+      {10300, 0x7cbc7d8d}, {8608, 0x0933570d},  {7584, 0x214a69a6},
+      {6736, 0x2323ee00},  {5744, 0x9964beb3},  {11308, 0xaff43a4b},
+      {9140, 0x76379b6e},  {7972, 0x498980c5},  {7204, 0x01a652d6},
+      {6608, 0xd40f1511},  {11372, 0x39ea14df}, {9316, 0x266c7234},
+  };
+  ASSERT_EQ(colorings_.size(), std::size(kSaved));
+  const MortonOrder order(points_, kDepth);
+  for (std::size_t trial = 0; trial < colorings_.size(); ++trial) {
+    const Coloring& coloring = colorings_[trial];
+    const auto expect_saved = [&](const ColorQuadtree& tree) {
+      std::stringstream out;
+      SaveColorQuadtree(tree, out);
+      const std::string bytes = out.str();
+      EXPECT_EQ(bytes.size(), kSaved[trial].size) << "trial " << trial;
+      EXPECT_EQ(io::Crc32c(bytes), kSaved[trial].crc) << "trial " << trial;
+    };
+    expect_saved(ColorQuadtree(order, coloring.colors, coloring.rho));
+    expect_saved(ColorQuadtree(points_, coloring.colors, coloring.rho, kDepth));
   }
 }
 
