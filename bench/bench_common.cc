@@ -158,24 +158,6 @@ std::size_t EngineSet::KspinMemory() const {
   return total;
 }
 
-std::function<std::unique_ptr<QueryProcessor>()>
-EngineSet::KsChProcessorFactory() {
-  return [this] {
-    return std::make_unique<QueryProcessor>(
-        dataset_.store, *dataset_.inverted, *dataset_.relevance,
-        *keyword_index_, *alt_, *ch_oracle_);
-  };
-}
-
-std::function<std::unique_ptr<QueryProcessor>()>
-EngineSet::KsHlProcessorFactory() {
-  return [this] {
-    return std::make_unique<QueryProcessor>(
-        dataset_.store, *dataset_.inverted, *dataset_.relevance,
-        *keyword_index_, *alt_, *hl_oracle_);
-  };
-}
-
 Measurement MeasureQueries(
     const std::vector<SpatialKeywordQuery>& queries,
     std::size_t max_queries, double budget_seconds,

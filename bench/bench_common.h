@@ -89,13 +89,6 @@ class EngineSet {
   GTree* GetGTree() { return gtree_.get(); }
   const std::string& FsFbsFailure() const { return fs_fbs_failure_; }
 
-  /// Factories building independent QueryProcessors over the shared K-SPIN
-  /// structures and the CH (resp. hub-label) oracle — feed these to
-  /// ParallelQueryExecutor to serve queries from several threads. The
-  /// corresponding engine must have been selected.
-  std::function<std::unique_ptr<QueryProcessor>()> KsChProcessorFactory();
-  std::function<std::unique_ptr<QueryProcessor>()> KsHlProcessorFactory();
-
   double ChBuildSeconds() const { return ch_build_seconds_; }
   double HlBuildSeconds() const { return hl_build_seconds_; }
   double GtreeBuildSeconds() const { return gtree_build_seconds_; }

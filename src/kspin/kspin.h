@@ -143,6 +143,11 @@ class KSpin {
   /// processors reference. Compare before reusing a MakeProcessor result.
   std::uint64_t StructureGeneration() const { return generation_; }
 
+  /// The engine's own processor, which the query methods above run on; one
+  /// thread at a time. An update that bumps StructureGeneration() replaces
+  /// it, so do not hold the reference across updates.
+  QueryProcessor& Processor() { return *processor_; }
+
   // ----- Component access --------------------------------------------------
 
   const Graph& NetworkGraph() const { return graph_; }

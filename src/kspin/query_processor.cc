@@ -366,116 +366,4 @@ std::vector<TopKResult> QueryProcessor::TopK(
   return results;
 }
 
-// ---------------------------------------------------------------------
-// Incremental top-k stream.
-//
-// Same machinery as TopK, reorganized around an emission rule instead of a
-// D_k cutoff: a fully-scored candidate is released once its score is at
-// most every heap's pseudo lower bound — at that point no unseen object
-// can beat it (Lemma 2's argument, applied per emission). Without a k
-// bound there is no D_k to pre-filter candidates, so every textually
-// relevant extraction pays its network distance; that is the inherent
-// price of "give me more" pagination.
-//
-// A stream can outlive any number of interleaved one-shot queries on the
-// same processor, so it owns its heaps (private scratch, not the pooled
-// workspace) and its own dedup set.
-// ---------------------------------------------------------------------
-
-struct QueryProcessor::TopKStream::State {
-  QueryProcessor* processor;
-  VertexId q;
-  PreparedQuery prepared;
-  ScoringFunction scoring;
-  std::vector<InvertedHeap> heaps;
-
-  struct PQEntry {
-    double score;
-    std::size_t heap;
-    bool operator>(const PQEntry& o) const { return score > o.score; }
-  };
-  std::priority_queue<PQEntry, std::vector<PQEntry>, std::greater<PQEntry>>
-      pq;
-  struct Scored {
-    double score;
-    TopKResult result;
-    bool operator>(const Scored& o) const { return score > o.score; }
-  };
-  std::priority_queue<Scored, std::vector<Scored>, std::greater<Scored>>
-      scored;
-  StampedIdSet processed;
-
-  double PseudoLb(std::size_t i) const {
-    const Distance min_i = heaps[i].MinKey();
-    if (min_i == kInfDistance) {
-      return std::numeric_limits<double>::infinity();
-    }
-    double tr_p = 0.0;
-    for (std::size_t j = 0; j < heaps.size(); ++j) {
-      if (min_i >= heaps[j].MinKey()) tr_p += prepared.max_terms[j];
-    }
-    return scoring.LowerBoundScore(min_i, tr_p);
-  }
-};
-
-QueryProcessor::TopKStream::TopKStream(std::shared_ptr<State> state)
-    : state_(std::move(state)) {}
-
-std::optional<TopKResult> QueryProcessor::TopKStream::Next() {
-  State& s = *state_;
-  for (;;) {
-    const double frontier =
-        s.pq.empty() ? std::numeric_limits<double>::infinity()
-                     : s.pq.top().score;
-    if (!s.scored.empty() && s.scored.top().score <= frontier) {
-      TopKResult result = s.scored.top().result;
-      s.scored.pop();
-      ++produced_;
-      return result;
-    }
-    if (s.pq.empty()) return std::nullopt;  // Everything emitted.
-
-    const std::size_t i = s.pq.top().heap;
-    s.pq.pop();
-    if (s.heaps[i].Empty()) continue;  // Stale entry for a drained heap.
-    const InvertedHeap::Candidate c = s.heaps[i].ExtractMin();
-    const double refreshed = s.PseudoLb(i);
-    if (refreshed != std::numeric_limits<double>::infinity()) {
-      s.pq.push({refreshed, i});
-    }
-    if (c.deleted) continue;
-    if (!s.processed.Insert(c.object)) continue;
-    const double tr =
-        s.processor->relevance_.TextualRelevance(s.prepared, c.object);
-    if (tr <= 0.0) continue;
-    const Distance d = s.processor->oracle_.NetworkDistance(
-        *s.processor->oracle_workspace_, s.q, c.vertex);
-    const double score = s.scoring.Score(d, tr);
-    s.scored.push({score, TopKResult{c.object, score, d, tr}});
-  }
-}
-
-QueryProcessor::TopKStream QueryProcessor::OpenTopKStream(
-    VertexId q, std::span<const KeywordId> keywords,
-    const ScoringFunction& scoring) {
-  auto state = std::make_shared<TopKStream::State>();
-  state->processor = this;
-  state->q = q;
-  state->scoring = scoring;
-  const std::vector<KeywordId> unique = Deduplicate(keywords);
-  state->prepared = relevance_.PrepareQuery(unique);
-  oracle_.BeginSourceBatch(*oracle_workspace_, q);
-  state->heaps.reserve(unique.size());
-  for (KeywordId t : unique) {
-    state->heaps.push_back(heap_generator_.Make(t, q));
-  }
-  for (std::size_t i = 0; i < state->heaps.size(); ++i) {
-    const double score = state->PseudoLb(i);
-    if (score != std::numeric_limits<double>::infinity()) {
-      state->pq.push({score, i});
-    }
-  }
-  return TopKStream(std::move(state));
-}
-
 }  // namespace kspin

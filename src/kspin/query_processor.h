@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -151,34 +150,6 @@ class QueryProcessor {
                                const ScoringFunction& scoring,
                                QueryStats* stats = nullptr,
                                const QueryControl* control = nullptr);
-
-  /// Incremental top-k: results are produced one at a time in ascending
-  /// score order, so callers can paginate ("show 10 more") without
-  /// recomputing. Holds references into the processor; do not outlive it
-  /// or mutate the indexes while streaming.
-  class TopKStream {
-   public:
-    /// The next-best result, or std::nullopt when exhausted.
-    std::optional<TopKResult> Next();
-
-    /// Total results produced so far.
-    std::size_t Produced() const { return produced_; }
-
-   private:
-    friend class QueryProcessor;
-    struct State;
-    explicit TopKStream(std::shared_ptr<State> state);
-    std::shared_ptr<State> state_;
-    std::size_t produced_ = 0;
-  };
-
-  /// Opens an incremental top-k stream (default weighted-distance
-  /// scoring). Exact: the i-th Next() is the i-th best object. A stream
-  /// must not outlive a write to the engine: its heaps hold member ids of
-  /// the keyword indexes, which a rebuild renumbers.
-  TopKStream OpenTopKStream(VertexId q,
-                            std::span<const KeywordId> keywords,
-                            const ScoringFunction& scoring = {});
 
   /// Ablation switch: when disabled, TopK ranks heaps by the *valid*
   /// lower-bound score ST_all = MINKEY(H_i) / TR_max(psi) instead of the

@@ -810,8 +810,8 @@ void Server::HandleFrame(const std::shared_ptr<Connection>& conn,
 
 void Server::WorkerLoop(std::size_t worker_index) {
   // Per-thread processor, lazily (re)built when the engine's structure
-  // generation moves — the same invalidation rule ParallelQueryExecutor
-  // follows.
+  // generation moves: a write that grows the keyword universe, or a
+  // RELOAD, replaces the components a MakeProcessor() result references.
   std::unique_ptr<QueryProcessor> processor;
   std::uint64_t generation = 0;
 

@@ -53,7 +53,6 @@ void PoiService::RestoreCatalog(Vocabulary vocabulary,
   vocabulary_ = std::move(vocabulary);
   names_ = std::move(names);
   engine_ = std::move(engine);
-  executor_.reset();  // Held references into the old engine.
 }
 
 ObjectId PoiService::AddPoi(std::string_view name, VertexId vertex,
@@ -97,31 +96,14 @@ std::string PoiService::CanonicalKeyword(std::string_view term) {
 std::vector<PoiResult> PoiService::Search(std::string_view query,
                                           VertexId from, std::uint32_t k,
                                           const QueryControl* control) {
-  ParseOptions options;
-  options.allow_unknown_keywords = true;  // Unknown term: no matches.
-  const ParsedQuery parsed = ParseBooleanQuery(query, vocabulary_, options);
-  std::vector<PoiResult> results;
-  for (const BkNNResult& r :
-       engine_->BooleanKnnCnf(from, k, parsed.clauses, nullptr, control)) {
-    results.push_back({r.object, names_[r.object], r.distance, 0.0});
-  }
-  return results;
+  return SearchOn(engine_->Processor(), query, from, k, control);
 }
 
 std::vector<PoiResult> PoiService::SearchRanked(std::string_view query,
                                                 VertexId from,
                                                 std::uint32_t k,
                                                 const QueryControl* control) {
-  ParseOptions options;
-  options.allow_unknown_keywords = true;
-  const ParsedQuery parsed = ParseBooleanQuery(query, vocabulary_, options);
-  const std::vector<KeywordId> keywords = parsed.AllKeywords();
-  std::vector<PoiResult> results;
-  for (const TopKResult& r :
-       engine_->TopK(from, k, keywords, nullptr, control)) {
-    results.push_back({r.object, names_[r.object], r.distance, r.score});
-  }
-  return results;
+  return SearchRankedOn(engine_->Processor(), query, from, k, control);
 }
 
 std::vector<PoiResult> PoiService::SearchOn(
@@ -149,60 +131,6 @@ std::vector<PoiResult> PoiService::SearchRankedOn(
   for (const TopKResult& r :
        processor.TopK(from, k, keywords, stats, control)) {
     results.push_back({r.object, names_[r.object], r.distance, r.score});
-  }
-  return results;
-}
-
-ParallelQueryExecutor& PoiService::Executor(unsigned num_threads) {
-  if (executor_ == nullptr ||
-      (num_threads != 0 && executor_->NumThreads() != num_threads)) {
-    executor_ =
-        std::make_unique<ParallelQueryExecutor>(*engine_, num_threads);
-  }
-  return *executor_;
-}
-
-std::vector<std::vector<PoiResult>> PoiService::SearchBatch(
-    std::span<const BatchQuery> queries, unsigned num_threads) {
-  // Parse serially so syntax errors surface deterministically up front.
-  std::vector<ParallelQueryExecutor::CnfQuery> batch(queries.size());
-  ParseOptions options;
-  options.allow_unknown_keywords = true;
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    batch[i].vertex = queries[i].from;
-    batch[i].k = queries[i].k;
-    batch[i].clauses =
-        ParseBooleanQuery(queries[i].query, vocabulary_, options).clauses;
-  }
-  std::vector<std::vector<PoiResult>> results(queries.size());
-  const auto raw = Executor(num_threads).BooleanKnnCnfBatch(batch);
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    for (const BkNNResult& r : raw[i]) {
-      results[i].push_back({r.object, names_[r.object], r.distance, 0.0});
-    }
-  }
-  return results;
-}
-
-std::vector<std::vector<PoiResult>> PoiService::SearchRankedBatch(
-    std::span<const BatchQuery> queries, unsigned num_threads) {
-  std::vector<ParallelQueryExecutor::TopKQuery> batch(queries.size());
-  ParseOptions options;
-  options.allow_unknown_keywords = true;
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    batch[i].vertex = queries[i].from;
-    batch[i].k = queries[i].k;
-    batch[i].keywords =
-        ParseBooleanQuery(queries[i].query, vocabulary_, options)
-            .AllKeywords();
-  }
-  std::vector<std::vector<PoiResult>> results(queries.size());
-  const auto raw = Executor(num_threads).TopKBatch(batch);
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    for (const TopKResult& r : raw[i]) {
-      results[i].push_back({r.object, names_[r.object], r.distance,
-                            r.score});
-    }
   }
   return results;
 }

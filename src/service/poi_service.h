@@ -15,7 +15,6 @@
 #include "common/types.h"
 #include "graph/graph.h"
 #include "kspin/kspin.h"
-#include "service/parallel_executor.h"
 #include "service/query_parser.h"
 #include "text/vocabulary.h"
 
@@ -95,8 +94,9 @@ class PoiService {
                                       std::uint32_t k,
                                       const QueryControl* control = nullptr);
 
-  /// Search / SearchRanked semantics on a caller-owned QueryProcessor
-  /// (from Engine().MakeProcessor()) instead of the engine's internal one.
+  /// Search / SearchRanked on a caller-owned QueryProcessor (from
+  /// Engine().MakeProcessor()); Search / SearchRanked run these on the
+  /// engine's own processor (KSpin::Processor()).
   /// This is the concurrent-serving entry point: many threads may call
   /// SearchOn simultaneously, each with its own processor, while no update
   /// runs (see docs/architecture.md, "Concurrency model").
@@ -112,26 +112,6 @@ class PoiService {
       std::uint32_t k, const QueryControl* control = nullptr,
       QueryStats* stats = nullptr) const;
 
-  /// One query of a batch (Search / SearchRanked semantics per element).
-  struct BatchQuery {
-    std::string query;
-    VertexId from = kInvalidVertex;
-    std::uint32_t k = 0;
-  };
-
-  /// Batch boolean search across a fixed thread pool (0 = hardware
-  /// concurrency). Result i is exactly Search(queries[i]...) — parallelism
-  /// never changes results. Queries are parsed up front on the calling
-  /// thread, so a QueryParseError surfaces before any work is scheduled.
-  /// The pool persists across calls; passing a different `num_threads`
-  /// re-creates it.
-  std::vector<std::vector<PoiResult>> SearchBatch(
-      std::span<const BatchQuery> queries, unsigned num_threads = 0);
-
-  /// Batch ranked search; result i is exactly SearchRanked(queries[i]...).
-  std::vector<std::vector<PoiResult>> SearchRankedBatch(
-      std::span<const BatchQuery> queries, unsigned num_threads = 0);
-
   /// Periodic maintenance (rebuilds saturated keyword indexes).
   std::size_t Maintain() { return engine_->MaintainIndexes(); }
 
@@ -145,14 +125,11 @@ class PoiService {
   }
 
  private:
-  ParallelQueryExecutor& Executor(unsigned num_threads);
-
   const Graph* graph_ = nullptr;      // For RestoreCatalog.
   DistanceOracle* oracle_ = nullptr;  // For RestoreCatalog.
   Vocabulary vocabulary_;
   std::vector<std::string> names_;  // Indexed by ObjectId.
   std::unique_ptr<KSpin> engine_;
-  std::unique_ptr<ParallelQueryExecutor> executor_;  // Lazy; batch only.
 };
 
 }  // namespace kspin

@@ -74,17 +74,6 @@ class FaultInjectionTest : public ::testing::Test {
     return out;
   }
 
-  /// Fresh per-test scratch directory under the gtest temp dir.
-  std::string ScratchDir() const {
-    const std::string dir =
-        std::filesystem::path(::testing::TempDir()) /
-        (std::string("kspin_fault_") +
-         ::testing::UnitTest::GetInstance()->current_test_info()->name());
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    return dir;
-  }
-
   Graph graph_;
   DijkstraOracle oracle_;
   PoiService service_;
@@ -294,7 +283,7 @@ TEST_F(FaultInjectionTest, TruncationAtEveryBoundaryAndRandomSizesDetected) {
 // ----- Crash-safe file writing ---------------------------------------------
 
 TEST_F(FaultInjectionTest, CrashBeforeTempWriteLeavesNothing) {
-  const std::string dir = ScratchDir();
+  const std::string dir = testing::ScratchDir("snapshots");
   const std::string path = dir + "/" + io::SnapshotFileName(1);
   io::AtomicWriteHooks hooks;
   hooks.on_phase = [](io::AtomicWritePhase phase) {
@@ -307,7 +296,7 @@ TEST_F(FaultInjectionTest, CrashBeforeTempWriteLeavesNothing) {
 }
 
 TEST_F(FaultInjectionTest, CrashAfterTempWriteLeavesOldStateUsable) {
-  const std::string dir = ScratchDir();
+  const std::string dir = testing::ScratchDir("snapshots");
   // A good snapshot exists from "yesterday".
   ASSERT_TRUE(
       WriteServiceSnapshotFile(dir + "/" + io::SnapshotFileName(1), service_));
@@ -337,7 +326,7 @@ TEST_F(FaultInjectionTest, CrashAfterTempWriteLeavesOldStateUsable) {
 }
 
 TEST_F(FaultInjectionTest, CrashAfterRenameIsAlreadyDurable) {
-  const std::string dir = ScratchDir();
+  const std::string dir = testing::ScratchDir("snapshots");
   const std::string path = dir + "/" + io::SnapshotFileName(1);
   io::AtomicWriteHooks hooks;
   hooks.on_phase = [](io::AtomicWritePhase phase) {
@@ -352,7 +341,7 @@ TEST_F(FaultInjectionTest, CrashAfterRenameIsAlreadyDurable) {
 }
 
 TEST_F(FaultInjectionTest, EnospcDuringAtomicWriteCleansUp) {
-  const std::string dir = ScratchDir();
+  const std::string dir = testing::ScratchDir("snapshots");
   const std::string path = dir + "/" + io::SnapshotFileName(1);
   io::AtomicWriteHooks hooks;
   hooks.stream_faults.fail_after = 512;
@@ -365,7 +354,7 @@ TEST_F(FaultInjectionTest, EnospcDuringAtomicWriteCleansUp) {
 // ----- Newest-valid fallback -----------------------------------------------
 
 TEST_F(FaultInjectionTest, FallsBackPastCorruptNewestSnapshot) {
-  const std::string dir = ScratchDir();
+  const std::string dir = testing::ScratchDir("snapshots");
   ASSERT_TRUE(
       WriteServiceSnapshotFile(dir + "/" + io::SnapshotFileName(1), service_));
   const std::string newest = dir + "/" + io::SnapshotFileName(2);
@@ -390,7 +379,7 @@ TEST_F(FaultInjectionTest, FallsBackPastCorruptNewestSnapshot) {
 }
 
 TEST_F(FaultInjectionTest, AllSnapshotsCorruptMeansCleanRebuildSignal) {
-  const std::string dir = ScratchDir();
+  const std::string dir = testing::ScratchDir("snapshots");
   for (std::uint64_t seq : {1u, 2u}) {
     const std::string path = dir + "/" + io::SnapshotFileName(seq);
     ASSERT_TRUE(WriteServiceSnapshotFile(path, service_));
@@ -403,7 +392,7 @@ TEST_F(FaultInjectionTest, AllSnapshotsCorruptMeansCleanRebuildSignal) {
 }
 
 TEST_F(FaultInjectionTest, PruneKeepsNewestSnapshots) {
-  const std::string dir = ScratchDir();
+  const std::string dir = testing::ScratchDir("snapshots");
   for (std::uint64_t seq = 1; seq <= 6; ++seq) {
     ASSERT_TRUE(WriteServiceSnapshotFile(
         dir + "/" + io::SnapshotFileName(seq), service_));

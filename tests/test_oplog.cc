@@ -29,17 +29,6 @@ std::vector<std::uint8_t> Payload(std::uint8_t tag, std::size_t size = 8) {
 
 class OplogTest : public ::testing::Test {
  protected:
-  /// Fresh per-test scratch directory under the gtest temp dir.
-  std::string ScratchDir() const {
-    const std::string dir =
-        std::filesystem::path(::testing::TempDir()) /
-        (std::string("kspin_oplog_") +
-         ::testing::UnitTest::GetInstance()->current_test_info()->name());
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    return dir;
-  }
-
   /// Options for a log rooted at `dir` (keeps aggregate-init warnings
   /// away from the call sites).
   static OplogOptions DirOptions(std::string dir,
@@ -63,7 +52,7 @@ class OplogTest : public ::testing::Test {
 // ----- Append / sync / replay round trip -----------------------------------
 
 TEST_F(OplogTest, AppendSyncReplayRoundTrip) {
-  const std::string dir = ScratchDir();
+  const std::string dir = testing::ScratchDir("oplog");
   {
     Oplog log(DirOptions(dir));
     ASSERT_TRUE(log.Open());
@@ -94,7 +83,7 @@ TEST_F(OplogTest, AppendSyncReplayRoundTrip) {
 }
 
 TEST_F(OplogTest, ReopenSeatsWriterAfterLastRecord) {
-  const std::string dir = ScratchDir();
+  const std::string dir = testing::ScratchDir("oplog");
   {
     Oplog log(DirOptions(dir));
     ASSERT_TRUE(log.Open());
@@ -113,7 +102,7 @@ TEST_F(OplogTest, ReopenSeatsWriterAfterLastRecord) {
 TEST_F(OplogTest, OpenSeedsSequenceFromRestoredSnapshot) {
   // A restored snapshot can be ahead of a truncated (or absent) log; the
   // next mutation must continue from the snapshot's applied position.
-  const std::string dir = ScratchDir();
+  const std::string dir = testing::ScratchDir("oplog");
   Oplog log(DirOptions(dir));
   ASSERT_TRUE(log.Open(101));
   EXPECT_EQ(log.LastSequence(), 100u);
@@ -133,7 +122,7 @@ TEST_F(OplogTest, DisabledLogAssignsSequencesInMemory) {
 // ----- Torn tails and bit rot ----------------------------------------------
 
 TEST_F(OplogTest, TornTailReplaysLongestValidPrefix) {
-  const std::string dir = ScratchDir();
+  const std::string dir = testing::ScratchDir("oplog");
   {
     Oplog log(DirOptions(dir));
     ASSERT_TRUE(log.Open());
@@ -164,7 +153,7 @@ TEST_F(OplogTest, TornTailReplaysLongestValidPrefix) {
 }
 
 TEST_F(OplogTest, BitFlipStopsReplayBeforeCorruptRecord) {
-  const std::string dir = ScratchDir();
+  const std::string dir = testing::ScratchDir("oplog");
   {
     Oplog log(DirOptions(dir));
     ASSERT_TRUE(log.Open());
@@ -194,9 +183,8 @@ TEST_F(OplogTest, CrashAtEveryPhaseLeavesReplayableLog) {
        {OplogPhase::kAfterRecordWrite, OplogPhase::kAfterSync,
         OplogPhase::kBeforeRotate, OplogPhase::kAfterRotateTemp,
         OplogPhase::kAfterRotateRename}) {
-    const std::string dir =
-        ScratchDir() + "_" + std::to_string(static_cast<int>(crash_phase));
-    std::filesystem::create_directories(dir);
+    const std::string dir = testing::ScratchDir(
+        "oplog_" + std::to_string(static_cast<int>(crash_phase)));
     std::uint64_t durable_at_crash = 0;
     {
       OplogOptions options;
@@ -242,7 +230,7 @@ TEST_F(OplogTest, CrashAtEveryPhaseLeavesReplayableLog) {
 // ----- Rotation and truncation ---------------------------------------------
 
 TEST_F(OplogTest, RotationKeepsSequencesDenseAcrossSegments) {
-  const std::string dir = ScratchDir();
+  const std::string dir = testing::ScratchDir("oplog");
   Oplog log(DirOptions(dir, 1));  // Rotate after every record.
   ASSERT_TRUE(log.Open());
   for (std::uint8_t i = 1; i <= 8; ++i) {
@@ -259,7 +247,7 @@ TEST_F(OplogTest, RotationKeepsSequencesDenseAcrossSegments) {
 }
 
 TEST_F(OplogTest, TruncateThroughDeletesOnlyCoveredSealedSegments) {
-  const std::string dir = ScratchDir();
+  const std::string dir = testing::ScratchDir("oplog");
   Oplog log(DirOptions(dir, 1));
   ASSERT_TRUE(log.Open());
   for (std::uint8_t i = 1; i <= 6; ++i) log.Append(Payload(i));
@@ -287,7 +275,7 @@ TEST_F(OplogTest, TruncateThroughDeletesOnlyCoveredSealedSegments) {
 // ----- The FETCH_OPLOG read path -------------------------------------------
 
 TEST_F(OplogTest, ReadRangeRespectsBudgetWithProgressGuarantee) {
-  const std::string dir = ScratchDir();
+  const std::string dir = testing::ScratchDir("oplog");
   Oplog log(DirOptions(dir));
   ASSERT_TRUE(log.Open());
   for (std::uint8_t i = 1; i <= 6; ++i) log.Append(Payload(i, 100));
@@ -315,7 +303,7 @@ TEST_F(OplogTest, ReadRangeRespectsBudgetWithProgressGuarantee) {
 }
 
 TEST_F(OplogTest, ReadRangeSignalsTruncatedHistory) {
-  const std::string dir = ScratchDir();
+  const std::string dir = testing::ScratchDir("oplog");
   Oplog log(DirOptions(dir, 1));
   ASSERT_TRUE(log.Open());
   for (std::uint8_t i = 1; i <= 6; ++i) log.Append(Payload(i));
@@ -338,7 +326,7 @@ TEST_F(OplogTest, ReadRangeSignalsTruncatedHistory) {
 }
 
 TEST_F(OplogTest, ExplicitSequenceAppendMustStayDense) {
-  const std::string dir = ScratchDir();
+  const std::string dir = testing::ScratchDir("oplog");
   Oplog log(DirOptions(dir));
   ASSERT_TRUE(log.Open());
   EXPECT_EQ(log.Append(Payload(1), 5), 0u);  // Gap: rejected.
@@ -351,7 +339,7 @@ TEST_F(OplogTest, ExplicitSequenceAppendMustStayDense) {
 }
 
 TEST_F(OplogTest, ResetDiscardsHistoryAndJumpsSequence) {
-  const std::string dir = ScratchDir();
+  const std::string dir = testing::ScratchDir("oplog");
   Oplog log(DirOptions(dir));
   ASSERT_TRUE(log.Open());
   for (std::uint8_t i = 1; i <= 3; ++i) log.Append(Payload(i));
@@ -373,7 +361,7 @@ TEST_F(OplogTest, ResetDiscardsHistoryAndJumpsSequence) {
 // ----- Divergence quarantine -----------------------------------------------
 
 TEST_F(OplogTest, QuarantineTailPreservesDivergentRecords) {
-  const std::string dir = ScratchDir();
+  const std::string dir = testing::ScratchDir("oplog");
   Oplog log(DirOptions(dir));
   ASSERT_TRUE(log.Open());
   for (std::uint8_t i = 1; i <= 5; ++i) log.Append(Payload(i, 8 + i));
@@ -406,7 +394,7 @@ TEST_F(OplogTest, QuarantineTailPreservesDivergentRecords) {
 }
 
 TEST_F(OplogTest, QuarantineTailEdgeCases) {
-  const std::string dir = ScratchDir();
+  const std::string dir = testing::ScratchDir("oplog");
   Oplog log(DirOptions(dir));
   ASSERT_TRUE(log.Open());
   log.Append(Payload(1));
@@ -426,7 +414,7 @@ TEST_F(OplogTest, QuarantineTailEdgeCases) {
 // ----- Group commit (runs under TSan in CI) --------------------------------
 
 TEST_F(OplogTest, ConcurrentAppendSyncGroupCommits) {
-  const std::string dir = ScratchDir();
+  const std::string dir = testing::ScratchDir("oplog");
   Oplog log(DirOptions(dir));
   ASSERT_TRUE(log.Open());
   constexpr int kThreads = 4;

@@ -318,7 +318,7 @@ TEST(QueryProcessor, ValidLowerBoundAblationStaysExact) {
     QueryStats pseudo_stats;
     auto with_pseudo = engine.TopK(q, 5, keywords, &pseudo_stats);
     // Disable pseudo lower bounds: results identical, work never smaller.
-    // (Access via the facade's processor is not exposed; rebuild one.)
+    // (On a processor of its own, so the facade's keeps pseudo bounds.)
     QueryStats valid_stats;
     QueryProcessor processor(engine.Store(), engine.Inverted(),
                              engine.Relevance(), engine.Keywords(),
@@ -332,72 +332,6 @@ TEST(QueryProcessor, ValidLowerBoundAblationStaysExact) {
     EXPECT_LE(pseudo_stats.candidates_extracted,
               valid_stats.candidates_extracted);
   }
-}
-
-TEST(QueryProcessor, TopKStreamMatchesBatchAndPaginates) {
-  Fixture fixture(12);
-  KSpin engine = fixture.MakeEngine(OracleKind::kCh);
-  QueryProcessor processor(engine.Store(), engine.Inverted(),
-                           engine.Relevance(), engine.Keywords(),
-                           engine.Alt(), engine.Oracle());
-  std::vector<KeywordId> keywords;
-  for (KeywordId t = 0; t < fixture.inverted().NumKeywords() &&
-                        keywords.size() < 2;
-       ++t) {
-    if (fixture.inverted().ListSize(t) >= 8) keywords.push_back(t);
-  }
-  ASSERT_EQ(keywords.size(), 2u);
-  const VertexId n = static_cast<VertexId>(fixture.graph().NumVertices());
-  for (VertexId q = 1; q < n; q += 97) {
-    const auto batch = processor.TopK(q, 12, keywords);
-    auto stream = processor.OpenTopKStream(q, keywords);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (i % 2 == 1) {
-        // One-shot queries elsewhere on the same processor replace the CH
-        // oracle's cached source between two Next() calls; the stream and
-        // they must each rebuild it for their own vertex.
-        const VertexId other = static_cast<VertexId>((q + 31 * i) % n);
-        ExpectSameTopK(processor.TopK(other, 3, keywords),
-                       fixture.expansion().TopK(other, 3, keywords),
-                       "interleaved top-k");
-        ExpectSameBknn(
-            processor.BooleanKnn(other, 3, keywords, BooleanOp::kDisjunctive),
-            fixture.expansion().BooleanKnn(other, 3, keywords,
-                                           BooleanOp::kDisjunctive),
-            "interleaved bknn");
-      }
-      const auto next = stream.Next();
-      ASSERT_TRUE(next.has_value()) << "q=" << q << " i=" << i;
-      EXPECT_NEAR(next->score, batch[i].score, 1e-9)
-          << "q=" << q << " i=" << i;
-    }
-    EXPECT_EQ(stream.Produced(), batch.size());
-  }
-}
-
-TEST(QueryProcessor, TopKStreamExhaustsToAllRelevantObjects) {
-  Fixture fixture(13);
-  KSpin engine = fixture.MakeEngine(OracleKind::kDijkstra);
-  QueryProcessor processor(engine.Store(), engine.Inverted(),
-                           engine.Relevance(), engine.Keywords(),
-                           engine.Alt(), engine.Oracle());
-  // Single keyword: the stream must eventually produce exactly inv(t),
-  // in ascending score order.
-  KeywordId t = 0;
-  for (; t < fixture.inverted().NumKeywords(); ++t) {
-    if (fixture.inverted().ListSize(t) >= 5) break;
-  }
-  const std::vector<KeywordId> keywords = {t};
-  auto stream = processor.OpenTopKStream(4, keywords);
-  double last = 0.0;
-  std::size_t count = 0;
-  while (auto next = stream.Next()) {
-    EXPECT_GE(next->score, last);
-    last = next->score;
-    ++count;
-  }
-  EXPECT_EQ(count, fixture.inverted().ListSize(t));
-  EXPECT_FALSE(stream.Next().has_value());  // Stays exhausted.
 }
 
 // A hand-built 10-vertex path network with a known object layout, so every

@@ -29,14 +29,6 @@
 namespace kspin::server {
 namespace {
 
-std::string ScratchDir(const std::string& tag) {
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / ("kspin_repl_" + tag);
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
-}
-
 /// Polls `predicate` until it holds or ~5 s elapse.
 bool WaitFor(const std::function<bool()>& predicate) {
   for (int i = 0; i < 500; ++i) {
@@ -65,7 +57,7 @@ class ReplicationTest : public ::testing::Test {
 
   void StartPrimary(ServerOptions options = {}) {
     primary_service_ = MakeService();
-    options.snapshot.dir = primary_dir_ = ScratchDir("primary");
+    options.snapshot.dir = primary_dir_ = testing::ScratchDir("primary");
     primary_ = std::make_unique<Server>(*primary_service_, options);
     primary_->Start();
   }
@@ -77,7 +69,7 @@ class ReplicationTest : public ::testing::Test {
                     const std::string& oplog_dir = {}) {
     replica_service_ = MakeService();
     ServerOptions options;
-    options.snapshot.dir = replica_dir_ = ScratchDir("replica");
+    options.snapshot.dir = replica_dir_ = testing::ScratchDir("replica");
     options.oplog.dir = oplog_dir;
     options.replication.role = ServerRole::kReplica;
     options.replication.primary = {"127.0.0.1", primary_->Port()};
@@ -405,7 +397,7 @@ TEST_F(ReplicationTest, FailoverClientSurvivesPrimaryStop) {
 
 TEST_F(ReplicationTest, ReplicaCatchesUpViaLogTailingWithoutSnapshotTransfer) {
   ServerOptions options;
-  options.oplog.dir = ScratchDir("tail_oplog");
+  options.oplog.dir = testing::ScratchDir("tail_oplog");
   StartPrimary(options);
   Client pclient = ConnectTo(*primary_);
   ASSERT_TRUE(pclient.Snapshot().ok());  // Bootstrap image for the replica.
@@ -466,7 +458,7 @@ TEST_F(ReplicationTest, ReplicaCatchesUpViaLogTailingWithoutSnapshotTransfer) {
 
 TEST_F(ReplicationTest, IdempotentRetryReturnsOriginalResult) {
   ServerOptions options;
-  options.oplog.dir = ScratchDir("idem_oplog");
+  options.oplog.dir = testing::ScratchDir("idem_oplog");
   StartPrimary(options);
   Client client = ConnectTo(*primary_);
 
@@ -489,7 +481,7 @@ TEST_F(ReplicationTest, IdempotentRetryReturnsOriginalResult) {
 
 TEST_F(ReplicationTest, FailoverClientRoutesKeyedMutationsToPrimary) {
   ServerOptions options;
-  options.oplog.dir = ScratchDir("failover_oplog");
+  options.oplog.dir = testing::ScratchDir("failover_oplog");
   StartPrimary(options);
   StartReplica();
 
@@ -514,7 +506,7 @@ TEST_F(ReplicationTest, FailoverClientRoutesKeyedMutationsToPrimary) {
 }
 
 TEST_F(ReplicationTest, BootReplayRestoresAckedWrites) {
-  const std::string oplog_dir = ScratchDir("boot_oplog");
+  const std::string oplog_dir = testing::ScratchDir("boot_oplog");
   ServerOptions options;
   options.oplog.dir = oplog_dir;
   StartPrimary(options);
@@ -652,8 +644,8 @@ TEST_F(ReplicationTest, FailoverClientReroutesWritesAfterPromotion) {
 }
 
 TEST_F(ReplicationTest, RejoiningExPrimaryQuarantinesDivergentTail) {
-  const std::string primary_oplog = ScratchDir("rejoin_oplog_a");
-  const std::string replica_oplog = ScratchDir("rejoin_oplog_b");
+  const std::string primary_oplog = testing::ScratchDir("rejoin_oplog_a");
+  const std::string replica_oplog = testing::ScratchDir("rejoin_oplog_b");
   ServerOptions options;
   options.oplog.dir = primary_oplog;
   StartPrimary(options);
@@ -734,7 +726,7 @@ TEST_F(ReplicationTest, RejoiningExPrimaryQuarantinesDivergentTail) {
 TEST_F(ReplicationTest, ReplicaRefusesToTailStalePrimaryAndFencesIt) {
   // A replica that has lived through epoch 1 must never follow a primary
   // still claiming epoch 0 — and the act of asking fences that primary.
-  const std::string replica_oplog = ScratchDir("stale_oplog_b");
+  const std::string replica_oplog = testing::ScratchDir("stale_oplog_b");
   StartPrimary();
   // Shared baseline first: tailing (and with it the fencing FETCH_OPLOG)
   // only runs on top of an installed snapshot.

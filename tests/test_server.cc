@@ -526,15 +526,6 @@ TEST_F(ServerTest, StopIsIdempotent) {
 // ---------------------------------------------------------------------
 // Persistence over the wire (SNAPSHOT / RELOAD) and connection hardening.
 
-/// Fresh scratch directory under the test temp root.
-std::string ScratchDir(const std::string& tag) {
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / ("kspin_server_" + tag);
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
-}
-
 /// Polls `predicate` until it holds or ~5 s elapse.
 bool WaitFor(const std::function<bool()>& predicate) {
   for (int i = 0; i < 500; ++i) {
@@ -555,7 +546,7 @@ std::vector<std::pair<ObjectId, Distance>> Ids(
 
 TEST_F(ServerTest, SnapshotAndReloadRestoreStateOverWire) {
   ServerOptions options;
-  options.snapshot.dir = ScratchDir("wire_reload");
+  options.snapshot.dir = testing::ScratchDir("wire_reload");
   StartServer(options);
   Client client = Connect();
 
@@ -603,7 +594,7 @@ TEST_F(ServerTest, SnapshotAndReloadRejectedWithoutSnapshotDir) {
 
 TEST_F(ServerTest, PeriodicSnapshotsWrittenAndPruned) {
   ServerOptions options;
-  options.snapshot.dir = ScratchDir("periodic");
+  options.snapshot.dir = testing::ScratchDir("periodic");
   options.snapshot.period_ms = 25;
   options.snapshot.keep = 2;
   StartServer(options);
@@ -886,7 +877,7 @@ TEST_F(ServerTest, MetricsReturnsPrometheusTextThatMovesWithTraffic) {
 
 TEST_F(ServerTest, TraceFileRecordsExecutedSearches) {
   ServerOptions options;
-  options.trace_path = ScratchDir("trace") + "/trace.jsonl";
+  options.trace_path = testing::ScratchDir("trace") + "/trace.jsonl";
   StartServer(options);
   Client client = Connect();
   ASSERT_TRUE(client.Search("kw0 or kw1", 10, 5).ok());

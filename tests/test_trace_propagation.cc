@@ -7,7 +7,6 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <filesystem>
 #include <functional>
 #include <memory>
 #include <string>
@@ -54,14 +53,6 @@ bool WaitFor(const std::function<bool()>& predicate) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   return predicate();
-}
-
-std::string ScratchDir(const std::string& tag) {
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / ("kspin_trace_" + tag);
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
 }
 
 class TracePropagationTest : public ::testing::Test {
@@ -171,11 +162,11 @@ TEST_F(TracePropagationTest, TraceIdSurvivesRetryingClientRetries) {
 TEST_F(TracePropagationTest,
        NotPrimaryRedirectCarriesOneTraceIdAcrossBothNodes) {
   ServerOptions primary_options;
-  primary_options.snapshot.dir = ScratchDir("primary");
+  primary_options.snapshot.dir = testing::ScratchDir("primary");
   const std::size_t primary = StartServer(primary_options);
 
   ServerOptions replica_options;
-  replica_options.snapshot.dir = ScratchDir("replica");
+  replica_options.snapshot.dir = testing::ScratchDir("replica");
   replica_options.replication.role = ServerRole::kReplica;
   replica_options.replication.primary = {"127.0.0.1",
                                          servers_[primary]->Port()};

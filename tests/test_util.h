@@ -2,7 +2,14 @@
 #ifndef KSPIN_TESTS_TEST_UTIL_H_
 #define KSPIN_TESTS_TEST_UTIL_H_
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <string>
+#include <system_error>
 #include <vector>
+
+#include <gtest/gtest.h>
 
 #include "graph/graph.h"
 #include "graph/graph_builder.h"
@@ -72,6 +79,27 @@ inline Graph TinyGrid() {
   }
   builder.SetCoordinates(std::move(coords));
   return builder.Build();
+}
+
+/// A fresh, empty directory `<TempDir>/kspin_<pid>/<name>`. The process id
+/// keeps two runs of one suite at the same time (say, in two build trees)
+/// out of each other's files. The `kspin_<pid>` root is removed when the
+/// process exits.
+inline std::string ScratchDir(const std::string& name) {
+  struct Root {
+    const std::filesystem::path path =
+        std::filesystem::path(::testing::TempDir()) /
+        ("kspin_" + std::to_string(::getpid()));
+    ~Root() {
+      std::error_code ignored;
+      std::filesystem::remove_all(path, ignored);
+    }
+  };
+  static const Root root;
+  const std::filesystem::path dir = root.path / name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir.string();
 }
 
 /// The member id of object o in `nvd` (NumMembers() when absent).
