@@ -74,6 +74,7 @@ class AdmissionQueue {
 
   /// Non-blocking admission. `deadline` uses Clock::time_point{} for
   /// "none"; an already-expired deadline is rejected without queueing.
+  /// `item` is moved from only when it is admitted.
   AdmissionResult TryPush(T&& item, Clock::time_point deadline,
                           Clock::time_point now = Clock::now()) {
     {

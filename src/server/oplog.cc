@@ -556,20 +556,20 @@ std::size_t Oplog::QuarantineTail(std::uint64_t first_quarantined,
   return records.size();
 }
 
-bool Oplog::ReadRange(std::uint64_t from_sequence, std::uint64_t max_bytes,
+void Oplog::ReadRange(std::uint64_t from_sequence, std::uint64_t max_bytes,
                       std::vector<OplogRecord>* out, bool* truncated) const {
   *truncated = false;
   std::vector<std::pair<std::uint64_t, std::string>> segments;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (!Enabled()) return true;
+    if (!Enabled()) return;
     // The caller wants records starting at from_sequence + 1. If the
     // oldest retained record is newer than that, history was truncated
     // away and the caller must fall back to a snapshot transfer.
     if (oldest_sequence_ != 0 && from_sequence + 1 < oldest_sequence_ &&
         from_sequence < last_sequence_) {
       *truncated = true;
-      return true;
+      return;
     }
     segments = FindOplogSegments(options_.dir);
   }
@@ -591,14 +591,13 @@ bool Oplog::ReadRange(std::uint64_t from_sequence, std::uint64_t max_bytes,
     for (OplogRecord& record : scan.records) {
       const std::uint64_t cost = record.payload.size() + kRecordWireOverhead;
       if (max_bytes != 0 && !out->empty() && used + cost > max_bytes) {
-        return true;  // Budget reached; never return an empty batch early.
+        return;  // Budget reached; never return an empty batch early.
       }
       used += cost;
       out->push_back(std::move(record));
     }
     if (scan.corrupt_tail) break;  // Tail in flux (or damaged): stop here.
   }
-  return true;
 }
 
 std::uint64_t Oplog::LastSequence() const {

@@ -166,7 +166,7 @@ class Oplog {
   /// (the caller must fall back to a snapshot transfer). Safe
   /// concurrently with appends: a partially visible tail record fails
   /// validation and simply ends the batch.
-  bool ReadRange(std::uint64_t from_sequence, std::uint64_t max_bytes,
+  void ReadRange(std::uint64_t from_sequence, std::uint64_t max_bytes,
                  std::vector<OplogRecord>* out, bool* truncated) const;
 
   /// Highest sequence ever assigned (durable or not); 0 = none.

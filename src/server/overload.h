@@ -17,6 +17,11 @@
 
 namespace kspin::server {
 
+/// Multiplicative decrease the overload controller applies to the
+/// admission limit on an SLO violation; additive increase is +1 per
+/// healthy tick.
+inline constexpr double kAimdDecrease = 0.7;
+
 /// Tuning for the whole subsystem; a default-constructed value disables
 /// every mechanism (SLO 0, CoDel target 0, rate 0), so existing callers
 /// keep the plain bounded-FIFO behaviour they had.
@@ -27,9 +32,6 @@ struct OverloadOptions {
   /// Controller tick period (p99 is measured per tick over the queries
   /// that completed within it).
   std::uint32_t tick_interval_ms = 100;
-  /// Multiplicative decrease applied to the admission limit on an SLO
-  /// violation; additive increase is +1 per healthy tick.
-  double aimd_decrease = 0.7;
   /// The limit never drops below this (keeps a trickle of real traffic
   /// flowing so recovery is observable).
   std::size_t min_limit = 4;
@@ -193,7 +195,7 @@ class OverloadController {
       : options_(options),
         workers_(std::max(workers, 1u)),
         limiter_(std::max<std::size_t>(queue_capacity, 1),
-                 options.min_limit, options.aimd_decrease),
+                 options.min_limit, kAimdDecrease),
         brownout_(options.brownout_enter_ticks, options.brownout_exit_ticks) {}
 
   bool enabled() const { return options_.latency_slo_ms > 0; }

@@ -30,6 +30,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// How long accepting pauses after an fd-exhaustion accept() failure
+/// (EMFILE/ENFILE/...), so the poll loop does not spin hot on a
+/// perpetually-ready listen fd.
+constexpr std::chrono::milliseconds kAcceptPause{100};
+
 void SetNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
@@ -87,7 +92,8 @@ struct Server::Connection {
   }
 };
 
-// One admitted request travelling from the I/O thread to a worker.
+// One decoded request. Admitted ones travel from the I/O thread to a
+// worker; every one ends in Finish.
 struct Server::Request {
   std::shared_ptr<Connection> conn;
   FrameHeader header;
@@ -100,7 +106,81 @@ struct Server::Request {
   TraceContext trace;
   /// Admission sojourn (EDF queue wait), filled at dequeue.
   std::uint32_t queue_us = 0;
+  /// When a worker took the request up; time_point{} when it was refused
+  /// unexecuted (at the door or at dequeue).
+  Clock::time_point exec_start{};
 };
+
+enum class Server::Refusal : std::uint8_t {
+  kNone,  ///< Any status but OVERLOADED and DEADLINE_EXCEEDED.
+  kQueueFull,
+  kAdmissionLimited,
+  kRateLimited,
+  kCodel,
+  kDeadlineAtAdmission,
+  kDeadlineAtDequeue,
+  kDeadlineInQuery,
+};
+
+struct Server::Outcome {
+  std::vector<std::uint8_t> reply;  ///< Status byte first.
+  Refusal refusal = Refusal::kNone;
+  // Searches only: engine counters and the trace / slow-query fields.
+  QueryStats stats{};
+  std::string query{};
+  VertexId vertex = 0;
+  std::uint32_t k = 0;
+  std::uint32_t results = 0;
+  bool degraded = false;
+};
+
+namespace {
+
+// The requests_* counter of each status, indexed by its byte. OVERLOADED
+// and DEADLINE_EXCEEDED have none of their own: they count by refusal.
+constexpr std::atomic<std::uint64_t> ServerMetrics::*kStatusCounters[] = {
+    &ServerMetrics::requests_ok,                 // kOk
+    &ServerMetrics::requests_malformed_payload,  // kMalformedPayload
+    &ServerMetrics::requests_bad_query,          // kBadQuery
+    nullptr,                                     // kOverloaded
+    nullptr,                                     // kDeadlineExceeded
+    &ServerMetrics::requests_internal_error,     // kInternal
+    &ServerMetrics::requests_unsupported,        // kUnsupported
+    &ServerMetrics::requests_not_primary,        // kNotPrimary
+    &ServerMetrics::requests_stale_epoch,        // kStaleEpoch
+};
+static_assert(std::size(kStatusCounters) ==
+              static_cast<std::size_t>(StatusCode::kStaleEpoch) + 1);
+
+// The requests_* counter and shed-burst cause of each Refusal, indexed by
+// it; DiagShedCause{} marks a refusal that is not a shed.
+struct RefusalRow {
+  std::atomic<std::uint64_t> ServerMetrics::*counter;
+  DiagShedCause shed;
+};
+constexpr RefusalRow kRefusalRows[] = {
+    {nullptr, DiagShedCause{}},  // kNone
+    {&ServerMetrics::requests_overloaded, DiagShedCause::kQueueFull},
+    {&ServerMetrics::requests_admission_limited, DiagShedCause::kLimited},
+    {&ServerMetrics::requests_rate_limited, DiagShedCause::kRateLimited},
+    {&ServerMetrics::requests_codel_shed, DiagShedCause::kCodel},
+    {&ServerMetrics::requests_deadline_rejected, DiagShedCause::kDeadline},
+    {&ServerMetrics::requests_deadline_dropped, DiagShedCause::kDeadline},
+    {&ServerMetrics::requests_deadline_cancelled, DiagShedCause{}},
+};
+
+std::uint32_t ClampMicros(Clock::duration elapsed) {
+  const auto us =
+      std::chrono::duration_cast<std::chrono::microseconds>(elapsed).count();
+  return static_cast<std::uint32_t>(
+      std::min<std::int64_t>(std::max<std::int64_t>(us, 0), UINT32_MAX));
+}
+
+std::uint32_t ClampU32(std::uint64_t v) {
+  return static_cast<std::uint32_t>(std::min<std::uint64_t>(v, UINT32_MAX));
+}
+
+}  // namespace
 
 Server::Server(PoiService& service, ServerOptions options)
     : service_(service),
@@ -470,18 +550,6 @@ void Server::FlushShedBursts(Clock::time_point now) {
   }
 }
 
-void Server::RecordEnvelopeSpan(const TraceContext& trace, Opcode opcode,
-                                StatusCode status, std::uint32_t queue_us) {
-  SpanRecord span;
-  span.trace_id = trace.trace_id;
-  span.parent_span_id = trace.parent_span_id;
-  span.span_id = recorder_.NextSpanId();
-  span.opcode = static_cast<std::uint8_t>(opcode);
-  span.status = static_cast<std::uint8_t>(status);
-  span.queue_us = queue_us;
-  recorder_.RecordSpan(span);
-}
-
 void Server::AcceptNew() {
   for (;;) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
@@ -492,8 +560,7 @@ void Server::AcceptNew() {
       if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
           errno == ENOMEM) {
         metrics_.accept_errors.fetch_add(1, std::memory_order_relaxed);
-        accept_pause_until_ =
-            Clock::now() + std::chrono::milliseconds(options_.accept_pause_ms);
+        accept_pause_until_ = Clock::now() + kAcceptPause;
       }
       return;  // EAGAIN or transient error; poll again.
     }
@@ -653,56 +720,35 @@ void Server::HandleFrame(const std::shared_ptr<Connection>& conn,
                          const FrameHeader& header,
                          std::vector<std::uint8_t> payload) {
   metrics_.frames_received.fetch_add(1, std::memory_order_relaxed);
-  const OpcodeInfo* const op = FindOpcode(header.opcode);
-  if (op == nullptr) {
-    metrics_.requests_unsupported.fetch_add(1, std::memory_order_relaxed);
-    Respond(conn, header,
-            EncodeErrorResponse(StatusCode::kUnsupported, "unknown opcode"));
-    return;
-  }
-  metrics_.CountOpcode(*op);
-
+  Request request;
+  request.conn = conn;
+  request.header = header;
+  request.op = FindOpcode(header.opcode);
+  request.payload = std::move(payload);
   // Strip the trace trailer off the payload before any opcode body
   // decode, so every body codec sees exactly its body bytes.
-  TraceContext trace;
+  bool trailer_ok = true;
   if ((header.flags & kFrameFlagTraceContext) != 0) {
     std::span<const std::uint8_t> body;
-    if (!SplitTraceTrailer(payload, header.flags, &body, &trace)) {
-      metrics_.requests_malformed_payload.fetch_add(
-          1, std::memory_order_relaxed);
-      Respond(conn, header,
-              EncodeErrorResponse(StatusCode::kMalformedPayload,
-                                  "truncated trace trailer"));
+    trailer_ok = SplitTraceTrailer(request.payload, header.flags, &body,
+                                   &request.trace);
+    request.payload.resize(body.size());
+  }
+  const OpcodeInfo* const op = request.op;
+  if (op != nullptr) {
+    metrics_.CountOpcode(*op);
+    if (!trailer_ok) {
+      Finish(request, {EncodeErrorResponse(StatusCode::kMalformedPayload,
+                                           "truncated trace trailer")});
       return;
     }
-    payload.resize(body.size());
   }
-
-  if (op->lane == Lane::kInline) {
+  if (op == nullptr || op->lane == Lane::kInline) {
     // Answered here, bypassing admission: probes, scrapes and diag dumps
     // must work on a saturated server (that is when failover and
-    // forensics need them most). requests_ok is counted after the body
-    // is built, so a METRICS reply never counts itself.
-    std::vector<std::uint8_t> reply;
-    switch (header.opcode) {
-      case Opcode::kMetrics:
-        MirrorOplogMetrics();
-        reply = EncodeMetricsResponse(
-            RenderPrometheusText(metrics_.FullSnapshot(queue_->Size())));
-        break;
-      case Opcode::kHealth:
-        reply = BuildHealthResponse();
-        break;
-      case Opcode::kDumpDiag:
-        // Dump() is lock-free against concurrent writers.
-        reply = EncodeDiagResponse(recorder_.Dump(kMaxPayloadSize - 256));
-        break;
-      default:  // kPing.
-        reply = EncodeOkResponse();
-        break;
-    }
-    metrics_.requests_ok.fetch_add(1, std::memory_order_relaxed);
-    Respond(conn, header, std::move(reply));
+    // forensics need them most). A byte without an opcode row gets
+    // UNSUPPORTED.
+    Finish(request, Execute(request, nullptr));
     return;
   }
 
@@ -710,11 +756,9 @@ void Server::HandleFrame(const std::shared_ptr<Connection>& conn,
     if (role_.load(std::memory_order_acquire) == ServerRole::kReplica) {
       // Replicas are read-only; tell the client where the primary is
       // (the NOT_PRIMARY message is the redirect address).
-      metrics_.requests_not_primary.fetch_add(1, std::memory_order_relaxed);
-      RecordEnvelopeSpan(trace, header.opcode, StatusCode::kNotPrimary);
-      Respond(conn, header,
-              EncodeErrorResponse(StatusCode::kNotPrimary,
-                                  options_.replication.primary.ToString()));
+      Finish(request,
+             {EncodeErrorResponse(StatusCode::kNotPrimary,
+                                  options_.replication.primary.ToString())});
       return;
     }
     // Once any request carried a higher epoch this primary is fenced:
@@ -722,18 +766,19 @@ void Server::HandleFrame(const std::shared_ptr<Connection>& conn,
     // replica of the new primary.
     const std::uint64_t fenced = fenced_epoch_.load(std::memory_order_acquire);
     if (fenced > primary_epoch_.load(std::memory_order_acquire)) {
-      metrics_.requests_stale_epoch.fetch_add(1, std::memory_order_relaxed);
-      RecordEnvelopeSpan(trace, header.opcode, StatusCode::kStaleEpoch);
-      Respond(conn, header,
-              EncodeErrorResponse(StatusCode::kStaleEpoch,
-                                  "fenced: a newer primary epoch " +
-                                      std::to_string(fenced) +
-                                      " has been observed"));
+      Finish(request, {EncodeErrorResponse(
+                          StatusCode::kStaleEpoch,
+                          "fenced: a newer primary epoch " +
+                              std::to_string(fenced) + " has been observed")});
       return;
     }
   }
 
   const Clock::time_point now = Clock::now();
+  request.admitted_at = now;
+  if (header.deadline_ms > 0) {
+    request.deadline = now + std::chrono::milliseconds(header.deadline_ms);
+  }
   const std::uint32_t retry_after =
       retry_after_hint_ms_.load(std::memory_order_relaxed);
   // Per-connection token bucket (overload.per_client_qps): one noisy
@@ -741,26 +786,11 @@ void Server::HandleFrame(const std::shared_ptr<Connection>& conn,
   if (options_.overload.per_client_qps > 0 &&
       !conn->bucket.TryAcquire(now, options_.overload.per_client_qps,
                                options_.overload.per_client_burst)) {
-    metrics_.requests_rate_limited.fetch_add(1, std::memory_order_relaxed);
-    RecordShed(DiagShedCause::kRateLimited);
-    RecordEnvelopeSpan(trace, header.opcode, StatusCode::kOverloaded);
-    Respond(conn, header,
-            EncodeErrorResponse(StatusCode::kOverloaded, "rate limited",
-                                retry_after));
+    Finish(request, {EncodeErrorResponse(StatusCode::kOverloaded,
+                                         "rate limited", retry_after),
+                     Refusal::kRateLimited});
     return;
   }
-  Request request;
-  request.conn = conn;
-  request.header = header;
-  request.op = op;
-  request.payload = std::move(payload);
-  request.admitted_at = now;
-  request.trace = trace;
-  if (header.deadline_ms > 0) {
-    request.deadline =
-        request.admitted_at + std::chrono::milliseconds(header.deadline_ms);
-  }
-  const Clock::time_point deadline = request.deadline;
   // Admission uses a fresh clock when the test hook widens the gap
   // between receipt and enqueue; in production the two coincide.
   Clock::time_point admit_now = now;
@@ -769,6 +799,9 @@ void Server::HandleFrame(const std::shared_ptr<Connection>& conn,
         std::chrono::milliseconds(options_.test_admission_delay_ms));
     admit_now = Clock::now();
   }
+  // TryPush moves the request only when it admits it, so a refused one
+  // is still here to answer.
+  const Clock::time_point deadline = request.deadline;
   switch (queue_->TryPush(std::move(request), deadline, admit_now)) {
     case AdmissionResult::kAdmitted:
       metrics_.RecordQueueDepth(queue_->Size());
@@ -777,31 +810,20 @@ void Server::HandleFrame(const std::shared_ptr<Connection>& conn,
       // Doomed on arrival: refuse at the door instead of queueing work
       // whose deadline already passed. Counted separately from the
       // overload sheds.
-      metrics_.requests_deadline_rejected.fetch_add(
-          1, std::memory_order_relaxed);
-      RecordShed(DiagShedCause::kDeadline);
-      RecordEnvelopeSpan(trace, header.opcode, StatusCode::kDeadlineExceeded);
-      Respond(conn, header,
-              EncodeErrorResponse(StatusCode::kDeadlineExceeded,
-                                  "deadline expired before admission"));
+      Finish(request, {EncodeErrorResponse(StatusCode::kDeadlineExceeded,
+                                           "deadline expired before admission"),
+                       Refusal::kDeadlineAtAdmission});
       return;
     case AdmissionResult::kLimited:
-      metrics_.requests_admission_limited.fetch_add(
-          1, std::memory_order_relaxed);
-      RecordShed(DiagShedCause::kLimited);
-      RecordEnvelopeSpan(trace, header.opcode, StatusCode::kOverloaded);
-      Respond(conn, header,
-              EncodeErrorResponse(StatusCode::kOverloaded,
-                                  "admission limited", retry_after));
+      Finish(request, {EncodeErrorResponse(StatusCode::kOverloaded,
+                                           "admission limited", retry_after),
+                       Refusal::kAdmissionLimited});
       return;
     case AdmissionResult::kQueueFull:
     case AdmissionResult::kClosed:
-      metrics_.requests_overloaded.fetch_add(1, std::memory_order_relaxed);
-      RecordShed(DiagShedCause::kQueueFull);
-      RecordEnvelopeSpan(trace, header.opcode, StatusCode::kOverloaded);
-      Respond(conn, header,
-              EncodeErrorResponse(StatusCode::kOverloaded,
-                                  "admission queue full", retry_after));
+      Finish(request, {EncodeErrorResponse(StatusCode::kOverloaded,
+                                           "admission queue full", retry_after),
+                       Refusal::kQueueFull});
       return;
   }
 }
@@ -820,353 +842,339 @@ void Server::WorkerLoop(std::size_t worker_index) {
     if (!popped.has_value()) return;  // Closed and drained.
     metrics_.admission_sojourn.Record(
         static_cast<std::uint64_t>(popped->sojourn.count()));
-    Request* const request = &popped->item;
-    request->queue_us = static_cast<std::uint32_t>(
+    Request& request = popped->item;
+    request.queue_us = static_cast<std::uint32_t>(
         std::min<std::int64_t>(popped->sojourn.count(), UINT32_MAX));
 
     if (options_.test_dequeue_delay_ms > 0) {
       std::this_thread::sleep_for(
           std::chrono::milliseconds(options_.test_dequeue_delay_ms));
     }
+    const Clock::time_point now = Clock::now();
     if (options_.enforce_deadline_at_dequeue &&
-        request->deadline != Clock::time_point{} &&
-        Clock::now() >= request->deadline) {
-      metrics_.requests_deadline_dropped.fetch_add(
-          1, std::memory_order_relaxed);
-      RecordShed(DiagShedCause::kDeadline);
-      RecordEnvelopeSpan(request->trace, request->header.opcode,
-                         StatusCode::kDeadlineExceeded, request->queue_us);
-      Respond(request->conn, request->header,
-              EncodeErrorResponse(StatusCode::kDeadlineExceeded,
-                                  "deadline expired before execution"));
+        request.deadline != Clock::time_point{} && now >= request.deadline) {
+      Finish(request, {EncodeErrorResponse(StatusCode::kDeadlineExceeded,
+                                           "deadline expired before execution"),
+                       Refusal::kDeadlineAtDequeue});
       continue;
     }
     if (popped->shed) {
       // CoDel verdict: the queue stayed congested and this request
       // overstayed the sojourn target — fail fast rather than serve
       // stale work the client has likely given up on.
-      metrics_.requests_codel_shed.fetch_add(1, std::memory_order_relaxed);
-      RecordShed(DiagShedCause::kCodel);
-      RecordEnvelopeSpan(request->trace, request->header.opcode,
-                         StatusCode::kOverloaded, request->queue_us);
-      Respond(request->conn, request->header,
-              EncodeErrorResponse(
+      Finish(request,
+             {EncodeErrorResponse(
                   StatusCode::kOverloaded, "shed: queue sojourn over target",
-                  retry_after_hint_ms_.load(std::memory_order_relaxed)));
+                  retry_after_hint_ms_.load(std::memory_order_relaxed)),
+              Refusal::kCodel});
       continue;
     }
 
-    const Lane lane = request->op->lane;
-    switch (lane) {
-      case Lane::kSearch:
-      case Lane::kFetch: {
-        // FETCH_SNAPSHOT only reads immutable snapshot files and
-        // FETCH_OPLOG serializes inside the Oplog, so fetches run like
-        // queries: they must not quiesce queries (or be blocked by them).
-        // Wait-free unless a mutation's in-memory apply window is open.
-        const EpochGate::ReadGuard guard = gate_.Reader(worker_index);
-        const std::uint64_t current =
-            service_.Engine().StructureGeneration();
-        if (processor == nullptr || generation != current) {
-          processor = service_.Engine().MakeProcessor();
-          generation = current;
-        }
-        ProcessRequest(*request,
-                       lane == Lane::kSearch ? processor.get() : nullptr);
-        break;
+    request.exec_start = now;
+    Outcome outcome;
+    const Lane lane = request.op->lane;
+    if (lane == Lane::kSearch || lane == Lane::kFetch) {
+      // FETCH_SNAPSHOT only reads immutable snapshot files and
+      // FETCH_OPLOG serializes inside the Oplog, so fetches run like
+      // queries: they must not quiesce queries (or be blocked by them).
+      // Wait-free unless a mutation's in-memory apply window is open.
+      const EpochGate::ReadGuard guard = gate_.Reader(worker_index);
+      const std::uint64_t current = service_.Engine().StructureGeneration();
+      if (processor == nullptr || generation != current) {
+        processor = service_.Engine().MakeProcessor();
+        generation = current;
       }
-      case Lane::kWrite:
-        ProcessMutation(*request);  // Takes mutation_mutex_ itself.
-        break;
-      case Lane::kPromote:
-        // PROMOTE stops the replicator before locking; it must NOT run
-        // under mutation_mutex_ like kExclusive (the replicator's poll
-        // thread takes that mutex, so Stop-under-lock would deadlock).
-        ProcessPromote(*request);
-        break;
-      case Lane::kExclusive: {
-        // SNAPSHOT / RELOAD: exclude other state-changers; queries keep
-        // flowing (RELOAD additionally opens an apply window for its
-        // swap).
-        std::lock_guard<std::mutex> guard(mutation_mutex_);
-        ProcessRequest(*request, nullptr);
-        break;
-      }
-      case Lane::kInline:
-        break;  // Answered by the I/O thread; never admitted.
+      outcome = Execute(request, processor.get());
+    } else if (lane == Lane::kExclusive) {
+      // SNAPSHOT / RELOAD: exclude other state-changers; queries keep
+      // flowing (RELOAD additionally opens an apply window for its swap).
+      std::lock_guard<std::mutex> guard(mutation_mutex_);
+      outcome = Execute(request, nullptr);
+    } else {
+      // Writes take mutation_mutex_ inside and fsync outside it. PROMOTE
+      // stops the replicator before taking it: the replicator's poll
+      // thread takes that mutex, so Stop-under-lock would deadlock.
+      outcome = Execute(request, nullptr);
     }
+    Finish(request, std::move(outcome));
   }
 }
 
-void Server::ProcessRequest(Request& request, QueryProcessor* processor) {
-  const FrameHeader& header = request.header;
-  const Opcode opcode = header.opcode;
-  const bool is_query = request.op->lane == Lane::kSearch;
-  const Clock::time_point exec_start = Clock::now();
-
-  QueryControl control;
-  control.deadline = request.deadline;
-  const QueryControl* control_ptr =
-      request.deadline != Clock::time_point{} ? &control : nullptr;
-
-  std::vector<std::uint8_t> response;
-  bool ok = false;
-  // Engine counters for this query: plain stack integers on the hot path,
-  // folded into the atomic aggregates exactly once below.
-  QueryStats qstats;
-  std::string traced_query;  // Retained for trace / slow-query lines.
-  VertexId traced_vertex = 0;
-  std::uint32_t traced_k = 0;
-  bool traced_degraded = false;
-  std::uint32_t traced_results = 0;
+Server::Outcome Server::Execute(Request& request, QueryProcessor* processor) {
+  Outcome out;
   try {
-    switch (opcode) {
+    switch (request.header.opcode) {
+      case Opcode::kPing:
+        out.reply = EncodeOkResponse();
+        break;
+      case Opcode::kHealth:
+        out.reply = BuildHealthResponse();
+        break;
+      case Opcode::kMetrics:
+        MirrorOplogMetrics();
+        out.reply = EncodeMetricsResponse(
+            RenderPrometheusText(metrics_.FullSnapshot(queue_->Size())));
+        break;
+      case Opcode::kDumpDiag:
+        // Dump() is lock-free against concurrent writers.
+        out.reply = EncodeDiagResponse(recorder_.Dump(kMaxPayloadSize - 256));
+        break;
       case Opcode::kSearchBoolean:
-      case Opcode::kSearchRanked: {
-        SearchRequest search;
-        if (!DecodeSearchRequest(request.payload, &search)) {
-          metrics_.requests_malformed_payload.fetch_add(
-              1, std::memory_order_relaxed);
-          response = EncodeErrorResponse(StatusCode::kMalformedPayload,
-                                         "bad search payload");
+      case Opcode::kSearchRanked:
+        HandleSearch(request, *processor, &out);
+        break;
+      case Opcode::kInsertDoc: {
+        InsertDocRequest req;
+        if (!DecodeInsertDocRequest(request.payload, &req)) {
+          out.reply = EncodeErrorResponse(StatusCode::kMalformedPayload,
+                                          "bad insert-doc payload");
           break;
         }
-        const Graph& graph = service_.Engine().NetworkGraph();
-        if (search.vertex >= graph.NumVertices()) {
-          metrics_.requests_bad_query.fetch_add(1,
-                                                std::memory_order_relaxed);
-          response = EncodeErrorResponse(StatusCode::kBadQuery,
-                                         "vertex out of range");
-          break;
-        }
-        if (search.k > options_.max_k) {
-          metrics_.requests_bad_query.fetch_add(1,
-                                                std::memory_order_relaxed);
-          response =
-              EncodeErrorResponse(StatusCode::kBadQuery, "k too large");
-          break;
-        }
-        traced_query = search.query;
-        traced_vertex = search.vertex;
-        traced_k = search.k;
-        // Brownout (docs/protocol.md "Overload control & degradation"):
-        // clamp k and answer from lower bounds only — cheap index work
-        // instead of exact distance refinement — and stamp the reply
-        // DEGRADED so clients can tell.
-        const bool degraded =
-            brownout_active_.load(std::memory_order_relaxed);
-        if (degraded && options_.overload.brownout_max_k > 0) {
-          search.k = std::min(search.k, options_.overload.brownout_max_k);
-        }
-        if (degraded) processor->SetApproximateMode(true);
-        std::vector<PoiResult> hits;
-        try {
-          hits = opcode == Opcode::kSearchBoolean
-                     ? service_.SearchOn(*processor, search.query,
-                                         search.vertex, search.k,
-                                         control_ptr, &qstats)
-                     : service_.SearchRankedOn(*processor, search.query,
-                                               search.vertex, search.k,
-                                               control_ptr, &qstats);
-        } catch (...) {
-          if (degraded) processor->SetApproximateMode(false);
-          throw;
-        }
-        if (degraded) {
-          processor->SetApproximateMode(false);
-          metrics_.requests_degraded.fetch_add(1, std::memory_order_relaxed);
-        }
-        traced_degraded = degraded;
-        traced_results = static_cast<std::uint32_t>(hits.size());
-        std::vector<WireResult> results;
-        results.reserve(hits.size());
-        for (const PoiResult& hit : hits) {
-          results.push_back(
-              {hit.id, hit.travel_time, hit.score, hit.name});
-        }
-        response = EncodeSearchResponse(
-            results, degraded ? kSearchFlagDegraded : std::uint8_t{0});
-        ok = true;
+        MutationRecord record;
+        record.op = MutationOp::kInsert;
+        record.idempotency_key = req.idempotency_key;
+        record.vertex = req.vertex;
+        record.name = std::move(req.name);
+        record.add_keywords = std::move(req.keywords);
+        out.reply = HandleMutation(record, req.fence_epoch);
         break;
       }
-      case Opcode::kSnapshot: {
+      case Opcode::kDeleteDoc: {
+        DeleteDocRequest req;
+        if (!DecodeDeleteDocRequest(request.payload, &req)) {
+          out.reply = EncodeErrorResponse(StatusCode::kMalformedPayload,
+                                          "bad delete-doc payload");
+          break;
+        }
+        MutationRecord record;
+        record.op = MutationOp::kDelete;
+        record.idempotency_key = req.idempotency_key;
+        record.object = req.object;
+        out.reply = HandleMutation(record, req.fence_epoch);
+        break;
+      }
+      case Opcode::kUpdateDoc: {
+        UpdateDocRequest req;
+        if (!DecodeUpdateDocRequest(request.payload, &req)) {
+          out.reply = EncodeErrorResponse(StatusCode::kMalformedPayload,
+                                          "bad update-doc payload");
+          break;
+        }
+        MutationRecord record;
+        record.op = MutationOp::kUpdate;
+        record.idempotency_key = req.idempotency_key;
+        record.object = req.object;
+        record.add_keywords = std::move(req.add_keywords);
+        record.remove_keywords = std::move(req.remove_keywords);
+        out.reply = HandleMutation(record, req.fence_epoch);
+        break;
+      }
+      case Opcode::kSnapshot:
         if (options_.snapshot.dir.empty()) {
-          metrics_.requests_bad_query.fetch_add(1,
-                                                std::memory_order_relaxed);
-          response = EncodeErrorResponse(StatusCode::kBadQuery,
-                                         "snapshotting disabled");
-          break;
+          out.reply = EncodeErrorResponse(StatusCode::kBadQuery,
+                                          "snapshotting disabled");
+        } else {
+          // The worker holds mutation_mutex_ (SNAPSHOT runs in the
+          // exclusive lane), so the state cannot change underneath.
+          const auto [sequence, path] = SnapshotLocked();
+          out.reply = EncodeSnapshotResponse(sequence, path);
         }
-        // The worker already holds mutation_mutex_ (SNAPSHOT routes as a
-        // state-changer), so the state cannot change underneath.
-        const auto [sequence, path] = SnapshotLocked();
-        response = EncodeSnapshotResponse(sequence, path);
-        ok = true;
         break;
-      }
-      case Opcode::kReload: {
-        if (options_.snapshot.dir.empty()) {
-          metrics_.requests_bad_query.fetch_add(1,
-                                                std::memory_order_relaxed);
-          response = EncodeErrorResponse(StatusCode::kBadQuery,
-                                         "snapshotting disabled");
-          break;
-        }
-        response = HandleReloadLocked();
-        ok = response.size() > 0 &&
-             response[0] == static_cast<std::uint8_t>(StatusCode::kOk);
+      case Opcode::kReload:
+        out.reply = options_.snapshot.dir.empty()
+                        ? EncodeErrorResponse(StatusCode::kBadQuery,
+                                              "snapshotting disabled")
+                        : HandleReloadLocked();
         break;
-      }
       case Opcode::kFetchSnapshot: {
         FetchSnapshotRequest fetch;
         if (!DecodeFetchSnapshotRequest(request.payload, &fetch)) {
-          metrics_.requests_malformed_payload.fetch_add(
-              1, std::memory_order_relaxed);
-          response = EncodeErrorResponse(StatusCode::kMalformedPayload,
-                                         "bad fetch-snapshot payload");
-          break;
-        }
-        if (options_.snapshot.dir.empty()) {
-          metrics_.requests_bad_query.fetch_add(1,
-                                                std::memory_order_relaxed);
-          response = EncodeErrorResponse(StatusCode::kBadQuery,
-                                         "snapshotting disabled");
-          break;
-        }
-        response = HandleFetchSnapshot(fetch);
-        ok = response.size() > 0 &&
-             response[0] == static_cast<std::uint8_t>(StatusCode::kOk);
-        if (!ok) {
-          metrics_.requests_bad_query.fetch_add(1,
-                                                std::memory_order_relaxed);
+          out.reply = EncodeErrorResponse(StatusCode::kMalformedPayload,
+                                          "bad fetch-snapshot payload");
+        } else if (options_.snapshot.dir.empty()) {
+          out.reply = EncodeErrorResponse(StatusCode::kBadQuery,
+                                          "snapshotting disabled");
+        } else {
+          out.reply = HandleFetchSnapshot(fetch);
         }
         break;
       }
       case Opcode::kFetchOplog: {
         FetchOplogRequest fetch;
-        if (!DecodeFetchOplogRequest(request.payload, &fetch)) {
-          metrics_.requests_malformed_payload.fetch_add(
-              1, std::memory_order_relaxed);
-          response = EncodeErrorResponse(StatusCode::kMalformedPayload,
-                                         "bad fetch-oplog payload");
-          break;
-        }
-        response = HandleFetchOplog(fetch);
-        ok = response.size() > 0 &&
-             response[0] == static_cast<std::uint8_t>(StatusCode::kOk);
-        if (!ok) {
-          metrics_.requests_unsupported.fetch_add(1,
-                                                  std::memory_order_relaxed);
-        }
+        out.reply = DecodeFetchOplogRequest(request.payload, &fetch)
+                        ? HandleFetchOplog(fetch)
+                        : EncodeErrorResponse(StatusCode::kMalformedPayload,
+                                              "bad fetch-oplog payload");
         break;
       }
-      default:
-        response = EncodeErrorResponse(StatusCode::kUnsupported,
-                                       "unknown opcode");
-        metrics_.requests_unsupported.fetch_add(1,
-                                                std::memory_order_relaxed);
+      case Opcode::kPromote:
+        out.reply = HandlePromote(request);
+        break;
+      default:  // No opcode row: a retired opcode, ERROR, or noise.
+        out.reply =
+            EncodeErrorResponse(StatusCode::kUnsupported, "unknown opcode");
         break;
     }
   } catch (const QueryParseError& e) {
-    metrics_.requests_bad_query.fetch_add(1, std::memory_order_relaxed);
-    response = EncodeErrorResponse(StatusCode::kBadQuery, e.what());
+    out.reply = EncodeErrorResponse(StatusCode::kBadQuery, e.what());
   } catch (const QueryCancelledError&) {
-    metrics_.requests_deadline_cancelled.fetch_add(
-        1, std::memory_order_relaxed);
-    response = EncodeErrorResponse(StatusCode::kDeadlineExceeded,
-                                   "deadline exceeded during execution");
+    out.reply = EncodeErrorResponse(StatusCode::kDeadlineExceeded,
+                                    "deadline exceeded during execution");
+    out.refusal = Refusal::kDeadlineInQuery;
   } catch (const std::invalid_argument& e) {
-    metrics_.requests_bad_query.fetch_add(1, std::memory_order_relaxed);
-    response = EncodeErrorResponse(StatusCode::kBadQuery, e.what());
+    out.reply = EncodeErrorResponse(StatusCode::kBadQuery, e.what());
   } catch (const std::exception& e) {
-    metrics_.requests_internal_error.fetch_add(1,
-                                               std::memory_order_relaxed);
-    response = EncodeErrorResponse(StatusCode::kInternal, e.what());
+    out.reply = EncodeErrorResponse(StatusCode::kInternal, e.what());
   }
+  return out;
+}
 
-  const auto micros = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          Clock::now() - request.admitted_at)
-          .count());
-  const StatusCode final_status =
-      response.empty() ? StatusCode::kInternal
-                       : static_cast<StatusCode>(response[0]);
-  // One span id shared by the flight-recorder record and the trace-file
-  // line, so the two can be joined post hoc.
-  const std::uint64_t span_id = recorder_.NextSpanId();
-  if (ok) {
-    metrics_.requests_ok.fetch_add(1, std::memory_order_relaxed);
-    // The trace id (when present) becomes the histogram bucket's exemplar.
-    (is_query ? metrics_.query_latency : metrics_.update_latency)
-        .Record(micros, request.trace.trace_id);
+void Server::HandleSearch(const Request& request, QueryProcessor& processor,
+                          Outcome* out) {
+  SearchRequest search;
+  if (!DecodeSearchRequest(request.payload, &search)) {
+    out->reply = EncodeErrorResponse(StatusCode::kMalformedPayload,
+                                     "bad search payload");
+    return;
   }
-  if (is_query) {
+  if (search.vertex >= service_.Engine().NetworkGraph().NumVertices()) {
+    out->reply =
+        EncodeErrorResponse(StatusCode::kBadQuery, "vertex out of range");
+    return;
+  }
+  if (search.k > kMaxSearchK) {
+    out->reply = EncodeErrorResponse(StatusCode::kBadQuery, "k too large");
+    return;
+  }
+  out->query = std::move(search.query);
+  out->vertex = search.vertex;
+  out->k = search.k;
+  // Brownout (docs/protocol.md "Overload control & degradation"): clamp k
+  // and answer from lower bounds only — cheap index work instead of exact
+  // distance refinement — and stamp the reply DEGRADED so clients can
+  // tell.
+  const bool degraded = brownout_active_.load(std::memory_order_relaxed);
+  std::uint32_t k = search.k;
+  if (degraded && options_.overload.brownout_max_k > 0) {
+    k = std::min(k, options_.overload.brownout_max_k);
+  }
+  QueryControl control;
+  control.deadline = request.deadline;
+  const QueryControl* control_ptr =
+      request.deadline != Clock::time_point{} ? &control : nullptr;
+  if (degraded) processor.SetApproximateMode(true);
+  std::vector<PoiResult> hits;
+  try {
+    // Engine counters for this query: plain integers on the hot path,
+    // folded into the atomic aggregates once, by Finish.
+    hits = request.header.opcode == Opcode::kSearchBoolean
+               ? service_.SearchOn(processor, out->query, out->vertex, k,
+                                   control_ptr, &out->stats)
+               : service_.SearchRankedOn(processor, out->query, out->vertex,
+                                         k, control_ptr, &out->stats);
+  } catch (...) {
+    if (degraded) processor.SetApproximateMode(false);
+    throw;
+  }
+  if (degraded) {
+    processor.SetApproximateMode(false);
+    metrics_.requests_degraded.fetch_add(1, std::memory_order_relaxed);
+  }
+  out->degraded = degraded;
+  out->results = static_cast<std::uint32_t>(hits.size());
+  std::vector<WireResult> results;
+  results.reserve(hits.size());
+  for (const PoiResult& hit : hits) {
+    results.push_back({hit.id, hit.travel_time, hit.score, hit.name});
+  }
+  out->reply = EncodeSearchResponse(
+      results, degraded ? kSearchFlagDegraded : std::uint8_t{0});
+}
+
+void Server::Finish(const Request& request, Outcome outcome) {
+  const auto status = static_cast<StatusCode>(outcome.reply[0]);
+  auto counter = kStatusCounters[outcome.reply[0]];
+  if (counter == nullptr) {
+    const RefusalRow& row =
+        kRefusalRows[static_cast<std::size_t>(outcome.refusal)];
+    counter = row.counter;
+    if (row.shed != DiagShedCause{}) RecordShed(row.shed);
+  }
+  (metrics_.*counter).fetch_add(1, std::memory_order_relaxed);
+
+  if (request.op != nullptr && request.op->lane == Lane::kInline) {
+    // Probes and scrapes record no span.
+    Respond(request.conn, request.header, std::move(outcome.reply));
+    return;
+  }
+  const bool executed = request.exec_start != Clock::time_point{};
+  const bool search = executed && request.op->lane == Lane::kSearch;
+  std::uint64_t micros = 0;
+  if (executed) {
+    micros = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            Clock::now() - request.admitted_at)
+            .count());
+    if (status == StatusCode::kOk) {
+      // The trace id (when present) becomes the histogram bucket's
+      // exemplar.
+      (search ? metrics_.query_latency : metrics_.update_latency)
+          .Record(micros, request.trace.trace_id);
+    }
     // Fold this query's engine counters into the aggregates (a handful of
     // relaxed adds; AddQueryStats skips zero fields, so a failed query
     // that never reached the engine costs nothing here).
-    metrics_.AddQueryStats(qstats);
+    if (search) metrics_.AddQueryStats(outcome.stats);
   }
-  const bool slow = is_query && options_.slow_query_threshold_ms > 0 &&
+  const bool slow = search && options_.slow_query_threshold_ms > 0 &&
                     micros >= std::uint64_t{1000} *
                                   options_.slow_query_threshold_ms;
   if (slow) metrics_.slow_queries.fetch_add(1, std::memory_order_relaxed);
   const Clock::time_point respond_start = Clock::now();
-  Respond(request.conn, header, std::move(response));
+  Respond(request.conn, request.header, std::move(outcome.reply));
   // Always record the span into the flight recorder — this is what a
-  // post-incident DUMP_DIAG reconstructs when no trace file was on.
-  const auto clamp_us = [](std::int64_t us) {
-    return static_cast<std::uint32_t>(
-        std::min<std::int64_t>(std::max<std::int64_t>(us, 0), UINT32_MAX));
-  };
-  const auto clamp_u32 = [](std::uint64_t v) {
-    return static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(v, UINT32_MAX));
-  };
+  // post-incident DUMP_DIAG reconstructs when no trace file was on. One
+  // span id is shared with the trace-file line, so the two join post hoc.
+  const QueryStats& stats = outcome.stats;
   SpanRecord span;
   span.trace_id = request.trace.trace_id;
   span.parent_span_id = request.trace.parent_span_id;
-  span.span_id = span_id;
-  span.opcode = static_cast<std::uint8_t>(opcode);
-  span.status = static_cast<std::uint8_t>(final_status);
-  span.degraded = traced_degraded ? 1 : 0;
+  span.span_id = recorder_.NextSpanId();
+  span.opcode = static_cast<std::uint8_t>(request.header.opcode);
+  span.status = static_cast<std::uint8_t>(status);
+  span.degraded = outcome.degraded ? 1 : 0;
   span.queue_us = request.queue_us;
-  span.execute_us =
-      clamp_us(std::chrono::duration_cast<std::chrono::microseconds>(
-                   respond_start - exec_start)
-                   .count());
-  span.reply_us =
-      clamp_us(std::chrono::duration_cast<std::chrono::microseconds>(
-                   Clock::now() - respond_start)
-                   .count());
-  span.heap_build_ns = qstats.heap_build_ns;
-  span.search_ns = qstats.search_ns;
-  span.heap_pops = clamp_u32(qstats.candidates_extracted);
-  span.lower_bounds = clamp_u32(qstats.lower_bounds_computed);
-  span.distance_computations =
-      clamp_u32(qstats.network_distance_computations);
-  span.false_positive_distances =
-      clamp_u32(qstats.false_positive_distances);
-  span.results = traced_results;
+  span.execute_us = executed ? ClampMicros(respond_start - request.exec_start)
+                             : 0;
+  span.reply_us = ClampMicros(Clock::now() - respond_start);
+  span.heap_build_ns = stats.heap_build_ns;
+  span.search_ns = stats.search_ns;
+  span.heap_pops = ClampU32(stats.candidates_extracted);
+  span.lower_bounds = ClampU32(stats.lower_bounds_computed);
+  span.distance_computations = ClampU32(stats.network_distance_computations);
+  span.false_positive_distances = ClampU32(stats.false_positive_distances);
+  span.results = outcome.results;
   recorder_.RecordSpan(span);
 
   // The trace-file line (formatted, then written under the sink's mutex
   // with a flush) and the slow-query log line go out after the reply, so
   // neither delays it; the line carries the span id recorded above.
-  if (is_query && (trace_ != nullptr || slow)) {
+  if (search && (trace_ != nullptr || slow)) {
     QueryTraceEvent event;
-    event.fingerprint = QueryFingerprint(traced_query, traced_vertex, traced_k);
+    event.fingerprint =
+        QueryFingerprint(outcome.query, outcome.vertex, outcome.k);
     event.trace_id = request.trace.trace_id;
     event.parent_span_id = request.trace.parent_span_id;
-    event.span_id = span_id;
+    event.span_id = span.span_id;
     event.opcode = request.op->name;
-    event.query = traced_query;
-    event.vertex = traced_vertex;
-    event.k = traced_k;
-    event.status = StatusName(final_status);
+    event.query = outcome.query;
+    event.vertex = outcome.vertex;
+    event.k = outcome.k;
+    event.status = StatusName(status);
     event.latency_us = micros;
     event.queue_us = request.queue_us;
-    event.degraded = traced_degraded;
-    event.stats = qstats;
+    event.degraded = outcome.degraded;
+    event.stats = stats;
     const std::string line = FormatQueryTrace(event);
     if (trace_ != nullptr) {
       trace_->Write(line);
@@ -1248,150 +1256,75 @@ bool ValidateMutation(const PoiService& service, const MutationRecord& record,
 
 }  // namespace
 
-bool Server::DecodeMutationRequest(const Request& request,
-                                   MutationRecord* record,
-                                   std::uint64_t* fence_epoch,
-                                   std::vector<std::uint8_t>* error_response) {
-  const auto malformed = [&](const char* what) {
-    metrics_.requests_malformed_payload.fetch_add(1,
-                                                  std::memory_order_relaxed);
-    *error_response =
-        EncodeErrorResponse(StatusCode::kMalformedPayload, what);
-    return false;
-  };
-  *fence_epoch = 0;
-  switch (request.header.opcode) {
-    case Opcode::kInsertDoc: {
-      InsertDocRequest req;
-      if (!DecodeInsertDocRequest(request.payload, &req)) {
-        return malformed("bad insert-doc payload");
-      }
-      record->op = MutationOp::kInsert;
-      record->idempotency_key = req.idempotency_key;
-      record->vertex = req.vertex;
-      record->name = std::move(req.name);
-      record->add_keywords = std::move(req.keywords);
-      *fence_epoch = req.fence_epoch;
-      return true;
-    }
-    case Opcode::kDeleteDoc: {
-      DeleteDocRequest req;
-      if (!DecodeDeleteDocRequest(request.payload, &req)) {
-        return malformed("bad delete-doc payload");
-      }
-      record->op = MutationOp::kDelete;
-      record->idempotency_key = req.idempotency_key;
-      record->object = req.object;
-      *fence_epoch = req.fence_epoch;
-      return true;
-    }
-    case Opcode::kUpdateDoc: {
-      UpdateDocRequest req;
-      if (!DecodeUpdateDocRequest(request.payload, &req)) {
-        return malformed("bad update-doc payload");
-      }
-      record->op = MutationOp::kUpdate;
-      record->idempotency_key = req.idempotency_key;
-      record->object = req.object;
-      record->add_keywords = std::move(req.add_keywords);
-      record->remove_keywords = std::move(req.remove_keywords);
-      *fence_epoch = req.fence_epoch;
-      return true;
-    }
-    default:
-      break;
-  }
-  metrics_.requests_unsupported.fetch_add(1, std::memory_order_relaxed);
-  *error_response =
-      EncodeErrorResponse(StatusCode::kUnsupported, "not a mutation opcode");
-  return false;
-}
-
-void Server::ProcessMutation(Request& request) {
-  const FrameHeader& header = request.header;
-  const Opcode opcode = header.opcode;
-  const Clock::time_point exec_start = Clock::now();
+std::vector<std::uint8_t> Server::HandleMutation(const MutationRecord& record,
+                                                 std::uint64_t fence_epoch) {
   std::vector<std::uint8_t> response;
   bool ok = false;
   bool need_sync = false;
   MutationReply result;
-  MutationRecord record;
-  std::uint64_t fence_epoch = 0;
   try {
-    if (DecodeMutationRequest(request, &record, &fence_epoch, &response)) {
-      // The logged form is canonical: a record the log codec would reject
-      // (oversized name / keyword list) is refused here, so replay never
-      // meets a record it cannot decode.
-      const std::vector<std::uint8_t> payload = EncodeMutationRecord(record);
-      MutationRecord canonical;
-      if (fence_epoch > primary_epoch_.load(std::memory_order_acquire)) {
-        // The client has seen a newer primary: this server was promoted
-        // away from. Latch the fence so every later write (keyed or not)
-        // is rejected inline before reaching here.
-        ObserveFencedEpoch(fence_epoch);
-        metrics_.requests_stale_epoch.fetch_add(1,
-                                                std::memory_order_relaxed);
-        response = EncodeErrorResponse(
-            StatusCode::kStaleEpoch,
-            "fenced: a newer primary epoch " +
-                std::to_string(fence_epoch) + " has been observed");
-      } else if (!DecodeMutationRecord(payload, &canonical)) {
-        metrics_.requests_bad_query.fetch_add(1, std::memory_order_relaxed);
-        response = EncodeErrorResponse(StatusCode::kBadQuery,
-                                       "mutation exceeds size limits");
+    // The logged form is canonical: a record the log codec would reject
+    // (oversized name / keyword list) is refused here, so replay never
+    // meets a record it cannot decode.
+    const std::vector<std::uint8_t> payload = EncodeMutationRecord(record);
+    MutationRecord canonical;
+    if (fence_epoch > primary_epoch_.load(std::memory_order_acquire)) {
+      // The client has seen a newer primary: this server was promoted
+      // away from. Latch the fence so every later write (keyed or not)
+      // is rejected inline before reaching here.
+      ObserveFencedEpoch(fence_epoch);
+      response = EncodeErrorResponse(
+          StatusCode::kStaleEpoch, "fenced: a newer primary epoch " +
+                                       std::to_string(fence_epoch) +
+                                       " has been observed");
+    } else if (!DecodeMutationRecord(payload, &canonical)) {
+      response = EncodeErrorResponse(StatusCode::kBadQuery,
+                                     "mutation exceeds size limits");
+    } else {
+      std::lock_guard<std::mutex> guard(mutation_mutex_);
+      const IdempotencyCache::Result* seen =
+          idempotency_.Find(record.idempotency_key);
+      if (record.idempotency_key != 0) {
+        (seen != nullptr ? metrics_.idempotency_cache_hits
+                         : metrics_.idempotency_cache_misses)
+            .fetch_add(1, std::memory_order_relaxed);
+      }
+      std::string why;
+      if (seen != nullptr) {
+        // Retry of an already-applied (and already-durable) mutation:
+        // answer with the original result, apply nothing.
+        result.sequence = seen->sequence;
+        result.object = seen->object;
+        ok = true;
+      } else if (!ValidateMutation(service_, record, &why)) {
+        response = EncodeErrorResponse(StatusCode::kBadQuery, why);
       } else {
-        std::lock_guard<std::mutex> guard(mutation_mutex_);
-        const IdempotencyCache::Result* seen =
-            idempotency_.Find(record.idempotency_key);
-        if (record.idempotency_key != 0) {
-          (seen != nullptr ? metrics_.idempotency_cache_hits
-                           : metrics_.idempotency_cache_misses)
-              .fetch_add(1, std::memory_order_relaxed);
-        }
-        std::string why;
-        if (seen != nullptr) {
-          // Retry of an already-applied (and already-durable) mutation:
-          // answer with the original result, apply nothing.
-          result.sequence = seen->sequence;
-          result.object = seen->object;
-          ok = true;
-        } else if (!ValidateMutation(service_, record, &why)) {
-          metrics_.requests_bad_query.fetch_add(1,
-                                                std::memory_order_relaxed);
-          response = EncodeErrorResponse(StatusCode::kBadQuery, why);
+        const std::uint64_t sequence = oplog_.Append(payload);
+        if (sequence == 0) {
+          response = EncodeErrorResponse(StatusCode::kInternal,
+                                         "op log append failed");
         } else {
-          const std::uint64_t sequence = oplog_.Append(payload);
-          if (sequence == 0) {
-            metrics_.requests_internal_error.fetch_add(
-                1, std::memory_order_relaxed);
-            response = EncodeErrorResponse(StatusCode::kInternal,
-                                           "op log append failed");
-          } else {
-            ObjectId object = kInvalidObject;
-            {
-              // The only instant queries wait on a mutation: the
-              // in-memory apply. The fsync happens outside the window
-              // (and outside mutation_mutex_).
-              const EpochGate::ApplyGuard apply(gate_);
-              object = ApplyMutationRecord(service_, record);
-            }
-            applied_sequence_.store(sequence, std::memory_order_release);
-            idempotency_.Remember(record.idempotency_key,
-                                  {sequence, object});
-            metrics_.mutations_applied.fetch_add(1,
-                                                 std::memory_order_relaxed);
-            result.sequence = sequence;
-            result.object = object;
-            ok = true;
-            need_sync = true;
+          ObjectId object = kInvalidObject;
+          {
+            // The only instant queries wait on a mutation: the in-memory
+            // apply. The fsync happens outside the window (and outside
+            // mutation_mutex_).
+            const EpochGate::ApplyGuard apply(gate_);
+            object = ApplyMutationRecord(service_, record);
           }
+          applied_sequence_.store(sequence, std::memory_order_release);
+          idempotency_.Remember(record.idempotency_key, {sequence, object});
+          metrics_.mutations_applied.fetch_add(1, std::memory_order_relaxed);
+          result.sequence = sequence;
+          result.object = object;
+          ok = true;
+          need_sync = true;
         }
       }
     }
   } catch (const std::exception& e) {
     // Validation should make the apply infallible; anything that still
     // escapes (allocation failure) is an internal error.
-    metrics_.requests_internal_error.fetch_add(1, std::memory_order_relaxed);
     response = EncodeErrorResponse(StatusCode::kInternal, e.what());
     ok = false;
     need_sync = false;
@@ -1401,7 +1334,6 @@ void Server::ProcessMutation(Request& request) {
   // every record appended before it started).
   if (need_sync && !oplog_.Sync()) {
     // Applied in memory but not durable: refuse the acknowledgement.
-    metrics_.requests_internal_error.fetch_add(1, std::memory_order_relaxed);
     response =
         EncodeErrorResponse(StatusCode::kInternal, "op log sync failed");
     ok = false;
@@ -1411,71 +1343,33 @@ void Server::ProcessMutation(Request& request) {
     // newest epoch from every write.
     result.primary_epoch = PrimaryEpoch();
     response = EncodeMutationResponse(result);
-    metrics_.requests_ok.fetch_add(1, std::memory_order_relaxed);
-    const auto micros = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            Clock::now() - request.admitted_at)
-            .count());
-    metrics_.update_latency.Record(micros, request.trace.trace_id);
   }
   MirrorOplogMetrics();
-  const StatusCode final_status =
-      response.empty() ? StatusCode::kInternal
-                       : static_cast<StatusCode>(response[0]);
-  const Clock::time_point respond_start = Clock::now();
-  Respond(request.conn, header, std::move(response));
-  SpanRecord span;
-  span.trace_id = request.trace.trace_id;
-  span.parent_span_id = request.trace.parent_span_id;
-  span.span_id = recorder_.NextSpanId();
-  span.opcode = static_cast<std::uint8_t>(opcode);
-  span.status = static_cast<std::uint8_t>(final_status);
-  span.queue_us = request.queue_us;
-  span.execute_us = static_cast<std::uint32_t>(std::min<std::int64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(respond_start -
-                                                            exec_start)
-          .count(),
-      UINT32_MAX));
-  span.reply_us = static_cast<std::uint32_t>(std::min<std::int64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                            respond_start)
-          .count(),
-      UINT32_MAX));
-  recorder_.RecordSpan(span);
+  return response;
 }
 
-void Server::ProcessPromote(Request& request) {
-  const FrameHeader& header = request.header;
+std::vector<std::uint8_t> Server::HandlePromote(const Request& request) {
   PromoteRequest promote;
   if (!DecodePromoteRequest(request.payload, &promote)) {
-    metrics_.requests_malformed_payload.fetch_add(1,
-                                                  std::memory_order_relaxed);
-    Respond(request.conn, header,
-            EncodeErrorResponse(StatusCode::kMalformedPayload,
-                                "bad promote payload"));
-    return;
+    return EncodeErrorResponse(StatusCode::kMalformedPayload,
+                               "bad promote payload");
   }
+  PromoteReply reply;
+  reply.role = static_cast<std::uint8_t>(ServerRole::kPrimary);
   if (Role() == ServerRole::kPrimary) {
     // Idempotent: a retried (or misdirected) PROMOTE on a primary reports
     // the standing epoch instead of minting a new one.
-    PromoteReply reply;
     reply.epoch = PrimaryEpoch();
     reply.applied_sequence = AppliedSequence();
-    reply.role = static_cast<std::uint8_t>(ServerRole::kPrimary);
-    metrics_.requests_ok.fetch_add(1, std::memory_order_relaxed);
-    Respond(request.conn, header, EncodePromoteResponse(reply));
-    return;
+    return EncodePromoteResponse(reply);
   }
   if (promote.min_applied_sequence > 0 &&
       AppliedSequence() < promote.min_applied_sequence) {
-    metrics_.requests_bad_query.fetch_add(1, std::memory_order_relaxed);
-    Respond(request.conn, header,
-            EncodeErrorResponse(
-                StatusCode::kBadQuery,
-                "applied sequence " + std::to_string(AppliedSequence()) +
-                    " is below required " +
-                    std::to_string(promote.min_applied_sequence)));
-    return;
+    return EncodeErrorResponse(
+        StatusCode::kBadQuery,
+        "applied sequence " + std::to_string(AppliedSequence()) +
+            " is below required " +
+            std::to_string(promote.min_applied_sequence));
   }
   // Stop tailing the old primary BEFORE taking mutation_mutex_: the
   // replicator's poll thread takes that mutex inside
@@ -1485,7 +1379,6 @@ void Server::ProcessPromote(Request& request) {
 
   std::vector<std::uint8_t> response;
   bool need_sync = false;
-  PromoteReply reply;
   {
     std::lock_guard<std::mutex> guard(mutation_mutex_);
     // Jump past any epoch ever observed, so the new reign is strictly
@@ -1500,8 +1393,6 @@ void Server::ProcessPromote(Request& request) {
     record.epoch = new_epoch;
     const std::uint64_t sequence = oplog_.Append(EncodeMutationRecord(record));
     if (sequence == 0) {
-      metrics_.requests_internal_error.fetch_add(1,
-                                                 std::memory_order_relaxed);
       response =
           EncodeErrorResponse(StatusCode::kInternal, "op log append failed");
     } else {
@@ -1518,26 +1409,19 @@ void Server::ProcessPromote(Request& request) {
       PersistEpochStateLocked();
       reply.epoch = new_epoch;
       reply.applied_sequence = sequence;
-      reply.role = static_cast<std::uint8_t>(ServerRole::kPrimary);
       need_sync = true;
     }
   }
   if (need_sync) {
-    if (!oplog_.Sync()) {
-      // The flip happened but the epoch record is not durable; refuse the
-      // acknowledgement. A retry lands in the already-primary path and
-      // reports the standing epoch.
-      metrics_.requests_internal_error.fetch_add(1,
-                                                 std::memory_order_relaxed);
-      response =
-          EncodeErrorResponse(StatusCode::kInternal, "op log sync failed");
-    } else {
-      metrics_.requests_ok.fetch_add(1, std::memory_order_relaxed);
-      response = EncodePromoteResponse(reply);
-    }
+    // A failed sync means the flip happened but the epoch record is not
+    // durable; refuse the acknowledgement. A retry lands in the
+    // already-primary path and reports the standing epoch.
+    response = oplog_.Sync() ? EncodePromoteResponse(reply)
+                             : EncodeErrorResponse(StatusCode::kInternal,
+                                                   "op log sync failed");
   }
   MirrorOplogMetrics();
-  Respond(request.conn, header, std::move(response));
+  return response;
 }
 
 // ----- Epoch fencing --------------------------------------------------------
@@ -1660,10 +1544,7 @@ std::vector<std::uint8_t> Server::HandleFetchOplog(
           : std::min(fetch.max_bytes, kMaxSnapshotChunkBytes);
   std::vector<OplogRecord> records;
   bool truncated = false;
-  if (!oplog_.ReadRange(fetch.from_sequence, max_bytes, &records,
-                        &truncated)) {
-    return EncodeErrorResponse(StatusCode::kInternal, "op log read failed");
-  }
+  oplog_.ReadRange(fetch.from_sequence, max_bytes, &records, &truncated);
   OplogChunk chunk;
   chunk.truncated = truncated ? 1 : 0;
   chunk.last_sequence = oplog_.LastSequence();
@@ -1864,33 +1745,14 @@ bool Server::InstallReplicaSnapshot(std::uint64_t sequence,
       });
     }
 
-    // 3. Swap the serving catalog inside an apply window — the same path
-    // RELOAD takes: queries drain for the swap itself, nothing else.
+    // 3. Swap the serving catalog in — the same step RELOAD takes.
     {
       std::lock_guard<std::mutex> guard(mutation_mutex_);
-      {
-        const EpochGate::ApplyGuard apply(gate_);
-        service_.RestoreCatalog(std::move(state.catalog.vocabulary),
-                                std::move(state.catalog.names),
-                                std::move(state.store), std::move(state.alt),
-                                std::move(state.keyword_index),
-                                options_.snapshot.engine_options);
-      }
-      snapshot_sequence_.store(sequence, std::memory_order_relaxed);
-      // The snapshot carries its applied mutation position; jump there and
-      // restart the local log (a dense log cannot represent the gap).
-      applied_sequence_.store(state.applied_mutation_sequence,
-                              std::memory_order_release);
-      if (!oplog_.Reset(state.applied_mutation_sequence + 1)) {
-        std::fprintf(stderr,
-                     "oplog: reset after snapshot install failed; "
-                     "log tailing disabled until restart\n");
-      }
+      InstallSnapshotLocked(state, sequence);
     }
     if (!options_.snapshot.dir.empty()) {
       io::PruneSnapshots(options_.snapshot.dir, options_.snapshot.keep);
     }
-    recorder_.RecordEvent(DiagEvent::kSnapshotRestored, sequence);
     return true;
   } catch (const std::exception& e) {
     *error = e.what();
@@ -1925,7 +1787,7 @@ std::pair<std::uint64_t, std::string> Server::SnapshotLocked() {
         applied_sequence_.load(std::memory_order_relaxed);
     WriteServiceSnapshotFile(
         path, service_,
-        {options_.snapshot.ch, options_.snapshot.hl, applied});
+        {.ch = options_.snapshot.ch, .applied_mutation_sequence = applied});
     io::PruneSnapshots(dir, options_.snapshot.keep);
     metrics_.snapshots_written.fetch_add(1, std::memory_order_relaxed);
     snapshot_sequence_.store(sequence, std::memory_order_relaxed);
@@ -1956,30 +1818,41 @@ std::vector<std::uint8_t> Server::HandleReloadLocked() {
     }
     return EncodeErrorResponse(StatusCode::kBadQuery, message);
   }
+  // RELOAD is an explicit rewind to the snapshot's state: the applied
+  // position jumps back with it and the log restarts there — any records
+  // past the snapshot are deliberately discarded.
   try {
-    const EpochGate::ApplyGuard apply(gate_);
-    service_.RestoreCatalog(std::move(loaded->state.catalog.vocabulary),
-                            std::move(loaded->state.catalog.names),
-                            std::move(loaded->state.store),
-                            std::move(loaded->state.alt),
-                            std::move(loaded->state.keyword_index),
-                            options_.snapshot.engine_options);
+    InstallSnapshotLocked(loaded->state, loaded->sequence);
   } catch (...) {
     metrics_.reloads_failed.fetch_add(1, std::memory_order_relaxed);
     throw;
   }
   metrics_.reloads_ok.fetch_add(1, std::memory_order_relaxed);
-  snapshot_sequence_.store(loaded->sequence, std::memory_order_relaxed);
-  recorder_.RecordEvent(DiagEvent::kSnapshotRestored, loaded->sequence);
-  // RELOAD is an explicit rewind to the snapshot's state: the applied
-  // position jumps back with it and the log restarts there — any records
-  // past the snapshot are deliberately discarded.
-  applied_sequence_.store(loaded->state.applied_mutation_sequence,
-                          std::memory_order_release);
-  if (!oplog_.Reset(loaded->state.applied_mutation_sequence + 1)) {
-    std::fprintf(stderr, "oplog: reset after reload failed\n");
-  }
   return EncodeSnapshotResponse(loaded->sequence, loaded->path);
+}
+
+void Server::InstallSnapshotLocked(RestoredServiceState& state,
+                                   std::uint64_t sequence) {
+  {
+    // Queries drain for the swap itself, nothing else. A throw here
+    // leaves the old state serving.
+    const EpochGate::ApplyGuard apply(gate_);
+    service_.RestoreCatalog(std::move(state.catalog.vocabulary),
+                            std::move(state.catalog.names),
+                            std::move(state.store), std::move(state.alt),
+                            std::move(state.keyword_index));
+  }
+  snapshot_sequence_.store(sequence, std::memory_order_relaxed);
+  // The snapshot carries its applied mutation position; jump there and
+  // restart the local log (a dense log cannot represent the gap).
+  applied_sequence_.store(state.applied_mutation_sequence,
+                          std::memory_order_release);
+  if (!oplog_.Reset(state.applied_mutation_sequence + 1)) {
+    std::fprintf(stderr,
+                 "oplog: reset after snapshot install failed; writes and "
+                 "log tailing fail until restart\n");
+  }
+  recorder_.RecordEvent(DiagEvent::kSnapshotRestored, sequence);
 }
 
 void Server::SnapshotLoop() {

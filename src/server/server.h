@@ -27,6 +27,10 @@
 //     enforced twice: expired requests are dropped at dequeue with
 //     DEADLINE_EXCEEDED, and running queries poll a QueryControl
 //     cooperatively inside the kNN search loops.
+//   - Every reply, answered or refused on either thread, leaves through
+//     Finish once any guard or mutex is released: it counts the reply
+//     under its status, records the latency sample, the span and the
+//     trace line.
 //
 // Stop() is graceful: stop accepting, close the queue, let workers drain
 // every admitted request, flush responses, then tear sockets down.
@@ -58,7 +62,7 @@
 
 namespace kspin {
 class ContractionHierarchy;
-class HubLabeling;
+struct RestoredServiceState;
 }  // namespace kspin
 
 namespace kspin::server {
@@ -74,14 +78,13 @@ struct SnapshotOptions {
   std::uint32_t period_ms = 0;
   /// Newest snapshots retained by pruning after each write.
   std::size_t keep = 4;
-  /// Distance-oracle artifacts to include so a restart can skip their
+  /// Contraction hierarchy to include so a restart can skip its
   /// (expensive) reconstruction. Optional; must outlive the server.
   const ContractionHierarchy* ch = nullptr;
-  const HubLabeling* hl = nullptr;
-  /// Engine options applied when RELOAD rebuilds the KSpin engine; must
-  /// match how the serving PoiService was configured.
-  KSpinOptions engine_options{};
 };
+
+/// Searches asking for more than this many results get BAD_QUERY.
+inline constexpr std::uint32_t kMaxSearchK = 1000;
 
 struct ServerOptions {
   /// TCP port to bind on 127.0.0.1; 0 picks an ephemeral port (see
@@ -91,8 +94,6 @@ struct ServerOptions {
   unsigned num_workers = 0;
   /// Admission queue bound; 0 admits nothing (every request OVERLOADED).
   std::size_t queue_capacity = 256;
-  /// Requests with k above this are rejected with BAD_QUERY.
-  std::uint32_t max_k = 1000;
 
   /// Persistence (SNAPSHOT / RELOAD opcodes + periodic snapshots).
   SnapshotOptions snapshot;
@@ -118,11 +119,6 @@ struct ServerOptions {
   /// persisted into snapshot.dir (when configured) and installed through
   /// the RELOAD path.
   ReplicationOptions replication;
-
-  /// How long to stop accepting after an fd-exhaustion accept() failure
-  /// (EMFILE/ENFILE/...), so the poll loop does not spin hot on a
-  /// perpetually-ready listen fd.
-  std::uint32_t accept_pause_ms = 100;
 
   // Connection hardening — all enforced by the I/O thread each poll tick.
   /// Close connections with no traffic in either direction for this long.
@@ -264,6 +260,10 @@ class Server {
  private:
   struct Connection;
   struct Request;
+  /// A reply on its way from Execute (or a refusal) to Finish.
+  struct Outcome;
+  /// Why an OVERLOADED or DEADLINE_EXCEEDED reply refused its request.
+  enum class Refusal : std::uint8_t;
 
   void IoLoop();
   /// One overload-controller tick (I/O thread, every
@@ -277,21 +277,40 @@ class Server {
   std::pair<std::uint64_t, std::string> SnapshotLocked();
   /// Handles the RELOAD opcode; caller holds mutation_mutex_.
   std::vector<std::uint8_t> HandleReloadLocked();
-  /// The durable write path of the Lane::kWrite opcodes: idempotency
-  /// check, validate, append to the op log, apply through the epoch
-  /// gate, group-commit fsync, respond.
-  void ProcessMutation(Request& request);
+  /// Swaps a loaded snapshot in as the serving state (RELOAD and replica
+  /// installs): the catalogue inside an apply window, then the snapshot
+  /// and applied sequences, an op-log Reset past the snapshot and a
+  /// kSnapshotRestored event. Caller holds mutation_mutex_.
+  void InstallSnapshotLocked(RestoredServiceState& state,
+                             std::uint64_t sequence);
+  /// Runs one request: a single switch over the opcode that returns the
+  /// reply payload and, for searches, the engine counters and trace
+  /// fields. The I/O thread calls it for the inline lane and for bytes
+  /// without an opcode row; a worker calls it under its lane's read
+  /// guard or mutex. Writes take mutation_mutex_ inside and fsync
+  /// outside it; PROMOTE stops the replicator before taking it.
+  /// `processor` is the worker's QueryProcessor; only searches use it.
+  Outcome Execute(Request& request, QueryProcessor* processor);
+  /// The one place a reply leaves, with no guard or mutex held: reads its
+  /// status byte, bumps the requests_* counter it maps to (OVERLOADED and
+  /// DEADLINE_EXCEEDED by the refusal's cause), records the latency
+  /// histogram on OK, responds, records the span (every reply but an
+  /// inline probe's), then writes the trace or slow-query line.
+  void Finish(const Request& request, Outcome outcome);
+  /// SEARCH_BOOLEAN / SEARCH_RANKED on the worker's processor; fills the
+  /// reply and the trace fields of `*out`.
+  void HandleSearch(const Request& request, QueryProcessor& processor,
+                    Outcome* out);
+  /// The durable write path of the Lane::kWrite opcodes: fence check,
+  /// idempotency check, validate, append to the op log, apply through the
+  /// epoch gate, group-commit fsync. Returns the reply.
+  std::vector<std::uint8_t> HandleMutation(const MutationRecord& record,
+                                           std::uint64_t fence_epoch);
   /// PROMOTE: flip this replica to primary, bump the epoch, log the
-  /// transition. Runs on a worker WITHOUT mutation_mutex_ pre-taken — it
-  /// must stop the replicator (whose poll thread takes that mutex) before
-  /// locking, or the two would deadlock.
-  void ProcessPromote(Request& request);
-  /// Decodes a Lane::kWrite request into a MutationRecord and the
-  /// request's fence epoch. Returns false with a ready error response on
-  /// malformed payloads.
-  bool DecodeMutationRequest(const Request& request, MutationRecord* record,
-                             std::uint64_t* fence_epoch,
-                             std::vector<std::uint8_t>* error_response);
+  /// transition. Runs WITHOUT mutation_mutex_ pre-taken — it must stop
+  /// the replicator (whose poll thread takes that mutex) before locking,
+  /// or the two would deadlock. Returns the reply.
+  std::vector<std::uint8_t> HandlePromote(const Request& request);
   /// Latches the highest epoch ever observed in a request; once it
   /// exceeds our own primary epoch this server is fenced and rejects all
   /// writes with STALE_EPOCH.
@@ -323,11 +342,6 @@ class Server {
   /// Flushes accumulated shed counts into kShedBurst recorder events once
   /// per window (I/O thread, called from IoLoop).
   void FlushShedBursts(std::chrono::steady_clock::time_point now);
-  /// Records a minimal span for a request answered straight from the
-  /// envelope (sheds, redirects, fence rejections) so the trace_id is
-  /// visible in DUMP_DIAG even on the node that refused the work.
-  void RecordEnvelopeSpan(const TraceContext& trace, Opcode opcode,
-                          StatusCode status, std::uint32_t queue_us = 0);
   /// Closes connections that tripped a hardening limit.
   void SweepConnections(std::chrono::steady_clock::time_point now);
   void AcceptNew();
@@ -338,8 +352,6 @@ class Server {
   void HandleFrame(const std::shared_ptr<Connection>& conn,
                    const FrameHeader& header,
                    std::vector<std::uint8_t> payload);
-  /// `processor` is non-null for query opcodes, null for updates.
-  void ProcessRequest(Request& request, QueryProcessor* processor);
   void Respond(const std::shared_ptr<Connection>& conn,
                const FrameHeader& request_header,
                std::vector<std::uint8_t> response_payload);

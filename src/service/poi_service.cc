@@ -20,7 +20,7 @@ std::string Lowercase(std::string_view term) {
 
 PoiService::PoiService(const Graph& graph, DistanceOracle& oracle,
                        KSpinOptions options)
-    : graph_(&graph), oracle_(&oracle) {
+    : graph_(&graph), oracle_(&oracle), options_(options) {
   engine_ = std::make_unique<KSpin>(graph, DocumentStore{}, oracle, options);
 }
 
@@ -31,6 +31,7 @@ PoiService::PoiService(const Graph& graph, DistanceOracle& oracle,
                        KSpinOptions options)
     : graph_(&graph),
       oracle_(&oracle),
+      options_(options),
       vocabulary_(std::move(vocabulary)),
       names_(std::move(names)) {
   engine_ = std::make_unique<KSpin>(graph, std::move(store), oracle,
@@ -42,12 +43,11 @@ void PoiService::RestoreCatalog(Vocabulary vocabulary,
                                 std::vector<std::string> names,
                                 DocumentStore store,
                                 std::unique_ptr<AltIndex> alt,
-                                std::unique_ptr<KeywordIndex> keyword_index,
-                                KSpinOptions options) {
+                                std::unique_ptr<KeywordIndex> keyword_index) {
   const std::uint64_t next_generation = engine_->StructureGeneration() + 1;
   auto engine = std::make_unique<KSpin>(
       *graph_, std::move(store), *oracle_, std::move(alt),
-      std::move(keyword_index), options, next_generation);
+      std::move(keyword_index), options_, next_generation);
   // Only swap once the new engine is fully built: an exception above
   // leaves the service serving the old state.
   vocabulary_ = std::move(vocabulary);

@@ -46,15 +46,15 @@ class PoiService {
              KSpinOptions options = {});
 
   /// Replaces the catalogue and engine with snapshot-loaded state (the
-  /// RELOAD opcode). The serving graph and oracle are unchanged. The new
+  /// RELOAD opcode and replica installs). The serving graph, oracle and
+  /// the KSpinOptions the service was built with are unchanged. The new
   /// engine's StructureGeneration() strictly exceeds the old one's, so
   /// query processors cached against the previous engine are invalidated,
   /// never aliased. Callers must exclude concurrent queries (the server
-  /// holds its exclusive update lock).
+  /// swaps inside its EpochGate apply window).
   void RestoreCatalog(Vocabulary vocabulary, std::vector<std::string> names,
                       DocumentStore store, std::unique_ptr<AltIndex> alt,
-                      std::unique_ptr<KeywordIndex> keyword_index,
-                      KSpinOptions options = {});
+                      std::unique_ptr<KeywordIndex> keyword_index);
 
   /// Registers a POI at `vertex` with keyword tags (interned, lowercase
   /// recommended). Returns its id.
@@ -125,8 +125,10 @@ class PoiService {
   }
 
  private:
-  const Graph* graph_ = nullptr;      // For RestoreCatalog.
-  DistanceOracle* oracle_ = nullptr;  // For RestoreCatalog.
+  // For RestoreCatalog.
+  const Graph* graph_ = nullptr;
+  DistanceOracle* oracle_ = nullptr;
+  KSpinOptions options_;
   Vocabulary vocabulary_;
   std::vector<std::string> names_;  // Indexed by ObjectId.
   std::unique_ptr<KSpin> engine_;

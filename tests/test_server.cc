@@ -21,6 +21,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
 
 #include "routing/contraction_hierarchy.h"
 #include "server/client.h"
@@ -173,7 +174,7 @@ TEST_F(ServerTest, OutOfRangeVertexAndOversizedKRejected) {
       "kw0", static_cast<VertexId>(graph_.NumVertices()) + 10, 5);
   EXPECT_EQ(bad_vertex.status, StatusCode::kBadQuery);
 
-  const auto bad_k = client.Search("kw0", 3, 1001);  // max_k default 1000.
+  const auto bad_k = client.Search("kw0", 3, kMaxSearchK + 1);
   EXPECT_EQ(bad_k.status, StatusCode::kBadQuery);
 }
 
@@ -1091,6 +1092,215 @@ TEST_F(ServerTest, SlowQueryThresholdCountsSlowSearches) {
   EXPECT_GE(scrape.Value("kspin_slow_queries"), 1u);
   // No trace file configured: slow queries log to stderr only.
   EXPECT_EQ(scrape.Value("kspin_traces_emitted"), 0u);
+}
+
+// ---------------------------------------------------------------------
+// One reply path: every reply counts under its status (or, for OVERLOADED
+// and DEADLINE_EXCEEDED, its cause), and every executed opcode leaves a
+// span and a latency sample.
+
+/// The requests_* counter a reply must have bumped. OVERLOADED and
+/// DEADLINE_EXCEEDED count by cause, which the reply's message names.
+std::string CounterOf(const Client::Reply& reply) {
+  switch (reply.status) {
+    case StatusCode::kOk: return "kspin_requests_ok";
+    case StatusCode::kMalformedPayload:
+      return "kspin_requests_malformed_payload";
+    case StatusCode::kBadQuery: return "kspin_requests_bad_query";
+    case StatusCode::kInternal: return "kspin_requests_internal_error";
+    case StatusCode::kUnsupported: return "kspin_requests_unsupported";
+    case StatusCode::kNotPrimary: return "kspin_requests_not_primary";
+    case StatusCode::kStaleEpoch: return "kspin_requests_stale_epoch";
+    case StatusCode::kOverloaded:
+      if (reply.error == "rate limited") return "kspin_requests_rate_limited";
+      if (reply.error == "admission limited") {
+        return "kspin_requests_admission_limited";
+      }
+      if (reply.error == "admission queue full") {
+        return "kspin_requests_overloaded";
+      }
+      return "kspin_requests_codel_shed";
+    case StatusCode::kDeadlineExceeded:
+      if (reply.error == "deadline expired before admission") {
+        return "kspin_requests_deadline_rejected";
+      }
+      if (reply.error == "deadline expired before execution") {
+        return "kspin_requests_deadline_dropped";
+      }
+      return "kspin_requests_deadline_cancelled";
+  }
+  return "unknown status";
+}
+
+/// Sends one raw frame on `fd` and decodes the reply's status and message.
+Client::Reply RawRequest(int fd, const FrameHeader& request,
+                         const std::vector<std::uint8_t>& payload) {
+  const auto frame = EncodeFrame(request, payload);
+  EXPECT_EQ(::write(fd, frame.data(), frame.size()),
+            static_cast<ssize_t>(frame.size()));
+  std::vector<std::uint8_t> bytes;
+  FrameHeader header;
+  Client::Reply reply;
+  if (!ReadFrame(fd, &bytes, &header)) {
+    ADD_FAILURE() << "no reply frame";
+    return reply;
+  }
+  PayloadReader reader(std::span<const std::uint8_t>(
+      bytes.data() + kHeaderSize, header.payload_size));
+  reply.status = static_cast<StatusCode>(reader.U8());
+  if (reply.status != StatusCode::kOk) reply.error = reader.String();
+  return reply;
+}
+
+TEST_F(ServerTest, EveryReplyCountsUnderItsStatusOrCause) {
+  // Replies by the counter they must bump, for the running server and
+  // over the whole test.
+  std::map<std::string, std::uint64_t> tally;
+  std::map<std::string, std::uint64_t> seen;
+  const auto note = [&](const Client::Reply& reply) {
+    ++tally[CounterOf(reply)];
+    ++seen[CounterOf(reply)];
+  };
+  // Every outcome counter of the running server equals its tally (a
+  // METRICS reply does not count itself); then the server goes.
+  const auto check = [&](const std::string& server) {
+    Client client = Connect();
+    const ParsedMetrics scrape = Scrape(client);
+    for (const char* name :
+         {"kspin_requests_ok", "kspin_requests_bad_query",
+          "kspin_requests_malformed_payload", "kspin_requests_unsupported",
+          "kspin_requests_internal_error", "kspin_requests_not_primary",
+          "kspin_requests_stale_epoch", "kspin_requests_overloaded",
+          "kspin_requests_admission_limited", "kspin_requests_codel_shed",
+          "kspin_requests_rate_limited", "kspin_requests_deadline_rejected",
+          "kspin_requests_deadline_dropped",
+          "kspin_requests_deadline_cancelled"}) {
+      EXPECT_EQ(scrape.Value(name), tally[name]) << server << ": " << name;
+    }
+    tally.clear();
+    server_.reset();
+  };
+  const std::vector<std::string> keywords = {"kw1"};
+
+  // A primary with an empty snapshot directory and an op log whose
+  // appends crash.
+  ServerOptions options;
+  options.snapshot.dir = testing::ScratchDir("counted_snapshots");
+  options.oplog.dir = testing::ScratchDir("counted_oplog");
+  options.oplog.hooks.on_phase = [](OplogPhase phase) {
+    return phase != OplogPhase::kAfterRecordWrite;
+  };
+  StartServer(options);
+  {
+    Client client = Connect();
+    note(client.Ping());
+    note(client.Search("kw0", 3, 5));
+    note(client.Search("((kw1", 3, 5));
+    note(client.Search("kw0", static_cast<VertexId>(graph_.NumVertices()), 5));
+    note(client.Search("kw0", 3, kMaxSearchK + 1));
+    const auto reload = client.Reload();  // No snapshot to reload.
+    EXPECT_EQ(reload.status, StatusCode::kBadQuery);
+    note(reload);
+    const auto crashed = client.InsertDoc(0, 5, "crashed", keywords);
+    EXPECT_EQ(crashed.status, StatusCode::kInternal);
+    note(crashed);
+    client.SetFenceEpoch(7);  // Fences the server while it executes.
+    note(client.InsertDoc(0, 5, "fenced", keywords));
+    client.SetFenceEpoch(0);  // Refused at the door from now on.
+    note(client.DeleteDoc(0, 0));
+
+    const int fd = RawConnect(server_->Port());
+    ASSERT_GE(fd, 0);
+    FrameHeader header;
+    header.request_id = 1;
+    header.opcode = Opcode::kSearchBoolean;
+    note(RawRequest(fd, header, {7, 0, 0, 0}));  // Body does not decode.
+    header.opcode = Opcode::kPing;
+    header.flags = kFrameFlagTraceContext;
+    note(RawRequest(fd, header, {1, 2, 3}));  // Trace trailer cut short.
+    header.opcode = static_cast<Opcode>(0x02);  // Retired STATS.
+    header.flags = 0;
+    note(RawRequest(fd, header, {}));
+    ::close(fd);
+  }
+  check("primary");
+
+  ServerOptions replica;
+  replica.replication.role = ServerRole::kReplica;
+  StartServer(replica);
+  {
+    Client client = Connect();
+    note(client.Search("kw0", 3, 5));
+    note(client.InsertDoc(0, 5, "redirected", keywords));
+  }
+  check("replica");
+
+  ServerOptions full;
+  full.queue_capacity = 0;
+  StartServer(full);
+  {
+    Client client = Connect();
+    note(client.Search("kw0", 3, 5));
+  }
+  check("zero-capacity queue");
+
+  ServerOptions limited;
+  limited.overload.per_client_qps = 0.001;
+  limited.overload.per_client_burst = 1.0;
+  StartServer(limited);
+  {
+    Client client = Connect();
+    note(client.Search("kw0", 3, 5));  // Spends the only token.
+    note(client.Search("kw0", 3, 5));
+  }
+  check("rate limit");
+
+  ServerOptions late_admission;
+  late_admission.test_admission_delay_ms = 30;
+  StartServer(late_admission);
+  {
+    Client client = Connect();
+    note(client.Search("kw0", 3, 5, false, /*deadline_ms=*/1));
+  }
+  check("deadline at admission");
+
+  ServerOptions late_dequeue;
+  late_dequeue.test_dequeue_delay_ms = 30;
+  StartServer(late_dequeue);
+  {
+    Client client = Connect();
+    note(client.Search("kw0", 3, 5, false, /*deadline_ms=*/1));
+  }
+  check("deadline at dequeue");
+
+  // Every status the scenarios set out to reach was reached.
+  EXPECT_EQ(seen["kspin_requests_ok"], 4u);
+  EXPECT_EQ(seen["kspin_requests_bad_query"], 4u);
+  EXPECT_EQ(seen["kspin_requests_malformed_payload"], 2u);
+  EXPECT_EQ(seen["kspin_requests_unsupported"], 1u);
+  EXPECT_EQ(seen["kspin_requests_internal_error"], 1u);
+  EXPECT_EQ(seen["kspin_requests_stale_epoch"], 2u);
+  EXPECT_EQ(seen["kspin_requests_not_primary"], 1u);
+  EXPECT_EQ(seen["kspin_requests_overloaded"], 1u);
+  EXPECT_EQ(seen["kspin_requests_rate_limited"], 1u);
+  EXPECT_EQ(seen["kspin_requests_deadline_rejected"], 1u);
+  EXPECT_EQ(seen["kspin_requests_deadline_dropped"], 1u);
+}
+
+TEST_F(ServerTest, PromoteLeavesASpanAndALatencySample) {
+  ServerOptions options;
+  options.replication.role = ServerRole::kReplica;  // No primary to tail.
+  StartServer(options);
+  Client client = Connect();
+  const auto ack = client.Promote();
+  ASSERT_TRUE(ack.ok()) << ack.error;
+  EXPECT_EQ(ack.epoch, 1u);
+  EXPECT_EQ(Scrape(client).Value("kspin_update_latency_us_count"), 1u);
+  // The span is recorded right after the reply is queued.
+  EXPECT_TRUE(WaitFor([&] {
+    return server_->Recorder().Dump().find("\"opcode\":\"PROMOTE\"") !=
+           std::string::npos;
+  }));
 }
 
 }  // namespace

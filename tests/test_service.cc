@@ -4,11 +4,13 @@
 
 #include <atomic>
 #include <memory>
+#include <sstream>
 
 #include "kspin/query_control.h"
 #include "routing/contraction_hierarchy.h"
 #include "service/poi_service.h"
 #include "service/query_parser.h"
+#include "service/service_snapshot.h"
 #include "test_util.h"
 
 namespace kspin {
@@ -276,6 +278,30 @@ TEST_F(PoiServiceTest, LifecycleUpdatesAffectSearch) {
   EXPECT_EQ(service_->NumLivePois(), 2u);
   service_->Maintain();
   EXPECT_EQ(service_->Search("thai", 15, 5).size(), 1u);
+}
+
+TEST(PoiServiceRestoreTest, RestoreCatalogKeepsTheServiceOptions) {
+  const Graph graph = testing::SmallRoadNetwork(99);
+  ContractionHierarchy ch(graph);
+  ChOracle oracle(ch);
+  KSpinOptions options;
+  options.use_euclidean_heuristic = true;
+  PoiService service(graph, oracle, options);
+  const std::vector<std::string> tags = {"thai", "restaurant"};
+  service.AddPoi("Bangkok Palace", 10, tags);
+  const std::string lower_bounds = service.Engine().LowerBounds().Name();
+  ASSERT_EQ(lower_bounds, "max(alt,euclidean)");
+
+  // RELOAD's path: snapshot the service, then restore it in place.
+  std::stringstream image;
+  WriteServiceSnapshot(service, image);
+  RestoredServiceState state = ReadServiceSnapshot(image, &graph);
+  service.RestoreCatalog(
+      std::move(state.catalog.vocabulary), std::move(state.catalog.names),
+      std::move(state.store), std::move(state.alt),
+      std::move(state.keyword_index));
+  EXPECT_EQ(service.Engine().LowerBounds().Name(), lower_bounds);
+  EXPECT_EQ(service.Search("thai", 15, 5).size(), 1u);
 }
 
 }  // namespace

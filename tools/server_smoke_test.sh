@@ -624,12 +624,15 @@ echo "smoke: ex-primary rejoined, quarantined $QUARANTINED divergent record(s), 
 # ---- diag: the flight recorder reconstructs the drill ----------------
 # With the dust settled and no traffic running, `kspin_cli diag` against
 # each survivor must replay the control-plane story from the always-on
-# flight recorder alone: the promotion (with its epoch) on the new
-# primary, and the replication source switch on the rejoined ex-primary.
+# flight recorder alone: the promotion (its event with the epoch and the
+# PROMOTE request's span) on the new primary, and the replication source
+# switch on the rejoined ex-primary.
 DIAG_NEWPRI="$("$KCLI" diag --endpoints=127.0.0.1:"$FOREP_PORT")" \
   || fo_die "kspin_cli diag against the new primary failed"
 grep -q '"type":"PROMOTE","a":1' <<<"$DIAG_NEWPRI" \
   || fo_die "diag on new primary missing the epoch-1 PROMOTE event"
+grep -q '"opcode":"PROMOTE"' <<<"$DIAG_NEWPRI" \
+  || fo_die "diag on new primary missing the PROMOTE request's span"
 DIAG_REJOIN="$("$KCLI" diag --endpoints=127.0.0.1:"$REJOIN_PORT")" \
   || fo_die "kspin_cli diag against the rejoined ex-primary failed"
 grep -q '"type":"REPLICATION_SOURCE_' <<<"$DIAG_REJOIN" \
